@@ -40,13 +40,10 @@ from .constructions import (
     binary_kcode,
     concatenated_code,
     lemmens_seidel_code,
-    lemmens_seidel_gram,
     lines28_gram,
     odd_reciprocal_code,
-    odd_reciprocal_gram,
     regular_simplex,
     seven_dim_28_lines,
-    simplex_gram,
 )
 from .errors import EquicodeError, InvalidParams, RandomizedFailure, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
@@ -107,9 +104,14 @@ def write_code_file(path: str, dim: int, vectors=None, gram=None,
         fh.write("\n")
 
 
+def _json_int(token: str):
+    """Integer token of a code file; ``-0`` is how the writer spells -0.0."""
+    return -0.0 if token == "-0" else int(token)
+
+
 def read_code_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_json_int)
     if doc.get("format_version") != "1":
         raise InvalidParams("unsupported or missing format_version")
     if ("vectors" in doc) == ("gram" in doc):
@@ -227,23 +229,21 @@ def cmd_construct(args, tol: Tolerance) -> int:
     metadata = {"construction": name, "parameters": {}, "seed": seed}
     if name == "lemmens-seidel":
         _need(args, "n")
-        code = lemmens_seidel_code(args.n)
+        code, metadata["gram_rank"] = lemmens_seidel_code(args.n, return_rank=True)
         metadata["parameters"] = {"n": args.n}
-        metadata["gram_rank"] = is_psd(lemmens_seidel_gram(args.n)).witness["rank"]
     elif name == "odd-reciprocal":
         _need(args, "n")
         _need(args, "r")
-        code = odd_reciprocal_code(args.n, args.r)
+        code, metadata["gram_rank"] = odd_reciprocal_code(args.n, args.r,
+                                                          return_rank=True)
         metadata["parameters"] = {"n": args.n, "r": args.r}
-        metadata["gram_rank"] = is_psd(odd_reciprocal_gram(args.n, args.r)).witness["rank"]
     elif name == "lines28":
         code = seven_dim_28_lines()
         metadata["gram_rank"] = is_psd(lines28_gram()).witness["rank"]
     elif name == "simplex":
         _need(args, "r")
-        code = regular_simplex(args.r)
+        code, metadata["gram_rank"] = regular_simplex(args.r, return_rank=True)
         metadata["parameters"] = {"r": args.r}
-        metadata["gram_rank"] = is_psd(simplex_gram(args.r)).witness["rank"]
     elif name == "binary-kcode":
         _need(args, "n")
         _need(args, "k")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Tuple
 
@@ -81,17 +80,12 @@ def lemmens_seidel_gram(n: int) -> SymMatrix:
     """Order 2n-2 Gram: n-1 diagonal blocks [[1,-1/3],[-1/3,1]], 1/3 elsewhere."""
     if n < 3:
         raise InvalidParams("need n >= 3")
-    one = Fraction(1)
-    pos = Fraction(1, 3)
-    neg = Fraction(-1, 3)
     m = 2 * n - 2
-    rows = [[pos] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = one
-    for b in range(n - 1):
-        rows[2 * b][2 * b + 1] = neg
-        rows[2 * b + 1][2 * b] = neg
-    return SymMatrix(rows, backend="rational")
+    num = np.ones((m, m), dtype=np.int64)
+    np.fill_diagonal(num, 3)
+    even = np.arange(0, m, 2)
+    num[even, even + 1] = num[even + 1, even] = -1
+    return SymMatrix.from_integers(num, 3)
 
 
 def odd_reciprocal_gram(n: int, r: int) -> SymMatrix:
@@ -100,35 +94,28 @@ def odd_reciprocal_gram(n: int, r: int) -> SymMatrix:
         raise InvalidParams("need r >= 2")
     if n < r:
         raise InvalidParams("need n >= r")
-    alpha = Fraction(1, 2 * r - 1)
-    blocks = (n - 1) // (r - 1)
-    m = r * blocks
-    one = Fraction(1)
-    neg = -alpha
-    rows = [[alpha] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = one
-    for b in range(blocks):
-        for i in range(b * r, (b + 1) * r):
-            for j in range(b * r, (b + 1) * r):
-                if i != j:
-                    rows[i][j] = neg
-    return SymMatrix(rows, backend="rational")
+    den = 2 * r - 1
+    block = np.arange(r * ((n - 1) // (r - 1))) // r
+    num = np.where(block[:, None] == block[None, :], -1, 1).astype(np.int64)
+    np.fill_diagonal(num, den)
+    return SymMatrix.from_integers(num, den)
 
 
 def simplex_gram(r: int) -> SymMatrix:
     """Order r+1 Gram of the regular r-simplex: -1/r off the diagonal."""
     if r < 1:
         raise InvalidParams("need r >= 1")
-    off = Fraction(-1, r)
-    one = Fraction(1)
-    rows = [[one if i == j else off for j in range(r + 1)] for i in range(r + 1)]
-    return SymMatrix(rows, backend="rational")
+    num = np.full((r + 1, r + 1), -1, dtype=np.int64)
+    np.fill_diagonal(num, r)
+    return SymMatrix.from_integers(num, r)
 
 
 def _certified_embed(gram: SymMatrix, expected_rank: Optional[int] = None,
-                     max_rank: Optional[int] = None) -> Code:
-    """Exact PSD/rank certification of a rational Gram, then float embedding."""
+                     max_rank: Optional[int] = None) -> Tuple[Code, int]:
+    """Exact PSD/rank certification of a rational Gram, then float embedding.
+
+    Returns the code and the certified rank of ``gram``.
+    """
     cert = is_psd(gram)
     if not cert.passed:
         raise InternalError(f"construction Gram is not PSD: {cert.witness}")
@@ -140,7 +127,7 @@ def _certified_embed(gram: SymMatrix, expected_rank: Optional[int] = None,
     code = embed_from_gram(gram.to_float())
     if code.dim != rank:
         raise InternalError("float embedding dimension disagrees with exact rank")
-    return code
+    return code, rank
 
 
 def _pad_to_dim(code: Code, dim: int) -> Code:
@@ -155,25 +142,35 @@ def _pad_to_dim(code: Code, dim: int) -> Code:
 # deterministic constructions -------------------------------------------
 
 
-def lemmens_seidel_code(n: int) -> Code:
-    """2n-2 unit vectors in R^n with all pairwise inner products +/- 1/3."""
-    return _certified_embed(lemmens_seidel_gram(n), expected_rank=n)
+def lemmens_seidel_code(n: int, return_rank: bool = False):
+    """2n-2 unit vectors in R^n with all pairwise inner products +/- 1/3.
+
+    With ``return_rank`` also returns the exactly certified Gram rank.
+    """
+    code, rank = _certified_embed(lemmens_seidel_gram(n), expected_rank=n)
+    return (code, rank) if return_rank else code
 
 
-def odd_reciprocal_code(n: int, r: int) -> Code:
+def odd_reciprocal_code(n: int, r: int, return_rank: bool = False):
     """r * floor((n-1)/(r-1)) unit vectors in R^n at angle 1/(2r-1).
 
-    The Gram rank is 1 + blocks*(r-1) <= n, certified exactly per instance.
+    The Gram rank is 1 + blocks*(r-1) <= n, certified exactly per instance;
+    ``return_rank`` also returns it.
     """
     gram = odd_reciprocal_gram(n, r)
     blocks = (n - 1) // (r - 1)
-    code = _certified_embed(gram, expected_rank=1 + blocks * (r - 1), max_rank=n)
-    return _pad_to_dim(code, n)
+    code, rank = _certified_embed(gram, expected_rank=1 + blocks * (r - 1), max_rank=n)
+    code = _pad_to_dim(code, n)
+    return (code, rank) if return_rank else code
 
 
-def regular_simplex(r: int) -> Code:
-    """r+1 unit vectors in R^r with all pairwise inner products -1/r."""
-    return _certified_embed(simplex_gram(r), expected_rank=r)
+def regular_simplex(r: int, return_rank: bool = False):
+    """r+1 unit vectors in R^r with all pairwise inner products -1/r.
+
+    With ``return_rank`` also returns the exactly certified Gram rank.
+    """
+    code, rank = _certified_embed(simplex_gram(r), expected_rank=r)
+    return (code, rank) if return_rank else code
 
 
 def seven_dim_28_lines() -> Code:
@@ -194,16 +191,10 @@ def seven_dim_28_lines() -> Code:
 
 def lines28_gram() -> SymMatrix:
     """Exact rational Gram of the 28-line code (entries +/- 1/3)."""
-    supports = list(combinations(range(8), 2))
-    vecs = []
-    for i, j in supports:
-        v = [1] * 8
-        v[i] = -3
-        v[j] = -3
-        vecs.append(v)
-    rows = [[Fraction(sum(a * b for a, b in zip(u, w)), 24) for w in vecs]
-            for u in vecs]
-    return SymMatrix(rows, backend="rational")
+    vecs = np.ones((28, 8), dtype=np.int64)
+    for row, support in enumerate(combinations(range(8), 2)):
+        vecs[row, support] = -3
+    return SymMatrix.from_integers(vecs @ vecs.T, 24)
 
 
 def binary_kcode(n: int, k: int) -> Code:

@@ -1,17 +1,19 @@
 """Symmetric-matrix numerics on a float64 or exact-rational backend.
 
 Float work (eigendecomposition, thresholded rank, PSD tests) runs on numpy.
-Exact work (rank, PSD pivots) runs fraction-free on arbitrary-precision
-integers after clearing denominators, so verdicts on rational matrices are
-bit-exact rather than threshold-dependent.
+Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
+rational matrix, numerators over one common denominator: in int64 while no
+step can overflow, on Python ints after.  Verdicts on rational matrices are
+therefore bit-exact rather than threshold-dependent.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,12 +55,13 @@ DEFAULT_TOL = Tolerance()
 class SymMatrix:
     """Dense symmetric matrix tagged with its numeric backend.
 
-    The float64 backend stores a numpy array; the rational backend stores
-    exact ``Fraction`` entries.  Entries are symmetric by construction and
-    instances are immutable.
+    The float64 backend stores a numpy array.  The rational backend stores
+    an integer matrix with one common positive denominator, entry (i, j)
+    being ``num[i, j] / den``; the integers are int64 when they all fit and
+    Python ints otherwise.  Instances are immutable.
     """
 
-    __slots__ = ("order", "backend", "_array", "_rows")
+    __slots__ = ("order", "backend", "_array", "_den", "_rows")
 
     def __init__(self, data, backend=None):
         if isinstance(data, SymMatrix):
@@ -78,39 +81,55 @@ class SymMatrix:
             arr = arr.copy()
             arr.flags.writeable = False
             self._array = arr
+            self._den = None
             self._rows = None
             self.order = arr.shape[0]
         elif backend == RATIONAL:
-            rows = tuple(tuple(Fraction(x) for x in row) for row in data)
-            n = len(rows)
-            if n < 1 or any(len(r) != n for r in rows):
+            rows = [[Fraction(x) for x in row] for row in data]
+            if len(rows) < 1 or any(len(r) != len(rows) for r in rows):
                 raise InvalidMatrix("expected a square matrix of order >= 1")
-            for i in range(n):
-                for j in range(i):
-                    if rows[i][j] != rows[j][i]:
-                        raise InvalidMatrix("matrix entries must be exactly symmetric")
-            self._rows = rows
-            self._array = None
-            self.order = n
+            den = math.lcm(*(x.denominator for row in rows for x in row))
+            self._set_integers([[x.numerator * (den // x.denominator) for x in row]
+                                for row in rows], den)
         else:
             raise InvalidMatrix(f"unknown backend {backend!r}")
         self.backend = backend
 
+    def _set_integers(self, num, den):
+        arr = _integer_array(num)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise InvalidMatrix("expected a square matrix of order >= 1")
+        if not np.array_equal(arr, arr.T):
+            raise InvalidMatrix("matrix entries must be exactly symmetric")
+        arr.flags.writeable = False
+        self._array = arr
+        self._den = den
+        self._rows = None
+        self.order = arr.shape[0]
+
     # construction helpers -------------------------------------------------
+
+    @classmethod
+    def from_integers(cls, num, den: int = 1) -> "SymMatrix":
+        """Exact matrix ``num / den`` from a symmetric integer array."""
+        den = operator.index(den)
+        if den < 1:
+            raise InvalidMatrix("the common denominator must be a positive integer")
+        out = cls.__new__(cls)
+        out._set_integers(num, den)
+        out.backend = RATIONAL
+        return out
 
     @classmethod
     def identity(cls, n, backend=FLOAT64):
         if backend == RATIONAL:
-            one, zero = Fraction(1), Fraction(0)
-            return cls([[one if i == j else zero for j in range(n)] for i in range(n)],
-                       backend=RATIONAL)
+            return cls.from_integers(np.eye(n, dtype=np.int64))
         return cls(np.eye(n), backend=FLOAT64)
 
     @classmethod
     def ones(cls, n, backend=FLOAT64):
         if backend == RATIONAL:
-            one = Fraction(1)
-            return cls([[one] * n for _ in range(n)], backend=RATIONAL)
+            return cls.from_integers(np.ones((n, n), dtype=np.int64))
         return cls(np.ones((n, n)), backend=FLOAT64)
 
     @classmethod
@@ -124,18 +143,25 @@ class SymMatrix:
     def entry(self, i, j):
         if self.backend == FLOAT64:
             return float(self._array[i, j])
-        return self._rows[i][j]
+        return Fraction(int(self._array[i, j]), self._den)
 
     def rows(self):
-        """Rational rows (rational backend only)."""
+        """Rational rows (rational backend only), built on first use."""
         if self.backend != RATIONAL:
             raise InvalidMatrix("rows() requires the rational backend")
+        if self._rows is None:
+            den = self._den
+            self._rows = tuple(tuple(Fraction(x, den) for x in row)
+                               for row in self._array.tolist())
         return self._rows
 
     def as_array(self) -> np.ndarray:
         if self.backend == FLOAT64:
             return self._array
-        return np.array([[float(x) for x in row] for row in self._rows])
+        num, den = self._array, self._den
+        if num.dtype != object and max(den, _max_abs(num)) <= _FLOAT_EXACT:
+            return num / den  # both exact in float64: one correctly rounded division
+        return np.array([[x / den for x in row] for row in num.tolist()])
 
     def to_float(self) -> "SymMatrix":
         if self.backend == FLOAT64:
@@ -145,16 +171,31 @@ class SymMatrix:
     def trace(self):
         if self.backend == FLOAT64:
             return float(np.trace(self._array))
-        return sum((self._rows[i][i] for i in range(self.order)), Fraction(0))
+        return Fraction(sum(int(x) for x in np.diagonal(self._array)), self._den)
 
     def trace_square(self):
         """trace(M^2), computed as the sum of squared entries."""
         if self.backend == FLOAT64:
             return float(np.sum(self._array * self._array))
-        return sum((x * x for row in self._rows for x in row), Fraction(0))
+        return Fraction(sum(x * x for row in self._array.tolist() for x in row),
+                        self._den ** 2)
 
     def __repr__(self):
         return f"SymMatrix(order={self.order}, backend={self.backend})"
+
+
+def _integer_array(num) -> np.ndarray:
+    """Copy of an integer array as int64, or as Python ints if int64 is too narrow."""
+    arr = num if isinstance(num, np.ndarray) else np.array(num, dtype=object)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "uO" or not all(isinstance(x, Integral) for x in arr.flat):
+        raise InvalidMatrix("expected integer entries")
+    ints = [int(x) for x in arr.flat]
+    try:
+        return np.array(ints, dtype=np.int64).reshape(arr.shape)
+    except OverflowError:
+        return np.array(ints, dtype=object).reshape(arr.shape)
 
 
 def _all_rational(data) -> bool:
@@ -199,10 +240,11 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of a symmetric matrix.
 
     Float backend: eigenvalues above ``eig_zero`` relative to the largest
-    magnitude.  Rational backend: exact rank by fraction-free elimination.
+    magnitude.  Rational backend: exact rank by fraction-free elimination
+    with row pivoting, so indefinite input is fine.
     """
     if M.backend == RATIONAL:
-        return _exact_rank(M.rows())
+        return _fraction_free(M._array)[0]
     vals = np.abs(sym_eigen(M).eigenvalues)
     cutoff = tol.eig_zero * max(1.0, float(vals.max(initial=0.0)))
     return int(np.count_nonzero(vals > cutoff))
@@ -216,16 +258,16 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     symmetric elimination and reports the first failing pivot, if any.
     """
     if M.backend == RATIONAL:
-        ok, rank, witness = _exact_psd(M.rows())
-        if ok:
+        rank, witness = _fraction_free(M._array, M._den, symmetric=True)
+        if witness is None:
             return Certificate.check(
                 "psd", "all leading pivots of the symmetric elimination are >= 0",
                 lhs=0, rhs=0, tol=0.0, witness={"rank": rank})
         return Certificate(
             name="psd",
             statement="all leading pivots of the symmetric elimination are >= 0",
-            passed=False, lhs=0, rhs=witness.get("pivot", 0),
-            margin=witness.get("pivot", 0), tol=0.0, witness=witness)
+            passed=False, lhs=0, rhs=witness["pivot"],
+            margin=witness["pivot"], tol=0.0, witness=witness)
     vals = sym_eigen(M).eigenvalues
     lam_min = float(vals[-1])
     lam_scale = max(1.0, float(np.abs(vals).max()))
@@ -297,135 +339,71 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
 # exact fraction-free elimination ------------------------------------------
 
 
-class _Int64Overflow(Exception):
-    pass
+_GUARD = 2 ** 62        # int64 steps need 2 * max|entry|^2 below this
+_FLOAT_EXACT = 2 ** 53  # integers up to here convert to float64 exactly
 
 
-_GUARD = 2 ** 62
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min()))
 
 
-def _denominator_lcm(values) -> int:
-    out = 1
-    for x in values:
-        d = x.denominator
-        out = out * d // math.gcd(out, d)
-    return out
+def _fraction_free(num, den: int = 1, symmetric: bool = False):
+    """Bareiss (1968) fraction-free elimination of the integer matrix ``num``.
 
+    After step k every live entry is a minor of order k + 1 of ``num``, so
+    each division by the previous pivot is exact.  The sweep runs on an
+    int64 copy while ``2 * max|entry|^2 < 2^62``; at the first step where
+    that guard fails the working array is promoted to Python ints and the
+    sweep carries on from that step.
 
-def _int_rows_rowwise(rows):
-    """Clear denominators independently per row (rank is row-scaling invariant)."""
-    out = []
-    for row in rows:
-        scale = _denominator_lcm(row)
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    ``symmetric=True`` is the PSD sweep: diagonal pivots, no exchanges.  It
+    stops at a negative pivot, or at a zero pivot whose row is not all zero
+    (a negative 2x2 principal minor), and returns that witness with the
+    rank so far; otherwise the matrix is PSD and the number of positive
+    pivots is its rank.  Once promoted it updates only the upper triangle
+    of the trailing block.  ``symmetric=False`` finds the rank of any
+    matrix, indefinite ones included, with row pivoting.
 
-
-def _int_rows_global(rows):
-    """Clear denominators with one global factor (preserves symmetry and PSD)."""
-    scale = _denominator_lcm(x for row in rows for x in row)
-    return [[x.numerator * (scale // x.denominator) for x in row]
-            for row in rows], scale
-
-
-def _as_work_array(int_rows, exact):
-    if exact:
-        a = np.empty((len(int_rows), len(int_rows[0])), dtype=object)
-        for i, row in enumerate(int_rows):
-            a[i, :] = row
-        return a
-    return np.array(int_rows, dtype=np.int64)
-
-
-def _guard(A):
-    mx = int(np.abs(A).max(initial=0))
-    if 2 * mx * mx >= _GUARD:
-        raise _Int64Overflow
-
-
-def _bareiss_rank(int_rows, exact=False) -> int:
-    """Rank by fraction-free Gaussian elimination with row pivoting.
-
-    int64 fast path with an overflow guard; retried with arbitrary-precision
-    integers when intermediate minors grow too large.
+    Returns ``(rank, witness)``; the witness is None unless a symmetric
+    sweep found the matrix not PSD.  ``den`` only scales witness pivots.
     """
-    try:
-        A = _as_work_array(int_rows, exact)
-        m, ncols = A.shape
-        rank, row = 0, 0
-        prev = 1
-        for col in range(ncols):
-            if row >= m:
-                break
-            nz = np.nonzero(A[row:, col])[0]
+    A = np.array(num)
+    m = A.shape[0]
+    prev, rank = 1, 0
+    upper = None
+    for col in range(m):
+        if symmetric:
+            row = col
+            d = int(A[col, col])
+            if d < 0:
+                return rank, {"pivot_index": col, "pivot": Fraction(d, prev * den)}
+            if d == 0:
+                nz = np.flatnonzero(A[col, col:])
+                if nz.size:
+                    return rank, {"pivot_index": col, "pivot": Fraction(0),
+                                  "indefinite_pair": (col, col + int(nz[0]))}
+                continue
+        else:
+            row = rank
+            nz = np.flatnonzero(A[row:, col])
             if nz.size == 0:
                 continue
-            piv = row + int(nz[0])
-            if piv != row:
+            if nz[0]:
+                piv = row + int(nz[0])
                 A[[row, piv], :] = A[[piv, row], :]
-            pivval = int(A[row, col])
-            if row + 1 < m:
-                if not exact:
-                    _guard(A[row:, col:])
-                block = A[row + 1:, col:]
-                A[row + 1:, col:] = (pivval * block
-                                     - np.outer(A[row + 1:, col], A[row, col:])) // prev
-            prev = pivval
-            rank += 1
-            row += 1
-        return rank
-    except (_Int64Overflow, OverflowError):
-        if exact:
-            raise
-        return _bareiss_rank(int_rows, exact=True)
-
-
-def _exact_rank(rational_rows) -> int:
-    return _bareiss_rank(_int_rows_rowwise(rational_rows))
-
-
-def _psd_sweep(int_rows, scale, exact=False):
-    """Symmetric fraction-free elimination; pivot signs decide PSD.
-
-    A zero diagonal pivot is admissible only when its whole remaining row is
-    zero (true for every PSD matrix); otherwise a negative 2x2 principal
-    minor witnesses indefiniteness.
-    """
-    try:
-        A = _as_work_array(int_rows, exact)
-        m = A.shape[0]
-        prev = 1
-        rank = 0
-        for k in range(m):
-            d = int(A[k, k])
-            if d == 0:
-                nz = np.nonzero(A[k, k:])[0]
-                if nz.size:
-                    j = k + int(nz[0])
-                    return False, rank, {
-                        "pivot_index": k,
-                        "pivot": Fraction(0),
-                        "indefinite_pair": (k, j),
-                    }
-                continue
-            pivot = Fraction(d, prev * scale)
-            if pivot < 0:
-                return False, rank, {"pivot_index": k, "pivot": pivot}
-            if k + 1 < m:
-                if not exact:
-                    _guard(A[k:, k:])
-                block = A[k + 1:, k:]
-                A[k + 1:, k:] = (d * block
-                                 - np.outer(A[k + 1:, k], A[k, k:])) // prev
-            prev = d
-            rank += 1
-        return True, rank, {}
-    except (_Int64Overflow, OverflowError):
-        if exact:
-            raise
-        return _psd_sweep(int_rows, scale, exact=True)
-
-
-def _exact_psd(rational_rows):
-    int_rows, scale = _int_rows_global(rational_rows)
-    return _psd_sweep(int_rows, scale)
+            d = int(A[row, col])
+        if A.dtype != object and 2 * _max_abs(A[row:, col:]) ** 2 >= _GUARD:
+            A = A.astype(object)
+        if symmetric and A.dtype == object:
+            if upper is None:
+                upper = np.triu_indices(m)
+            start = (col + 1) * m - col * (col + 1) // 2  # first entry of row col+1
+            i, j = upper[0][start:], upper[1][start:]
+            A[i, j] = (d * A[i, j] - A[col, i] * A[col, j]) // prev
+        else:
+            lower = A[row, col + 1:] if symmetric else A[row + 1:, col]
+            A[row + 1:, col + 1:] = (d * A[row + 1:, col + 1:]
+                                     - np.outer(lower, A[row, col + 1:])) // prev
+        prev = d
+        rank += 1
+    return rank, None

@@ -44,6 +44,18 @@ def test_construct_write_read_write_identical_bytes(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_negative_zero_survives_write_read_rewrite(tmp_path):
+    # the simplex embedding writes -0.0, which canonical JSON spells "-0"
+    out = tmp_path / "simplex100.json"
+    assert run(["construct", "simplex", "--r", "100", "--out", str(out)]) == EXIT_OK
+    first = out.read_bytes()
+    assert b",-0," in first
+    doc = read_code_file(str(out))
+    assert any(x == 0 and math.copysign(1.0, x) < 0 for row in doc["vectors"] for x in row)
+    rewrite_code_file(str(out), doc)
+    assert out.read_bytes() == first
+
+
 def test_construct_lines28_metadata(tmp_path):
     out = tmp_path / "lines28.json"
     assert run(["construct", "lines28", "--out", str(out)]) == EXIT_OK

@@ -247,3 +247,123 @@ def test_rational_rank_huge_entries_falls_back_exactly():
     m = SymMatrix(rows, backend="rational")
     assert rank_of(m) == n
     assert is_psd(m).passed
+
+
+# exact kernel: int64 start, promotion to Python ints partway ----------------
+
+
+def _fraction_sweep(rows):
+    """Symmetric elimination in plain Fractions, diagonal pivots only.
+
+    Returns (rank, witness, largest |leading minor| of the integer form),
+    with the witness as the exact sweep reports it.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    rank, minor, largest = 0, Fraction(1), 0
+    for k in range(n):
+        p = m[k][k]
+        if p < 0:
+            return rank, {"pivot_index": k, "pivot": p}, largest
+        if p == 0:
+            for j in range(k + 1, n):
+                if m[k][j] != 0:
+                    return rank, {"pivot_index": k, "pivot": Fraction(0),
+                                  "indefinite_pair": (k, j)}, largest
+            continue
+        rank += 1
+        minor *= p * den
+        largest = max(largest, abs(minor))
+        for i in range(k + 1, n):
+            f = m[i][k] / p
+            if f:
+                for j in range(k + 1, n):
+                    m[i][j] -= f * m[k][j]
+    return rank, None, largest
+
+
+def _fraction_rank(rows):
+    """Rank in plain Fractions with row pivoting."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _perturbed(gram, i, j, delta):
+    rows = [list(row) for row in gram.rows()]
+    rows[i][j] += delta
+    if i != j:
+        rows[j][i] += delta
+    return SymMatrix(rows, backend="rational")
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("ls40", "psd"),                      # rank 40 of 78, zero pivots after promotion
+    ("simplex30", "psd"),                 # rank 30 of 31
+    ("ls40-last-diagonal", "negative-pivot"),
+    ("simplex30-last-diagonal", "negative-pivot"),
+    ("ls40-far-pair", "indefinite-pair"),
+])
+def test_exact_kernel_promotes_partway_and_matches_fraction_oracle(case, kind):
+    ls, simplex = lemmens_seidel_gram(40), simplex_gram(30)
+    m = {
+        "ls40": ls,
+        "simplex30": simplex,
+        "ls40-last-diagonal": _perturbed(ls, 77, 77, Fraction(-1, 3)),
+        "simplex30-last-diagonal": _perturbed(simplex, 30, 30, Fraction(-1, 30)),
+        "ls40-far-pair": _perturbed(ls, 70, 77, Fraction(1, 3)),
+    }[case]
+    rank, witness, largest = _fraction_sweep(m.rows())
+    # the entries pass the int64 guard (2 max^2 < 2^62) and a pivot before
+    # the verdict fails it, so the sweep starts in int64 and ends on Python ints
+    assert m._array.dtype == np.int64 and 2 * int(np.abs(m._array).max()) ** 2 < 2 ** 62
+    assert 2 * largest ** 2 >= 2 ** 62
+    cert = is_psd(m)
+    assert cert.witness == ({"rank": rank} if witness is None else witness)
+    assert rank_of(m) == _fraction_rank(m.rows())
+    if kind == "psd":
+        assert cert.passed and rank_of(m) == rank
+    elif kind == "negative-pivot":
+        assert not cert.passed and cert.witness["pivot"] < 0
+    else:
+        assert not cert.passed and cert.witness["indefinite_pair"] == (71, 77)
+
+
+def test_rational_float_copy_rounds_like_fractions():
+    # entries past 2^53 cannot go through float64 before the division
+    big = 3 ** 40 + 1
+    rows = [[Fraction(big, 7), Fraction(1, 3)], [Fraction(1, 3), Fraction(-big, 11)]]
+    m = SymMatrix(rows, backend="rational")
+    assert m._array.dtype == object
+    assert m.as_array().tolist() == [[float(x) for x in row] for row in rows]
+    small = lemmens_seidel_gram(5)
+    assert small.as_array().tolist() == [[float(x) for x in row] for row in small.rows()]
+
+
+def test_one_exact_sweep_per_construction(tmp_path, monkeypatch):
+    from equicode import matcore
+    from equicode.cli import EXIT_OK, run
+
+    calls = []
+    kernel = matcore._fraction_free
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("symmetric", False))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "_fraction_free", counted)
+    for args in (["lemmens-seidel", "--n", "10"], ["odd-reciprocal", "--n", "9", "--r", "3"],
+                 ["simplex", "--r", "6"], ["lines28"]):
+        calls.clear()
+        assert run(["construct", *args, "--out", str(tmp_path / "c.json")]) == EXIT_OK
+        assert calls == [True], args

@@ -1,16 +1,19 @@
-"""Golden bytes of `construct` for every exact construction.
+"""Golden bytes of `construct`, `certify` and `reduce`.
 
-Each case records the sha256 of the written code file, of the `--gram-csv`
-export and of stdout (with the output directory replaced by `<out>`).  The
-digests pin the output of the exact layer across refactors: a change that
-moves a single byte of any construction fails here.
+Each construct case records the sha256 of the written code file, of the
+`--gram-csv` export and of stdout (with the output directory replaced by
+`<out>`).  The read-side cases pin `certify --suite all --report` and
+`reduce --t 6` on a lines28 file, on a Gram-only LS(12) file and on the
+reduced LS(12) code.  The digests pin the output across refactors: a change
+that moves a single byte of any of them fails here.
 """
 
 import hashlib
 
 import pytest
 
-from equicode.cli import EXIT_OK, run
+from equicode.cli import EXIT_OK, run, write_code_file
+from equicode.constructions import lemmens_seidel_gram
 
 # case -> (construct arguments, sha256 of json, of csv, of stdout)
 GOLDEN = {
@@ -46,6 +49,15 @@ GOLDEN = {
         "771afe7b9225e083a1cb6f6024663737523095566037ae54d24be75173b0d744",
         "5d60fb6e52038ad23088f90df18f90691e0fd8f442cac9f9047223c9ecb3f383",
         "ff6f4653e3e97d87acd5a9d3281bfd5f2a123876a6fa57ce24e87097e530ce96"),
+    "kcode6-3": (["binary-kcode", "--n", "6", "--k", "3"],
+        "038fb07cd54b7adbaf74c3166ec764b9dc82321ee8912a3df5019df5df733c7d",
+        "14e93a8f7383d85de09e6bd76913c870505747b060adfe4a49ea4dcf294abf56",
+        "40716de8a1bc414cb7e0414a04984f8890793eec3b26b363d41d7853e2a160c1"),
+    "concat9": (["concat", "--n", "9", "--k", "2", "--r", "3", "--alpha1", "0.5",
+                 "--seed", "7"],
+        "de493eb27b5a640210e289198b8f28a386da22eab6bd61f2416ff8314ae9dd36",
+        "4758b18c4c9cd183f3c21e57cad064390af533739026064c616cde15840f7e69",
+        "7486063b50e836a26b72140be9295d4210a16240bea06561eadf2507bb4f76c2"),
 }
 
 
@@ -65,3 +77,57 @@ def construct_digests(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_construct_golden_bytes(case, tmp_path, capsys):
     assert construct_digests(case, tmp_path, capsys) == GOLDEN[case][1:]
+
+
+# input file -> (sha256 of the certify --suite all report, of its stdout)
+GOLDEN_CERTIFY = {
+    "lines28": (
+        "e3cdac2fca66c849e3d39d4cabb913adc0faec05d5e663ce6707148aa70aa915",
+        "ac49267b8381200f630438de3fae38b358a7c0c3beb493b63814ebee7ac24b40"),
+    "ls12-gram": (
+        "bd5dc9f88ce83b725ed97ac3a3264ac4ecb20235b4cfa585d1e6ce3c99d4f802",
+        "ac49267b8381200f630438de3fae38b358a7c0c3beb493b63814ebee7ac24b40"),
+    "ls12-reduced": (
+        "47453cc032021cfca46806748429f8512b0db574e2322fb21f8f2664fe26bb65",
+        "3696582173297373514ac21d230fbe8ac7b7d541d36ee2d44c62f53e8d6d761e"),
+}
+
+# sha256 of the reduce --t 6 output, of its sidecar and of stdout, on ls12-gram
+GOLDEN_REDUCE = (
+    "4e822034bf63bb7fffe1ed846624e6b68b1aacd08f85df93ba42848c4af72207",
+    "4ca49856d1123fe965c8dd1bf6269c7f80bfa3859da0be64bee298a0315f06aa",
+    "e16d7285ffd3685cf4ed57ae0e215947fce24767625d8fab0f5e319792007bdf")
+
+
+def _run_bytes(argv, tmp_path, capsys) -> str:
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    return _sha(capsys.readouterr().out.replace(str(tmp_path), "<out>").encode("utf-8"))
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """The lines28 code, the Gram-only LS(12) file and its reduce --t 6 output."""
+    files = {name: tmp_path / f"{name}.json" for name in GOLDEN_CERTIFY}
+    assert run(["construct", "lines28", "--out", str(files["lines28"])]) == EXIT_OK
+    write_code_file(str(files["ls12-gram"]), 12,
+                    gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    assert run(["reduce", str(files["ls12-gram"]), "--t", "6",
+                "--out", str(files["ls12-reduced"])]) == EXIT_OK
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFY))
+def test_certify_golden_bytes(name, inputs, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    stdout = _run_bytes(["certify", str(inputs[name]), "--suite", "all",
+                         "--report", str(report)], tmp_path, capsys)
+    assert (_sha(report.read_bytes()), stdout) == GOLDEN_CERTIFY[name]
+
+
+def test_reduce_golden_bytes(inputs, tmp_path, capsys):
+    out = tmp_path / "reduced.json"
+    stdout = _run_bytes(["reduce", str(inputs["ls12-gram"]), "--t", "6", "--out", str(out)],
+                        tmp_path, capsys)
+    sidecar = tmp_path / "reduced.json.reduction.json"
+    assert (_sha(out.read_bytes()), _sha(sidecar.read_bytes()), stdout) == GOLDEN_REDUCE

@@ -73,8 +73,9 @@ def negative_clique_certificate(C: Code, alpha: float,
 def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Linear independence of the outer products and |C| <= C(rank+1, 2).
 
-    The code is re-embedded into R^rank; the Gram matrix of the outer
-    products x x^T has entries <x_i, x_j>^2 and must have full rank m.
+    The code is re-embedded into R^rank, so the embedding's dimension is
+    the rank; the Gram matrix of the outer products x x^T has entries
+    <x_i, x_j>^2 and must have full rank m.
     """
     m = len(C)
     if m >= 2:
@@ -83,9 +84,8 @@ def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             raise NotEquiangular("code is not equiangular with alpha in (0, 1)")
     else:
         alpha = None
-    g = gram_of(C)
-    r = rank_of(g, tol)
-    embedded = embed_from_gram(g, tol)
+    embedded = embed_from_gram(gram_of(C), tol)
+    r = embedded.dim
     eg = embedded.vectors @ embedded.vectors.T
     outer = SymMatrix.from_array_symmetrized(eg * eg)
     outer_rank = rank_of(outer, tol)

@@ -37,6 +37,7 @@ from .codes import (
 )
 from .constructions import (
     ConcatParams,
+    _pad_to_dim,
     binary_kcode,
     concatenated_code,
     lemmens_seidel_code,
@@ -142,13 +143,7 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
     from .matcore import SymMatrix
 
     gram = SymMatrix.from_array_symmetrized(np.array(doc["gram"], dtype=float))
-    code = embed_from_gram(gram, tol)
-    if code.dim > dim:
-        raise InvalidParams("gram rank exceeds the declared dim")
-    if code.dim < dim:
-        pad = np.zeros((len(code), dim - code.dim))
-        code = Code(np.hstack([code.vectors, pad]), tol)
-    return code, doc
+    return _pad_to_dim(embed_from_gram(gram, tol), dim, InvalidParams, tol), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:
@@ -223,48 +218,49 @@ def _detected_points(code: Code, tol: Tolerance) -> list:
     return [float(p) for p in angle_set_of(code, tol).points]
 
 
+def _with_rank(built) -> tuple:
+    code, rank = built
+    return code, {"gram_rank": rank}
+
+
+def _build_lines28(args) -> tuple:
+    return seven_dim_28_lines(), {"gram_rank": is_psd(lines28_gram()).witness["rank"]}
+
+
+def _build_concat(args) -> tuple:
+    params = ConcatParams.from_inputs(args.n, args.k, args.r, args.alpha1,
+                                      args.seed if args.seed is not None else 0)
+    code, achieved_beta, report = concatenated_code(params)
+    return code, {"seed": params.seed, "achieved_beta": achieved_beta,
+                  "beta_target": params.beta_target, "attempts": report.attempts,
+                  "attempt_seed": report.attempt_seed,
+                  "copy_seeds": [list(s) for s in report.copy_seeds]}
+
+
+# name -> (required parameters, builder returning (code, extra metadata))
+CONSTRUCTIONS = {
+    "lemmens-seidel": (("n",), lambda a: _with_rank(
+        lemmens_seidel_code(a.n, return_rank=True))),
+    "odd-reciprocal": (("n", "r"), lambda a: _with_rank(
+        odd_reciprocal_code(a.n, a.r, return_rank=True))),
+    "lines28": ((), _build_lines28),
+    "simplex": (("r",), lambda a: _with_rank(regular_simplex(a.r, return_rank=True))),
+    "binary-kcode": (("n", "k"), lambda a: (binary_kcode(a.n, a.k), {})),
+    "concat": (("n", "k", "r", "alpha1"), _build_concat),
+}
+
+
 def cmd_construct(args, tol: Tolerance) -> int:
     name = args.name
-    seed = args.seed
-    metadata = {"construction": name, "parameters": {}, "seed": seed}
-    if name == "lemmens-seidel":
-        _need(args, "n")
-        code, metadata["gram_rank"] = lemmens_seidel_code(args.n, return_rank=True)
-        metadata["parameters"] = {"n": args.n}
-    elif name == "odd-reciprocal":
-        _need(args, "n")
-        _need(args, "r")
-        code, metadata["gram_rank"] = odd_reciprocal_code(args.n, args.r,
-                                                          return_rank=True)
-        metadata["parameters"] = {"n": args.n, "r": args.r}
-    elif name == "lines28":
-        code = seven_dim_28_lines()
-        metadata["gram_rank"] = is_psd(lines28_gram()).witness["rank"]
-    elif name == "simplex":
-        _need(args, "r")
-        code, metadata["gram_rank"] = regular_simplex(args.r, return_rank=True)
-        metadata["parameters"] = {"r": args.r}
-    elif name == "binary-kcode":
-        _need(args, "n")
-        _need(args, "k")
-        code = binary_kcode(args.n, args.k)
-        metadata["parameters"] = {"n": args.n, "k": args.k}
-    elif name == "concat":
-        for field in ("n", "k", "r", "alpha1"):
-            _need(args, field)
-        params = ConcatParams.from_inputs(args.n, args.k, args.r, args.alpha1,
-                                          seed if seed is not None else 0)
-        code, achieved_beta, report = concatenated_code(params)
-        metadata["parameters"] = {"n": args.n, "k": args.k, "r": args.r,
-                                  "alpha1": args.alpha1}
-        metadata["seed"] = params.seed
-        metadata["achieved_beta"] = achieved_beta
-        metadata["beta_target"] = params.beta_target
-        metadata["attempts"] = report.attempts
-        metadata["attempt_seed"] = report.attempt_seed
-        metadata["copy_seeds"] = [list(s) for s in report.copy_seeds]
-    else:
-        raise InvalidParams(f"unknown construction {name!r}")
+    fields, build = CONSTRUCTIONS[name]
+    for field in fields:
+        if getattr(args, field) is None:
+            raise InvalidParams(f"construction requires --{field}")
+    metadata = {"construction": name,
+                "parameters": {field: getattr(args, field) for field in fields},
+                "seed": args.seed}
+    code, extra = build(args)
+    metadata.update(extra)
     metadata["size"] = len(code)
     points = _detected_points(code, tol)
     metadata["angles"] = points
@@ -274,11 +270,6 @@ def cmd_construct(args, tol: Tolerance) -> int:
     print(f"{name}: {len(code)} vectors in R^{code.dim} -> {args.out}")
     print("angles: " + (", ".join(_float_token(p) for p in points) or "n/a"))
     return EXIT_OK
-
-
-def _need(args, field):
-    if getattr(args, field, None) is None:
-        raise InvalidParams(f"construction requires --{field.replace('_', '-')}")
 
 
 def cmd_verify(args, tol: Tolerance) -> int:
@@ -480,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named code and write it to a file")
-    p.add_argument("name", choices=["lemmens-seidel", "odd-reciprocal", "lines28",
-                                    "simplex", "binary-kcode", "concat"])
+    p.add_argument("name", choices=list(CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
@@ -527,7 +517,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 "reduce": cmd_reduce}
     try:
         tol = tolerance_from_env()
-        if getattr(args, "tol", None):
+        if getattr(args, "tol", None) is not None:
             tol = Tolerance(eig_zero=tol.eig_zero, psd_slack=tol.psd_slack,
                             angle_tol=args.tol)
         return handlers[args.command](args, tol)

@@ -369,11 +369,8 @@ def angle_set_of(C: Code, tol: Tolerance = DEFAULT_TOL) -> AngleSet:
     if m < 2:
         raise InvalidParams("need at least two vectors to observe angles")
     vals = np.sort(g[np.triu_indices(m, k=1)])
-    points = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > 2 * tol.angle_tol:
-            points.append(float((vals[start] + vals[k - 1]) / 2.0))
-            start = k
-    points = [min(p, 1.0 - 2 * tol.angle_tol) for p in points]
-    return AngleSet(points=tuple(points), tol=tol.angle_tol)
+    breaks = np.flatnonzero(np.diff(vals) > 2 * tol.angle_tol) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [len(vals)])) - 1
+    points = np.minimum((vals[starts] + vals[ends]) / 2.0, 1.0 - 2 * tol.angle_tol)
+    return AngleSet(points=tuple(points.tolist()), tol=tol.angle_tol)

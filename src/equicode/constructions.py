@@ -130,13 +130,14 @@ def _certified_embed(gram: SymMatrix, expected_rank: Optional[int] = None,
     return code, rank
 
 
-def _pad_to_dim(code: Code, dim: int) -> Code:
+def _pad_to_dim(code: Code, dim: int, error=InternalError, tol=DEFAULT_TOL) -> Code:
+    """The code in R^dim by zero padding; ``error`` if it needs more dimensions."""
     if code.dim > dim:
-        raise InternalError(f"embedding needs {code.dim} > {dim} dimensions")
+        raise error(f"embedding needs {code.dim} > {dim} dimensions")
     if code.dim == dim:
         return code
     pad = np.zeros((len(code), dim - code.dim))
-    return Code(np.hstack([code.vectors, pad]))
+    return Code(np.hstack([code.vectors, pad]), tol)
 
 
 # deterministic constructions -------------------------------------------

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bounds import _negative_mask
 from .certificate import Certificate
 from .codes import (
     AngleParams,
@@ -267,29 +268,11 @@ def negative_structure_report(G: LabelledGraph) -> NegativeStructure:
 
 
 def lambda1(adj: np.ndarray) -> float:
-    """Largest adjacency eigenvalue; dense solve up to 500 vertices, then
-    shifted power iteration (the shift keeps the top eigenvalue dominant)."""
+    """Largest adjacency eigenvalue, by a dense symmetric solve at every size."""
     adj = np.asarray(adj)
-    n = adj.shape[0]
-    if n == 0:
+    if adj.shape[0] == 0:
         return 0.0
-    a = adj.astype(float)
-    if n <= 500:
-        return float(np.linalg.eigvalsh(a)[-1])
-    shift = float(a.sum(axis=1).max())
-    x = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    for _ in range(100000):
-        y = a @ x + shift * x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        new_lam = float(x @ (a @ x))
-        if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    return lam
+    return float(np.linalg.eigvalsh(adj.astype(float))[-1])
 
 
 @dataclass(frozen=True)
@@ -433,10 +416,7 @@ def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None,
         raise NotAnLCode("code does not validate against L(alpha, t)")
     eps = float(params.epsilon)
     sigma = float(params.sigma)
-    g = gram_of(C).as_array().copy()
-    np.fill_diagonal(g, 0.0)
-    neg = np.abs(g - float(params.negative_value)) <= tol.angle_tol
-    np.fill_diagonal(neg, False)
+    neg = _negative_mask(C, params, tol)
     vals, vecs = np.linalg.eigh(neg.astype(float))
     lam = float(vals[-1])
     x = vecs[:, -1]

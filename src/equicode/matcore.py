@@ -245,7 +245,11 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     """
     if M.backend == RATIONAL:
         return _fraction_free(M._array)[0]
-    vals = np.abs(sym_eigen(M).eigenvalues)
+    return _float_rank(sym_eigen(M).eigenvalues, tol)
+
+
+def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:
+    vals = np.abs(eigenvalues)
     cutoff = tol.eig_zero * max(1.0, float(vals.max(initial=0.0)))
     return int(np.count_nonzero(vals > cutoff))
 
@@ -268,7 +272,10 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             statement="all leading pivots of the symmetric elimination are >= 0",
             passed=False, lhs=0, rhs=witness["pivot"],
             margin=witness["pivot"], tol=0.0, witness=witness)
-    vals = sym_eigen(M).eigenvalues
+    return _float_psd(sym_eigen(M).eigenvalues, tol)
+
+
+def _float_psd(vals: np.ndarray, tol: Tolerance) -> Certificate:
     lam_min = float(vals[-1])
     lam_scale = max(1.0, float(np.abs(vals).max()))
     slack = tol.psd_slack * lam_scale
@@ -309,11 +316,13 @@ def quadratic_form(M: SymMatrix, v: Sequence):
 def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     """Unit vectors in R^rank(M) whose Gram matrix reproduces M.
 
-    Requires M to be PSD with a unit diagonal.  The embedding scales the
-    eigenvectors of the nonzero spectrum by sqrt(lambda); rows are then
-    renormalized so every output vector is unit length.  The result is only
-    canonical up to orthogonal transformation, so callers should compare
-    Gram matrices, never raw vectors.
+    Requires M to be PSD with a unit diagonal.  One float spectrum serves
+    the PSD verdict, the rank and the embedding; a rational M is instead
+    certified by one exact symmetric sweep, whose positive pivots give the
+    rank.  The embedding scales the eigenvectors of the nonzero spectrum by
+    sqrt(lambda); rows are then renormalized so every output vector is unit
+    length.  The result is only canonical up to orthogonal transformation,
+    so callers should compare Gram matrices, never raw vectors.
     """
     from .codes import Code
 
@@ -321,11 +330,18 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     for i in range(n):
         if abs(M.entry(i, i) - 1) > tol.angle_tol:
             raise NotUnitDiagonal(f"diagonal entry {i} is {M.entry(i, i)}, not 1")
-    cert = is_psd(M, tol)
+    if M.backend == RATIONAL:
+        cert = is_psd(M, tol)
+    else:
+        spec = sym_eigen(M)
+        cert = _float_psd(spec.eigenvalues, tol)
     if not cert.passed:
         raise NotRealizable(f"matrix is not PSD: {cert.witness}")
-    r = rank_of(M, tol)
-    spec = sym_eigen(M.to_float())
+    if M.backend == RATIONAL:
+        r = cert.witness["rank"]
+        spec = sym_eigen(M.to_float())
+    else:
+        r = _float_rank(spec.eigenvalues, tol)
     vals = np.clip(spec.eigenvalues[:r], 0.0, None)
     vecs = spec.eigenvectors[:, :r]
     X = vecs * np.sqrt(vals)[np.newaxis, :]

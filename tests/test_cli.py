@@ -72,6 +72,45 @@ def test_construct_invalid_params_exit_code(tmp_path):
                 "--out", str(out)]) == EXIT_USAGE
 
 
+def test_construct_table_builds_every_name(tmp_path):
+    from equicode.cli import CONSTRUCTIONS
+
+    args = {"lemmens-seidel": ["--n", "5"], "odd-reciprocal": ["--n", "7", "--r", "3"],
+            "lines28": [], "simplex": ["--r", "3"], "binary-kcode": ["--n", "5", "--k", "2"],
+            "concat": ["--n", "9", "--k", "2", "--r", "2", "--alpha1", "0.5", "--seed", "3"]}
+    assert list(args) == list(CONSTRUCTIONS)
+    for name, extra in args.items():
+        out = tmp_path / f"{name}.json"
+        assert run(["construct", name, *extra, "--out", str(out)]) == EXIT_OK, name
+        meta = read_code_file(str(out))["metadata"]
+        assert meta["construction"] == name
+        assert list(meta["parameters"]) == list(CONSTRUCTIONS[name][0])
+
+
+def test_construct_unknown_name_and_missing_field_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", "hexacode", "--out", out])
+    assert exc.value.code == EXIT_USAGE
+    assert run(["construct", "concat", "--n", "9", "--k", "2", "--r", "2",
+                "--out", out]) == EXIT_USAGE
+    assert "construction requires --alpha1" in capsys.readouterr().err
+
+
+def test_verify_zero_tol_is_refused(tmp_path, capsys):
+    # --tol 0 is an invalid tolerance, not "no --tol given"
+    out = tmp_path / "lines28.json"
+    run(["construct", "lines28", "--out", str(out)])
+    spec = "point:-0.3333333333333333+point:0.3333333333333333"
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["verify", str(out), "--L", spec, "--tol", "0",
+                "--report", str(report)]) == EXIT_RUNTIME
+    assert "InvalidMatrix" in capsys.readouterr().err
+    assert not report.exists()
+    assert run(["verify", str(out), "--L", spec, "--tol=-1e-9"]) == EXIT_RUNTIME
+
+
 def test_verify_lines28(tmp_path, capsys):
     out = tmp_path / "lines28.json"
     run(["construct", "lines28", "--out", str(out)])

@@ -24,6 +24,7 @@ from equicode import (
     validate_code,
     SymMatrix,
 )
+from equicode.matcore import Tolerance
 from equicode.errors import (
     DimensionMismatch,
     InvalidIndex,
@@ -331,3 +332,41 @@ def test_detect_projection_params_round_trip():
 def test_detect_projection_params_rejects_plain_codes():
     with pytest.raises(NotAnLCode):
         detect_projection_params(regular_simplex(3))
+
+
+def _angle_points_by_loop(code, tol):
+    """Reference clustering: one pass over the sorted off-diagonal values."""
+    g = gram_of(code).as_array()
+    vals = np.sort(g[np.triu_indices(len(code), k=1)])
+    points, start = [], 0
+    for k in range(1, len(vals) + 1):
+        if k == len(vals) or vals[k] - vals[k - 1] > 2 * tol.angle_tol:
+            points.append(float((vals[start] + vals[k - 1]) / 2.0))
+            start = k
+    return tuple(min(p, 1.0 - 2 * tol.angle_tol) for p in points)
+
+
+def _jittered_code(seed):
+    """LS(9) lines plus a near-duplicate, jittered on the scale of the
+    cluster gap 2 * angle_tol so that gaps fall on both sides of it."""
+    rng = np.random.default_rng(seed)
+    base = lemmens_seidel_code(9).vectors
+    v = np.vstack([base, base[:1]])
+    tol = Tolerance(angle_tol=10.0 ** rng.uniform(-9, -6))
+    v = v + rng.normal(scale=tol.angle_tol * rng.uniform(0.1, 3.0), size=v.shape)
+    return Code(v / np.linalg.norm(v, axis=1)[:, None]), tol
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_angle_set_of_matches_reference_loop(seed):
+    code, tol = _jittered_code(seed)
+    points = angle_set_of(code, tol).points
+    assert points == _angle_points_by_loop(code, tol)
+    assert points[-1] == 1.0 - 2 * tol.angle_tol  # the near-duplicate, clamped
+
+
+def test_jittered_codes_split_clusters():
+    # the jitter really splits the +/- 1/3 clusters, so the comparison
+    # above exercises cluster boundaries
+    counts = [len(angle_set_of(*_jittered_code(seed)).points) for seed in range(12)]
+    assert max(counts) > 3 and min(counts) == 3

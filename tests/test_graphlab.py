@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def test_lambda1_monotone_under_subgraphs():
 
 
 def test_lambda1_power_iteration_matches_dense():
-    # above 500 vertices the shifted power iteration takes over
+    # a random graph above 500 vertices against a direct dense solve
     rng = np.random.default_rng(44)
     n = 560
     adj = np.triu(rng.random((n, n)) < 0.02, k=1)
@@ -272,6 +273,16 @@ def test_lambda1_power_iteration_matches_dense():
     lam = lambda1(adj)
     want = float(np.linalg.eigvalsh(adj.astype(float))[-1])
     assert abs(lam - want) <= 1e-8
+
+
+def test_lambda1_long_path_exact_and_fast():
+    # P_n has lambda_1 = 2 cos(pi / (n + 1)) and a spectral gap of order
+    # 1/n^2, the worst case for an iterative method; the answer must be
+    # exact and quick
+    started = time.time()
+    lam = lambda1(path_graph(1200))
+    assert time.time() - started < 10.0
+    assert abs(lam - 2 * math.cos(math.pi / 1201)) <= 1e-9
 
 
 def test_catalog_checks_all_pass():

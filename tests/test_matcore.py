@@ -367,3 +367,46 @@ def test_one_exact_sweep_per_construction(tmp_path, monkeypatch):
         calls.clear()
         assert run(["construct", *args, "--out", str(tmp_path / "c.json")]) == EXIT_OK
         assert calls == [True], args
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` and record the keyword arguments of every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_float_embedding_takes_one_spectrum(monkeypatch):
+    from equicode import matcore
+
+    gram = gram_of(lemmens_seidel_code(12))
+    want_rank, want_psd = rank_of(gram), is_psd(gram)
+    calls = _count_calls(monkeypatch, matcore, "sym_eigen")
+    code = embed_from_gram(gram)
+    assert len(calls) == 1
+    assert code.dim == want_rank == 12 and want_psd.passed
+
+
+def test_gerzon_takes_two_spectra(monkeypatch):
+    from equicode import matcore
+    from equicode.bounds import gerzon_certificate
+
+    calls = _count_calls(monkeypatch, matcore, "sym_eigen")
+    cert = gerzon_certificate(seven_dim_28_lines())
+    assert len(calls) == 2  # the embedding, then the outer-product Gram
+    assert cert.passed and cert.witness["rank"] == 7 and cert.witness["outer_rank"] == 28
+
+
+def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):
+    from equicode import matcore
+
+    calls = _count_calls(monkeypatch, matcore, "_fraction_free")
+    code = embed_from_gram(lemmens_seidel_gram(10))
+    assert calls == [{"symmetric": True}]
+    assert code.dim == 10

@@ -19,9 +19,10 @@ from .codes import (
     AngleParams,
     AngleSet,
     Code,
+    _pairs,
+    angle_set_after_projection,
     detect_equiangular,
     detect_projection_params,
-    gram_of,
     validate_code,
 )
 from .errors import (
@@ -33,13 +34,7 @@ from .errors import (
     NotFinite,
     WrongStructure,
 )
-from .matcore import (
-    DEFAULT_TOL,
-    SymMatrix,
-    Tolerance,
-    embed_from_gram,
-    rank_of,
-)
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, rank_of
 
 
 def negative_clique_certificate(C: Code, alpha: float,
@@ -59,9 +54,7 @@ def negative_clique_certificate(C: Code, alpha: float,
     rhs = 1.0 / alpha + 1.0
     witness = {"size": m}
     if m >= 2 and abs(m - rhs) <= 1e-9:
-        g = gram_of(C).as_array()
-        off = g[np.triu_indices(m, k=1)]
-        dev = float(np.abs(off - (-1.0 / (m - 1))).max())
+        dev = float(np.abs(_pairs(C)[1] - (-1.0 / (m - 1))).max())
         witness["equality"] = True
         witness["simplex_confirmed"] = bool(dev <= tol.angle_tol)
         witness["simplex_deviation"] = dev
@@ -73,9 +66,8 @@ def negative_clique_certificate(C: Code, alpha: float,
 def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Linear independence of the outer products and |C| <= C(rank+1, 2).
 
-    The code is re-embedded into R^rank, so the embedding's dimension is
-    the rank; the Gram matrix of the outer products x x^T has entries
-    <x_i, x_j>^2 and must have full rank m.
+    The Gram matrix of the outer products x x^T has entries <x_i, x_j>^2,
+    the code's Gram squared entrywise, and must have full rank m.
     """
     m = len(C)
     if m >= 2:
@@ -84,11 +76,9 @@ def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             raise NotEquiangular("code is not equiangular with alpha in (0, 1)")
     else:
         alpha = None
-    embedded = embed_from_gram(gram_of(C), tol)
-    r = embedded.dim
-    eg = embedded.vectors @ embedded.vectors.T
-    outer = SymMatrix.from_array_symmetrized(eg * eg)
-    outer_rank = rank_of(outer, tol)
+    r = rank_of(C.gram, tol)
+    g = C.gram.as_array()
+    outer_rank = rank_of(SymMatrix(g * g), tol)
     rhs = math.comb(r + 1, 2)
     passed = (outer_rank == m) and (m <= rhs)
     return Certificate(
@@ -98,27 +88,16 @@ def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         witness={"rank": r, "outer_rank": outer_rank, "alpha": alpha})
 
 
-def _resolved_params(C: Code, params: Optional[AngleParams],
-                     tol: Tolerance) -> AngleParams:
-    if params is not None:
-        return params
-    return detect_projection_params(C, tol)
-
-
-def _negative_mask(C: Code, params: AngleParams, tol: Tolerance) -> np.ndarray:
-    g = gram_of(C).as_array().copy()
-    np.fill_diagonal(g, 0.0)
-    mask = np.abs(g - float(params.negative_value)) <= tol.angle_tol
-    np.fill_diagonal(mask, False)
-    return mask
-
-
-def _require_l_code(C: Code, params: AngleParams, tol: Tolerance) -> None:
-    from .codes import angle_set_after_projection
-
-    aset = angle_set_after_projection(params, tol.angle_tol)
-    if not validate_code(C, aset).passed:
+def _l_code_negatives(C: Code, params: Optional[AngleParams], tol: Tolerance):
+    """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
+    boolean mask of its negative edges; NotAnLCode if C does not validate."""
+    if params is None:
+        params = detect_projection_params(C, tol)
+    if not validate_code(C, angle_set_after_projection(params, tol.angle_tol)).passed:
         raise NotAnLCode("code does not validate against L(alpha, t)")
+    mask = np.abs(C.gram.as_array() - float(params.negative_value)) <= tol.angle_tol
+    np.fill_diagonal(mask, False)
+    return params, mask
 
 
 def schnirelman_applied_certificate(C: Code,
@@ -130,13 +109,11 @@ def schnirelman_applied_certificate(C: Code,
     the bound follows from the trace-ratio rank inequality applied to
     M_C - eps J and is exact, not asymptotic.
     """
-    params = _resolved_params(C, params, tol)
-    _require_l_code(C, params, tol)
-    neg = _negative_mask(C, params, tol)
+    params, neg = _l_code_negatives(C, params, tol)
     m = len(C)
     edges = int(neg.sum()) // 2
     d = 2.0 * edges / m
-    n = rank_of(gram_of(C), tol)
+    n = rank_of(C.gram, tol)
     sigma = float(params.sigma)
     rhs = (1.0 + sigma * sigma * d) * (n + 1)
     return Certificate.check(
@@ -156,11 +133,11 @@ def matching_full_rank_certificate(C: Code,
     matrix has 1-eps on the diagonal and -sigma(1-eps) on matching pairs.
     Also certifies the consequence |C| <= rank(M_C) + 1.
     """
-    params = _resolved_params(C, params, tol)
+    if params is None:
+        params = detect_projection_params(C, tol)
     if abs(float(params.alpha) - 1.0 / 3.0) <= tol.angle_tol:
         raise ExcludedAngle("alpha = 1/3 makes the matching blocks singular")
-    _require_l_code(C, params, tol)
-    neg = _negative_mask(C, params, tol)
+    _, neg = _l_code_negatives(C, params, tol)
     if int(neg.sum(axis=1).max(initial=0)) > 1:
         raise WrongStructure("negative edges do not form a matching")
     m = len(C)
@@ -175,10 +152,10 @@ def matching_full_rank_certificate(C: Code,
     else:
         eps = float(params.epsilon)
         n_matrix = SymMatrix.from_array_symmetrized(
-            gram_of(C).as_array() - eps * np.ones((m, m)))
+            C.gram.as_array() - eps * np.ones((m, m)))
         backend = "float64"
     rank_n = rank_of(n_matrix, tol)
-    rank_m = rank_of(gram_of(C), tol)
+    rank_m = rank_of(C.gram, tol)
     rhs = rank_m + 1
     passed = (rank_n == m) and (m <= rhs)
     return Certificate(
@@ -212,7 +189,7 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
     if not members:
         raise InvalidParams("parts must be non-empty")
     sub = C.subset(members)
-    g = gram_of(sub).as_array()
+    g = sub.gram.as_array()
     pos = {v: i for i, v in enumerate(members)}
     for part in parts:
         for a_i in range(len(part)):
@@ -221,8 +198,7 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
                 if abs(v - alpha) > tol.angle_tol:
                     raise WrongStructure("every part must be an alpha-clique")
     mm = len(members)
-    iu = np.triu_indices(mm, k=1)
-    values = g[iu]
+    values = _pairs(sub)[1]
     b_mask = values <= -beta + tol.angle_tol
     a_mask = (~b_mask) & (values >= alpha - tol.angle_tol)
     B = int(b_mask.sum())
@@ -254,7 +230,7 @@ def dgs_bound_check(C: Code, L: AngleSet,
     if not report.passed:
         raise NotAnLCode("code does not validate against L")
     k = len(L.points)
-    r = rank_of(gram_of(C), tol)
+    r = rank_of(C.gram, tol)
     rhs = math.comb(r + k, k)
     return Certificate.check(
         "dgs", "|C| <= C(rank + |L|, |L|)",
@@ -280,8 +256,7 @@ def beta_energy_check(C: Code, x: int, L: AngleSet,
         raise InvalidIndex(f"vertex {x} out of range")
     alpha = L.points[0]
     beta = -L.intervals[0][1]
-    g = gram_of(C).as_array()
-    row = np.delete(g[x], x)
+    row = np.delete(C.gram.as_array()[x], x)
     neg = row[row <= -beta + tol.angle_tol]
     energy = float(np.sum(neg * neg))
     count = int(neg.size)

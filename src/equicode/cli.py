@@ -30,8 +30,8 @@ from .certificate import Certificate
 from .codes import (
     AngleSet,
     Code,
+    _pairs,
     angle_set_of,
-    gram_of,
     project_onto_complement,
     validate_code,
 )
@@ -113,11 +113,18 @@ def _json_int(token: str):
 def read_code_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_int=_json_int)
+    if not isinstance(doc, dict):
+        raise InvalidParams("a code file holds one JSON object")
     if doc.get("format_version") != "1":
         raise InvalidParams("unsupported or missing format_version")
     if ("vectors" in doc) == ("gram" in doc):
         raise InvalidParams("file must carry exactly one of vectors/gram")
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("parameters", {}), dict):
+        raise InvalidParams("metadata and its parameters must be JSON objects")
     rows = doc.get("vectors", doc.get("gram"))
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvalidParams("vectors/gram must be a list of rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InvalidParams("arrays must be rectangular")
@@ -132,7 +139,11 @@ def rewrite_code_file(path: str, doc: dict) -> None:
 
 
 def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Code from a file; Gram-only files are embedded on load."""
+    """Code from a file and the parsed document; Gram-only files are embedded.
+
+    Commands that do not read the document drop it at once: its rows are
+    Python floats, several times the size of the code's arrays.
+    """
     doc = read_code_file(path)
     dim = int(doc["dim"])
     if "vectors" in doc:
@@ -147,7 +158,7 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
 
 def write_gram_csv(path: str, code: Code) -> None:
-    g = gram_of(code).as_array()
+    g = code.gram.as_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GRAM_CSV_HEADER + "\n")
         for row in g:
@@ -264,16 +275,18 @@ def cmd_construct(args, tol: Tolerance) -> int:
     metadata["size"] = len(code)
     points = _detected_points(code, tol)
     metadata["angles"] = points
-    write_code_file(args.out, code.dim, vectors=code.vectors, metadata=metadata)
     if args.gram_csv:
         write_gram_csv(args.gram_csv, code)
-    print(f"{name}: {len(code)} vectors in R^{code.dim} -> {args.out}")
+    dim, vectors = code.dim, code.vectors
+    del code  # frees the code's Gram before serialization, where peak memory is set
+    write_code_file(args.out, dim, vectors=vectors, metadata=metadata)
+    print(f"{name}: {len(vectors)} vectors in R^{dim} -> {args.out}")
     print("angles: " + (", ".join(_float_token(p) for p in points) or "n/a"))
     return EXIT_OK
 
 
 def cmd_verify(args, tol: Tolerance) -> int:
-    code, _ = load_code(args.file, tol)
+    code = load_code(args.file, tol)[0]
     aset = parse_angle_set(args.L, tol.angle_tol)
     report = validate_code(code, aset)
     for label, count in sorted(report.histogram.items()):
@@ -292,10 +305,6 @@ def cmd_verify(args, tol: Tolerance) -> int:
     write_report(args.report, [cert], tol)
     print("PASS" if report.passed else f"FAIL ({len(report.violations)} violations)")
     return EXIT_OK if report.passed else EXIT_FAIL
-
-
-SUITES = ("gerzon", "negclique", "schnirelman", "matching", "multipartite",
-          "dgs", "lambda", "all")
 
 
 def _parse_parts(raw: str) -> list:
@@ -318,80 +327,75 @@ def _concat_parts(doc: dict) -> Optional[list]:
     try:
         block = math.comb(int(p["n"]), int(p["k"]))
         copies = int(p["r"]) + 1
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         return None
     return [list(range(c * block, (c + 1) * block)) for c in range(copies)]
 
 
+def _attempt(name: str, certify, *args) -> Certificate:
+    """The certificate, or a skip naming the error that made it inapplicable."""
+    try:
+        return certify(*args)
+    except EquicodeError as exc:
+        return Certificate.skip(name, f"{type(exc).__name__}: {exc}")
+
+
+def _certify_negclique(code, doc, args, tol) -> Certificate:
+    alpha = args.alpha
+    if alpha is None:
+        alpha = -float(_pairs(code)[1].max()) if len(code) > 1 else 1.0
+    if alpha <= 0:
+        return Certificate.skip("negative-clique", "code has non-negative inner products")
+    return _attempt("negative-clique", negative_clique_certificate, code, alpha, tol)
+
+
+def _certify_multipartite(code, doc, args, tol) -> Certificate:
+    meta = doc.get("metadata", {})
+    parts = _parse_parts(args.parts) if args.parts else _concat_parts(doc)
+    alpha = args.alpha
+    if alpha is None and meta.get("construction") == "concat":
+        alpha = meta.get("parameters", {}).get("alpha1")
+    beta = args.beta
+    if beta is None:
+        beta = meta.get("achieved_beta")
+    if parts is None:
+        return Certificate.skip("multipartite", "no --parts given and none derivable")
+    if not isinstance(alpha, (int, float)) or not isinstance(beta, (int, float)) or beta <= 0:
+        return Certificate.skip("multipartite", "needs --alpha and a positive --beta")
+    return _attempt("multipartite", multipartite_certificate, code, parts, alpha, beta, tol)
+
+
+def _certify_dgs(code, doc, args, tol) -> Certificate:
+    if args.L:
+        aset = parse_angle_set(args.L, tol.angle_tol)
+    elif len(code) > 1:
+        aset = angle_set_of(code, tol)
+    else:
+        return Certificate.skip("dgs", "no angle set available")
+    return _attempt("dgs", dgs_bound_check, code, aset, tol)
+
+
+# suite -> runner (code, parsed file, arguments, tolerance) -> one certificate;
+# `certify --suite all` runs them in this order
+SUITES = {
+    "gerzon": lambda code, doc, args, tol: _attempt(
+        "gerzon", gerzon_certificate, code, tol),
+    "negclique": _certify_negclique,
+    "schnirelman": lambda code, doc, args, tol: _attempt(
+        "schnirelman-applied", schnirelman_applied_certificate, code, None, tol),
+    "matching": lambda code, doc, args, tol: _attempt(
+        "matching-full-rank", matching_full_rank_certificate, code, None, tol),
+    "multipartite": _certify_multipartite,
+    "dgs": _certify_dgs,
+    "lambda": lambda code, doc, args, tol: _attempt(
+        "lambda-inequality", lambda_inequality_check, code, None, tol),
+}
+
+
 def cmd_certify(args, tol: Tolerance) -> int:
     code, doc = load_code(args.file, tol)
-    wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    certificates = []
-
-    def attempt(name, thunk):
-        try:
-            result = thunk()
-            if isinstance(result, list):
-                certificates.extend(result)
-            else:
-                certificates.append(result)
-        except EquicodeError as exc:
-            certificates.append(Certificate.skip(name, f"{type(exc).__name__}: {exc}"))
-
-    for suite in wanted:
-        if suite == "gerzon":
-            attempt("gerzon", lambda: gerzon_certificate(code, tol))
-        elif suite == "negclique":
-            alpha = args.alpha
-            if alpha is None:
-                g = gram_of(code).as_array()
-                off = g[np.triu_indices(len(code), k=1)] if len(code) > 1 else np.array([-1.0])
-                alpha = -float(off.max())
-            if alpha <= 0:
-                certificates.append(Certificate.skip(
-                    "negative-clique", "code has non-negative inner products"))
-            else:
-                a = alpha
-                attempt("negative-clique",
-                        lambda: negative_clique_certificate(code, a, tol))
-        elif suite == "schnirelman":
-            attempt("schnirelman-applied",
-                    lambda: schnirelman_applied_certificate(code, None, tol))
-        elif suite == "matching":
-            attempt("matching-full-rank",
-                    lambda: matching_full_rank_certificate(code, None, tol))
-        elif suite == "multipartite":
-            meta = doc.get("metadata", {})
-            parts = _parse_parts(args.parts) if args.parts else _concat_parts(doc)
-            alpha = args.alpha
-            if alpha is None and meta.get("construction") == "concat":
-                alpha = meta.get("parameters", {}).get("alpha1")
-            beta = args.beta
-            if beta is None:
-                beta = meta.get("achieved_beta")
-            if parts is None:
-                certificates.append(Certificate.skip(
-                    "multipartite", "no --parts given and none derivable"))
-            elif alpha is None or beta is None or beta <= 0:
-                certificates.append(Certificate.skip(
-                    "multipartite", "needs --alpha and a positive --beta"))
-            else:
-                a_val, b_val = alpha, beta
-                attempt("multipartite", lambda: multipartite_certificate(
-                    code, parts, a_val, b_val, tol))
-        elif suite == "dgs":
-            if args.L:
-                aset = parse_angle_set(args.L, tol.angle_tol)
-            else:
-                aset = angle_set_of(code, tol) if len(code) > 1 else None
-            if aset is None:
-                certificates.append(Certificate.skip("dgs", "no angle set available"))
-            else:
-                als = aset
-                attempt("dgs", lambda: dgs_bound_check(code, als, tol))
-        elif suite == "lambda":
-            attempt("lambda-inequality",
-                    lambda: lambda_inequality_check(code, None, tol))
+    wanted = list(SUITES) if args.suite == "all" else [args.suite]
+    certificates = [SUITES[suite](code, doc, args, tol) for suite in wanted]
     write_report(args.report, certificates, tol)
     failed = 0
     for cert in certificates:
@@ -407,7 +411,7 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
 
 def cmd_project(args, tol: Tolerance) -> int:
-    code, _ = load_code(args.file, tol)
+    code = load_code(args.file, tol)[0]
     clique = [int(x) for x in args.clique.split(",") if x]
     rest = [i for i in range(len(code)) if i not in set(clique)]
     if not rest:
@@ -424,7 +428,7 @@ def cmd_project(args, tol: Tolerance) -> int:
 
 
 def cmd_reduce(args, tol: Tolerance) -> int:
-    code, _ = load_code(args.file, tol)
+    code = load_code(args.file, tol)[0]
     outcome = reduction_pipeline(code, args.t, tol)
     sidecar = args.sidecar or (args.out + ".reduction.json")
     bucket_doc = {}
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run certificate suites on a code file")
     p.add_argument("file")
-    p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--parts", default=None)

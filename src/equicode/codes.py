@@ -26,7 +26,7 @@ from .matcore import DEFAULT_TOL, SymMatrix, Tolerance
 class Code:
     """Ordered set of unit vectors in R^dim."""
 
-    __slots__ = ("dim", "vectors")
+    __slots__ = ("dim", "vectors", "_gram")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL):
         arr = np.asarray(vectors, dtype=float)
@@ -42,6 +42,14 @@ class Code:
         arr.flags.writeable = False
         self.vectors = arr
         self.dim = arr.shape[1]
+        self._gram = None
+
+    @property
+    def gram(self) -> SymMatrix:
+        """Float Gram matrix, built by ``gram_of`` on first use and kept."""
+        if self._gram is None:
+            self._gram = gram_of(self)
+        return self._gram
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -199,12 +207,15 @@ def gram_of(C: Code) -> SymMatrix:
     return SymMatrix.from_array_symmetrized(C.vectors @ C.vectors.T)
 
 
+def _pairs(C: Code):
+    """Index arrays (i, j) of the pairs i < j, row by row, and their inner products."""
+    iu = np.triu_indices(len(C), k=1)
+    return iu, C.gram.as_array()[iu]
+
+
 def validate_code(C: Code, L: AngleSet) -> ValidationReport:
     """Classify every unordered pair of distinct vectors against L."""
-    g = gram_of(C).as_array()
-    m = len(C)
-    iu = np.triu_indices(m, k=1)
-    values = g[iu]
+    iu, values = _pairs(C)
     classes = L.classify_all(values)
     labels = L.class_labels
     histogram = {}
@@ -224,8 +235,7 @@ def detect_equiangular(C: Code, tol: Tolerance = DEFAULT_TOL) -> Optional[float]
     """Common angle magnitude alpha when all pairs are +/- alpha, else None."""
     if len(C) < 2:
         raise InvalidParams("equiangularity needs at least two vectors")
-    g = gram_of(C).as_array()
-    mags = np.abs(g[np.triu_indices(len(C), k=1)])
+    mags = np.abs(_pairs(C)[1])
     lo, hi = float(mags.min()), float(mags.max())
     if hi - lo > 2 * tol.angle_tol:
         return None
@@ -282,8 +292,7 @@ def clique_angle(Y: Code, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     if len(Y) == 1:
         return 1.0
-    g = gram_of(Y).as_array()
-    vals = g[np.triu_indices(len(Y), k=1)]
+    vals = _pairs(Y)[1]
     gamma = float(vals.mean())
     if float(np.abs(vals - gamma).max()) >= tol.angle_tol:
         raise NotAClique("pairwise inner products are not a single value")
@@ -364,11 +373,9 @@ def angle_set_of(C: Code, tol: Tolerance = DEFAULT_TOL) -> AngleSet:
     Off-diagonal values are clustered to within angle_tol; each cluster
     contributes its midpoint as a point.
     """
-    g = gram_of(C).as_array()
-    m = len(C)
-    if m < 2:
+    if len(C) < 2:
         raise InvalidParams("need at least two vectors to observe angles")
-    vals = np.sort(g[np.triu_indices(m, k=1)])
+    vals = np.sort(_pairs(C)[1])
     breaks = np.flatnonzero(np.diff(vals) > 2 * tol.angle_tol) + 1
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [len(vals)])) - 1

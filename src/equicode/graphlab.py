@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import _negative_mask
+from .bounds import _l_code_negatives
 from .certificate import Certificate
 from .codes import (
     AngleParams,
@@ -22,7 +22,6 @@ from .codes import (
     Code,
     angle_set_after_projection,
     detect_equiangular,
-    gram_of,
     project_onto_complement,
     switch_vertices,
     validate_code,
@@ -95,7 +94,7 @@ def build_graph(C: Code, L: AngleSet, tol: Tolerance = DEFAULT_TOL) -> LabelledG
     if not report.passed:
         raise NotAnLCode(
             f"{len(report.violations)} pairs fall outside the angle set")
-    g = gram_of(C).as_array().copy()
+    g = C.gram.as_array().copy()
     np.fill_diagonal(g, 0.0)
     classes = L.classify_all(g)
     np.fill_diagonal(classes, -1)
@@ -406,17 +405,9 @@ def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None,
     semidefiniteness of the Gram matrix forces
     0 <= 1 - eps + eps <Jx,x> - sigma (1 - eps) lambda_1(H).
     """
-    from .codes import detect_projection_params
-
-    if params is None:
-        params = detect_projection_params(C, tol)
-    aset = angle_set_after_projection(params, tol.angle_tol)
-    report = validate_code(C, aset)
-    if not report.passed:
-        raise NotAnLCode("code does not validate against L(alpha, t)")
+    params, neg = _l_code_negatives(C, params, tol)
     eps = float(params.epsilon)
     sigma = float(params.sigma)
-    neg = _negative_mask(C, params, tol)
     vals, vecs = np.linalg.eigh(neg.astype(float))
     lam = float(vals[-1])
     x = vecs[:, -1]

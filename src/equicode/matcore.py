@@ -58,10 +58,11 @@ class SymMatrix:
     The float64 backend stores a numpy array.  The rational backend stores
     an integer matrix with one common positive denominator, entry (i, j)
     being ``num[i, j] / den``; the integers are int64 when they all fit and
-    Python ints otherwise.  Instances are immutable.
+    Python ints otherwise.  Instances are immutable; a float matrix keeps
+    the eigenvalues of its first ``sym_eigen`` for ``rank_of`` and ``is_psd``.
     """
 
-    __slots__ = ("order", "backend", "_array", "_den", "_rows")
+    __slots__ = ("order", "backend", "_array", "_den", "_rows", "_eigenvalues")
 
     def __init__(self, data, backend=None):
         if isinstance(data, SymMatrix):
@@ -83,6 +84,7 @@ class SymMatrix:
             self._array = arr
             self._den = None
             self._rows = None
+            self._eigenvalues = None
             self.order = arr.shape[0]
         elif backend == RATIONAL:
             rows = [[Fraction(x) for x in row] for row in data]
@@ -105,6 +107,7 @@ class SymMatrix:
         self._array = arr
         self._den = den
         self._rows = None
+        self._eigenvalues = None
         self.order = arr.shape[0]
 
     # construction helpers -------------------------------------------------
@@ -231,9 +234,19 @@ def sym_eigen(M: SymMatrix) -> Spectrum:
     a = M.as_array()
     vals, vecs = np.linalg.eigh(a)
     vals = vals[::-1].copy()
+    vals.flags.writeable = False
     vecs = vecs[:, ::-1].copy()
     residual = float(np.abs(a @ vecs - vecs * vals[np.newaxis, :]).max())
+    if M._eigenvalues is None:
+        M._eigenvalues = vals
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, residual=residual)
+
+
+def _eigenvalues(M: SymMatrix) -> np.ndarray:
+    """Descending eigenvalues of a float M, from its first ``sym_eigen``."""
+    if M._eigenvalues is None:
+        sym_eigen(M)
+    return M._eigenvalues
 
 
 def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -245,7 +258,7 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     """
     if M.backend == RATIONAL:
         return _fraction_free(M._array)[0]
-    return _float_rank(sym_eigen(M).eigenvalues, tol)
+    return _float_rank(_eigenvalues(M), tol)
 
 
 def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:
@@ -272,7 +285,7 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             statement="all leading pivots of the symmetric elimination are >= 0",
             passed=False, lhs=0, rhs=witness["pivot"],
             margin=witness["pivot"], tol=0.0, witness=witness)
-    return _float_psd(sym_eigen(M).eigenvalues, tol)
+    return _float_psd(_eigenvalues(M), tol)
 
 
 def _float_psd(vals: np.ndarray, tol: Tolerance) -> Certificate:

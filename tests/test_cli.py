@@ -285,6 +285,33 @@ def test_certify_multipartite_from_concat_metadata(tmp_path, capsys):
     assert "PASS multipartite" in captured
 
 
+_BASIS = [[1.0, 0.0], [0.0, 1.0]]
+_CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r": 1}}
+
+
+@pytest.mark.parametrize("doc, exit_code, expected", [
+    ([1], EXIT_USAGE, "InvalidParams"),
+    ({"format_version": "1", "dim": 2, "vectors": 5, "metadata": {}},
+     EXIT_USAGE, "InvalidParams"),
+    ({"format_version": "1", "dim": 2, "vectors": _BASIS, "metadata": []},
+     EXIT_USAGE, "InvalidParams"),
+    ({"format_version": "1", "dim": 2, "vectors": _BASIS, "metadata": _CONCAT_META},
+     EXIT_OK, "SKIP multipartite: no --parts given and none derivable"),
+    ({"format_version": "1", "dim": 2, "vectors": _BASIS,
+      "metadata": {"construction": "concat", "achieved_beta": "x",
+                   "parameters": {"n": 2, "k": 1, "r": 0, "alpha1": 0.5}}},
+     EXIT_OK, "SKIP multipartite: needs --alpha and a positive --beta"),
+], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
+        "concat-beta-string"])
+def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
+                                                   tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify", str(path), "--suite", "multipartite"]) == exit_code
+    captured = capsys.readouterr()
+    assert expected in captured.out + captured.err
+
+
 def test_parse_angle_set_grammar():
     aset = parse_angle_set("interval:-1,-0.25+point:0.5", 1e-9)
     assert aset.intervals == ((-1.0, -0.25),)

@@ -403,6 +403,33 @@ def test_gerzon_takes_two_spectra(monkeypatch):
     assert cert.passed and cert.witness["rank"] == 7 and cert.witness["outer_rank"] == 28
 
 
+def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
+    from equicode import codes, matcore
+    from equicode.cli import EXIT_OK, run, write_code_file
+
+    src, reduced = tmp_path / "ls12.json", tmp_path / "reduced.json"
+    write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
+    grams = _count_calls(monkeypatch, codes, "gram_of")
+    spectra = _count_calls(monkeypatch, matcore, "sym_eigen")
+    # Gram-only file: the load embedding, the code's Gram, Gerzon's outer Gram
+    for path, want in ((src, (1, 3)), (reduced, (1, 1))):
+        grams.clear()
+        spectra.clear()
+        assert run(["certify", str(path), "--suite", "all"]) == EXIT_OK
+        assert (len(grams), len(spectra)) == want, path.name
+
+
+def test_code_gram_and_eigenvalue_memo_are_read_only():
+    code = lemmens_seidel_code(6)
+    gram = code.gram
+    assert gram is code.gram and not gram.as_array().flags.writeable
+    assert rank_of(gram) == 6 and is_psd(gram).passed
+    assert not gram._eigenvalues.flags.writeable
+    with pytest.raises(ValueError):
+        gram._eigenvalues[0] = 0.0
+
+
 def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):
     from equicode import matcore
 

@@ -427,32 +427,63 @@ def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None,
 def find_clique(adj: np.ndarray, t: int) -> Optional[Tuple[int, ...]]:
     """Lexicographically first t-clique of a simple graph, or None.
 
-    Plain backtracking with a feasibility prune; adequate for the
-    desk-scale graphs this package constructs.
+    ``adj`` must be square and symmetric (InvalidParams otherwise); its
+    diagonal is ignored.  Backtracking tries candidates in ascending order
+    and bounds each branch by a greedy colouring of its candidates
+    (Carraghan-Pardalos 1990, Tomita-Seki MCQ 2003): a clique meets each
+    colour class at most once, so a branch is cut once the clique plus the
+    colours left among the remaining candidates falls below t.  The cut
+    drops only branches without a t-clique, so the first clique found is
+    unchanged.  A complete multipartite graph with p parts colours with
+    exactly p colours, so asking it for a (p+1)-clique ends at the root.
     """
     adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise InvalidParams("clique search needs a square adjacency matrix")
+    if not np.array_equal(adj, adj.T):
+        raise InvalidParams("clique search needs a symmetric adjacency matrix")
     if t <= 0:
         return ()
-    if t == 1:
-        return (0,) if n else None
-    neighbors = [frozenset(int(w) for w in np.nonzero(adj[v])[0]) for v in range(n)]
+    n = adj.shape[0]
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    neighbors = [int.from_bytes(rows[v].tobytes(), "little") & ~(1 << v)
+                 for v in range(n)]
+    return _extend_clique((), (1 << n) - 1, neighbors, t)
 
-    def extend(clique: List[int], candidates: List[int]) -> Optional[Tuple[int, ...]]:
-        if len(clique) == t:
-            return tuple(clique)
-        if len(clique) + len(candidates) < t:
+
+def _extend_clique(clique: Tuple[int, ...], candidates: int,
+                   neighbors: List[int], t: int) -> Optional[Tuple[int, ...]]:
+    """First t-clique extending ``clique`` by vertices of the bitset ``candidates``."""
+    if len(clique) == t:
+        return clique
+    # greedy colouring: each class takes the lowest uncoloured candidate,
+    # then the lowest one adjacent to none of the class so far, and so on
+    tops = []
+    uncoloured = candidates
+    while uncoloured:
+        free = uncoloured
+        while free:
+            low = free & -free
+            top = low.bit_length() - 1
+            uncoloured ^= low
+            free &= ~(neighbors[top] | low)
+        tops.append(top)
+    # a class is among the candidates from v on while its top vertex is >= v
+    tops.sort()
+    passed = 0
+    rest = candidates
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        while passed < len(tops) and tops[passed] < v:
+            passed += 1
+        if len(clique) + len(tops) - passed < t:
             return None
-        for i, v in enumerate(candidates):
-            if len(clique) + len(candidates) - i < t:
-                return None
-            found = extend(clique + [v],
-                           [u for u in candidates[i + 1:] if u in neighbors[v]])
-            if found is not None:
-                return found
-        return None
-
-    return extend([], list(range(n)))
+        rest ^= low
+        found = _extend_clique(clique + (v,), rest & neighbors[v], neighbors, t)
+        if found is not None:
+            return found
+    return None
 
 
 @dataclass(frozen=True)

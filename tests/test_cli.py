@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -222,6 +223,19 @@ def test_reduce_no_positive_clique(tmp_path):
     run(["construct", "simplex", "--r", "4", "--out", str(src)])
     out = tmp_path / "red.json"
     assert run(["reduce", str(src), "--t", "2", "--out", str(out)]) == EXIT_RUNTIME
+
+
+def test_reduce_unsatisfiable_ls20_ends_fast(tmp_path, capsys):
+    # the largest positive clique of LS(20) has 19 vertices
+    src = tmp_path / "ls20.json"
+    run(["construct", "lemmens-seidel", "--n", "20", "--out", str(src)])
+    capsys.readouterr()
+    out = tmp_path / "red.json"
+    start = time.perf_counter()
+    assert run(["reduce", str(src), "--t", "20", "--out", str(out)]) == EXIT_RUNTIME
+    assert time.perf_counter() - start < 5.0
+    assert "NoClique" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gram_only_files_are_embedded(tmp_path):

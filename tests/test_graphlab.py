@@ -1,5 +1,8 @@
+import gc
+import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from equicode.graphlab import (
     star_graph,
     tree_from_pruefer,
 )
-from equicode.errors import NoClique, NotAnLCode, TooSmall
+from equicode.errors import InvalidParams, NoClique, NotAnLCode, TooSmall
 
 TWO_POINT = AngleSet(points=(-1 / 3, 1 / 3))
 
@@ -327,6 +330,76 @@ def test_find_clique():
             if a != b:
                 assert labels[a, b] > 0
     assert find_clique(np.zeros((5, 5), dtype=bool), 2) is None
+
+
+def _ls_positive_graph(n, seed=None):
+    """Positive graph of LS(n): K_{2,...,2} on 2n-2 vertices, optionally permuted."""
+    m = 2 * n - 2
+    adj = ~np.eye(m, dtype=bool)
+    for b in range(n - 1):
+        adj[2 * b, 2 * b + 1] = adj[2 * b + 1, 2 * b] = False
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(m)
+        adj = adj[np.ix_(perm, perm)]
+    return adj
+
+
+def test_ls_positive_graph_helper_matches_build_graph():
+    g = build_graph(lemmens_seidel_code(12), TWO_POINT)
+    assert np.array_equal(g.adjacency(1), _ls_positive_graph(12))
+
+
+def test_find_clique_matches_brute_force_oracle():
+    rng = np.random.default_rng(20261018)
+    for _ in range(600):
+        n = int(rng.integers(0, 15))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.95), 1)
+        adj = upper | upper.T
+        # the diagonal is ignored, whatever it holds
+        adj[np.diag_indices(n)] = rng.random(n) < 0.5
+        t = int(rng.integers(0, n + 2))
+        expected = next((s for s in itertools.combinations(range(n), t)
+                         if all(adj[a, b] for a, b in itertools.combinations(s, 2))),
+                        None)
+        assert find_clique(adj, t) == expected
+
+
+def test_find_clique_refuses_non_square_or_asymmetric():
+    with pytest.raises(InvalidParams):
+        find_clique(np.ones((3, 4), dtype=bool), 2)
+    with pytest.raises(InvalidParams):
+        find_clique(np.ones(4, dtype=bool), 2)
+    arrow = np.zeros((3, 3), dtype=bool)
+    arrow[0, 1] = True
+    with pytest.raises(InvalidParams):
+        find_clique(arrow, 2)
+    loops = np.eye(3, dtype=bool)
+    assert find_clique(loops, 1) == (0,)
+    assert find_clique(loops, 2) is None
+
+
+def test_find_clique_unsatisfiable_ls40_refuted_fast():
+    adj = build_graph(lemmens_seidel_code(40), TWO_POINT).adjacency(1)
+    start = time.perf_counter()
+    assert find_clique(adj, 40) is None
+    assert time.perf_counter() - start < 1.0
+    assert find_clique(adj, 39) == tuple(range(0, 78, 2))
+
+
+def test_find_clique_leaves_nothing_live_without_the_collector():
+    adj = _ls_positive_graph(300, seed=7)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clique = find_clique(adj, 6)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert clique is not None and len(clique) == 6
+    assert live < 1e6
 
 
 def test_lambda_inequality_on_projected_code():

@@ -4,7 +4,8 @@ Each construct case records the sha256 of the written code file, of the
 `--gram-csv` export and of stdout (with the output directory replaced by
 `<out>`).  The read-side cases pin `certify --suite all --report` and
 `reduce --t 6` on a lines28 file, on a Gram-only LS(12) file and on the
-reduced LS(12) code.  The digests pin the output across refactors: a change
+reduced LS(12) code, the bytes `write_code_file` writes for that Gram-only
+file, and `project` and `verify --report` on it.  The digests pin the output across refactors: a change
 that moves a single byte of any of them fails here.
 """
 
@@ -131,3 +132,37 @@ def test_reduce_golden_bytes(inputs, tmp_path, capsys):
                         tmp_path, capsys)
     sidecar = tmp_path / "reduced.json.reduction.json"
     assert (_sha(out.read_bytes()), _sha(sidecar.read_bytes()), stdout) == GOLDEN_REDUCE
+
+
+# sha256 of the Gram-only LS(12) file as `write_code_file` writes it
+GOLDEN_GRAM_FILE = "03b3bdf774175087a5c39b2cf14e7a9358d5040a7b3c1a1dea552741eab6c8d5"
+
+# sha256 of the project output off the positive clique 0,2,...,10 of
+# ls12-gram and of its stdout
+GOLDEN_PROJECT = (
+    "bcac81e28c129077ad0b4ccf07ab525cc958e44669ec1df270c27a18f0cbfbe0",
+    "f472fe97340979eb3c00f47ecbea948a2d7ae1ad5e0886f7fe4651fcdeca27d6")
+
+# sha256 of the verify --report file on ls12-gram against +-1/3 and of stdout
+GOLDEN_VERIFY = (
+    "b695a777b81af0338468352b056da2c5f4f6aca650568b81793c60f07a7d06dd",
+    "2977d98591e6abb762720c4e60c5230f7a21cc6dbda811708f338b758328636b")
+LS_ANGLE_SET = "point:-0.33333333333333331+point:0.33333333333333331"
+
+
+def test_gram_file_golden_bytes(inputs):
+    assert _sha(inputs["ls12-gram"].read_bytes()) == GOLDEN_GRAM_FILE
+
+
+def test_project_golden_bytes(inputs, tmp_path, capsys):
+    out = tmp_path / "projected.json"
+    stdout = _run_bytes(["project", str(inputs["ls12-gram"]), "--clique", "0,2,4,6,8,10",
+                         "--out", str(out)], tmp_path, capsys)
+    assert (_sha(out.read_bytes()), stdout) == GOLDEN_PROJECT
+
+
+def test_verify_golden_bytes(inputs, tmp_path, capsys):
+    report = tmp_path / "verify.json"
+    stdout = _run_bytes(["verify", str(inputs["ls12-gram"]), "--L", LS_ANGLE_SET,
+                         "--report", str(report)], tmp_path, capsys)
+    assert (_sha(report.read_bytes()), stdout) == GOLDEN_VERIFY

@@ -114,22 +114,36 @@ class AngleSet:
 
     def classify(self, value: float) -> Optional[int]:
         """Class id of the first matching element, or None."""
-        for cid, (lo, hi) in enumerate(self.intervals):
-            if lo - self.tol <= value <= hi + self.tol:
-                return cid
-        k = len(self.intervals)
-        for j, p in enumerate(self.points):
-            if abs(value - p) <= self.tol:
-                return k + j
-        return None
+        cid = int(self.classify_all(np.array([float(value)]))[0])
+        return None if cid < 0 else cid
 
     def classify_all(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized classify; -1 marks unmatched values."""
+        """Vectorized classify; -1 marks unmatched values.
+
+        Intervals take precedence in declared order, then the lowest
+        matching point.  As p grows, v - p only falls, so the points with
+        v - p <= tol are a suffix of the sorted points and the points that
+        match v are a run at its start.  One ``searchsorted`` finds where
+        the suffix starts up to the rounding of v - tol; the steps after it
+        make that exact, so a value matches p exactly when |v - p| <= tol.
+        """
+        values = np.asarray(values, dtype=float)
         out = np.full(values.shape, -1, dtype=int)
         k = len(self.intervals)
-        for j in range(len(self.points) - 1, -1, -1):
-            p = self.points[j]
-            out[np.abs(values - p) <= self.tol] = k + j
+        if self.points:
+            pts = np.array(self.points)
+            last = len(pts) - 1
+
+            def within(j):  # v - p_j <= tol, False past the last point
+                return (j <= last) & (values - pts[np.minimum(j, last)] <= self.tol)
+
+            j = np.searchsorted(pts, values - self.tol)
+            while (back := (j > 0) & within(j - 1)).any():
+                j -= back
+            while (ahead := (j <= last) & ~within(j)).any():
+                j += ahead
+            hit = (j <= last) & (np.abs(values - pts[np.minimum(j, last)]) <= self.tol)
+            out[hit] = k + j[hit]
         for cid in range(len(self.intervals) - 1, -1, -1):
             lo, hi = self.intervals[cid]
             out[(values >= lo - self.tol) & (values <= hi + self.tol)] = cid
@@ -218,11 +232,8 @@ def validate_code(C: Code, L: AngleSet) -> ValidationReport:
     iu, values = _pairs(C)
     classes = L.classify_all(values)
     labels = L.class_labels
-    histogram = {}
-    for cid in range(L.class_count()):
-        count = int(np.count_nonzero(classes == cid))
-        if count:
-            histogram[labels[cid]] = count
+    counts = np.bincount(classes + 1, minlength=L.class_count() + 1)[1:]
+    histogram = {labels[cid]: int(counts[cid]) for cid in np.flatnonzero(counts)}
     bad = np.nonzero(classes < 0)[0]
     violations = tuple(
         (int(iu[0][k]), int(iu[1][k]), float(values[k]), L.distance(float(values[k])))

@@ -370,3 +370,77 @@ def test_jittered_codes_split_clusters():
     # above exercises cluster boundaries
     counts = [len(angle_set_of(*_jittered_code(seed)).points) for seed in range(12)]
     assert max(counts) > 3 and min(counts) == 3
+
+
+def _classify_by_loop(L, values):
+    """Reference classifier: one mask per element, lowest precedence first."""
+    out = np.full(values.shape, -1, dtype=int)
+    k = len(L.intervals)
+    for j in range(len(L.points) - 1, -1, -1):
+        out[np.abs(values - L.points[j]) <= L.tol] = k + j
+    for cid in range(len(L.intervals) - 1, -1, -1):
+        lo, hi = L.intervals[cid]
+        out[(values >= lo - L.tol) & (values <= hi + L.tol)] = cid
+    return out
+
+
+def _histogram_by_loop(L, classes):
+    labels, histogram = L.class_labels, {}
+    for cid in range(L.class_count()):
+        count = int(np.count_nonzero(classes == cid))
+        if count:
+            histogram[labels[cid]] = count
+    return histogram
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classify_all_matches_reference_loop(seed):
+    code, tol = _jittered_code(seed)
+    values = gram_of(code).as_array()
+    detected = angle_set_of(code, tol)
+    pts = np.array(detected.points)
+    # values exactly at +-tol from each point, and one ulp beyond
+    edges = np.concatenate([pts + tol.angle_tol, pts - tol.angle_tol,
+                            np.nextafter(pts + tol.angle_tol, 2.0),
+                            np.nextafter(pts - tol.angle_tol, -2.0)])
+    rng = np.random.default_rng(seed)
+    sets = [
+        detected,
+        # duplicated and overlapping points: the lowest matching one wins
+        AngleSet(points=tuple(pts) + tuple(pts[:2]) + (pts[0] + tol.angle_tol,),
+                 tol=tol.angle_tol),
+        # intervals win over points, in declared order
+        AngleSet(intervals=((-1.0, float(pts[0])), (-0.5, 0.4)),
+                 points=tuple(pts), tol=tol.angle_tol),
+        AngleSet(points=tuple(rng.uniform(-1, 0.9, 5)), tol=0.2),
+    ]
+    for L in sets:
+        for vals in (values, edges, values[np.triu_indices(len(code), k=1)]):
+            classes = L.classify_all(vals)
+            assert np.array_equal(classes, _classify_by_loop(L, vals))
+        report = validate_code(code, L)
+        iu = np.triu_indices(len(code), k=1)
+        assert report.histogram == _histogram_by_loop(L, _classify_by_loop(L, values[iu]))
+        for v in edges[:8]:
+            expected = int(_classify_by_loop(L, np.array([v]))[0])
+            assert L.classify(v) == (None if expected < 0 else expected)
+
+
+def test_classify_all_at_rounding_edges():
+    rng = np.random.default_rng(7)
+    # dyadic values lie exactly at +-tol from a point
+    tol = 2.0 ** -20
+    pts = np.array([-0.5, 0.25, 0.25 + tol, 0.5])
+    vals = np.concatenate([pts + tol, pts - tol, np.nextafter(pts + tol, 2.0),
+                           np.nextafter(pts - tol, -2.0), pts])
+    L = AngleSet(points=tuple(pts), tol=tol)
+    assert np.array_equal(L.classify_all(vals), _classify_by_loop(L, vals))
+    assert L.classify(0.25 + tol) == 1 and L.classify(0.5 + tol) == 3
+    assert L.classify(np.nextafter(0.5 + tol, 2.0)) is None
+    # points just below the rounded v - tol that still match v
+    vals = rng.uniform(-0.5, 0.9, 2000)
+    below = np.nextafter(vals - 0.1, -2.0)
+    for L in (AngleSet(points=tuple(below[:40]), tol=0.1),
+              AngleSet(points=tuple(np.nextafter(below[:40], -2.0)) + tuple(below[:40]),
+                       tol=0.1)):
+        assert np.array_equal(L.classify_all(vals), _classify_by_loop(L, vals))

@@ -448,16 +448,49 @@ def find_clique(adj: np.ndarray, t: int) -> Optional[Tuple[int, ...]]:
     rows = np.packbits(adj, axis=1, bitorder="little")
     neighbors = [int.from_bytes(rows[v].tobytes(), "little") & ~(1 << v)
                  for v in range(n)]
-    return _extend_clique((), (1 << n) - 1, neighbors, t)
+    return _extend_clique((1 << n) - 1, neighbors, t)
 
 
-def _extend_clique(clique: Tuple[int, ...], candidates: int,
-                   neighbors: List[int], t: int) -> Optional[Tuple[int, ...]]:
-    """First t-clique extending ``clique`` by vertices of the bitset ``candidates``."""
-    if len(clique) == t:
-        return clique
-    # greedy colouring: each class takes the lowest uncoloured candidate,
-    # then the lowest one adjacent to none of the class so far, and so on
+def _extend_clique(candidates: int, neighbors: List[int],
+                   t: int) -> Optional[Tuple[int, ...]]:
+    """First t-clique among the bitset ``candidates``, searched depth first.
+
+    An explicit stack holds one frame per clique vertex, so the depth is
+    bounded by memory rather than by the interpreter's recursion limit.
+    A frame is [candidates not yet tried, sorted colour-class tops, number
+    of those tops below the next candidate].
+    """
+    clique: List[int] = []
+    stack = [[candidates, _colour_tops(candidates, neighbors), 0]]
+    while stack:
+        frame = stack[-1]
+        rest, tops, passed = frame
+        if rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            # a class is among the candidates from v on while its top vertex is >= v
+            while passed < len(tops) and tops[passed] < v:
+                passed += 1
+            if len(clique) + len(tops) - passed >= t:
+                frame[0], frame[2] = rest ^ low, passed
+                clique.append(v)
+                if len(clique) == t:
+                    return tuple(clique)
+                inner = (rest ^ low) & neighbors[v]
+                stack.append([inner, _colour_tops(inner, neighbors), 0])
+                continue
+        stack.pop()
+        if stack:
+            clique.pop()
+    return None
+
+
+def _colour_tops(candidates: int, neighbors: List[int]) -> List[int]:
+    """Top vertex of each class of a greedy colouring of ``candidates``, sorted.
+
+    Each class takes the lowest uncoloured candidate, then the lowest one
+    adjacent to none of the class so far, and so on.
+    """
     tops = []
     uncoloured = candidates
     while uncoloured:
@@ -468,22 +501,8 @@ def _extend_clique(clique: Tuple[int, ...], candidates: int,
             uncoloured ^= low
             free &= ~(neighbors[top] | low)
         tops.append(top)
-    # a class is among the candidates from v on while its top vertex is >= v
     tops.sort()
-    passed = 0
-    rest = candidates
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        while passed < len(tops) and tops[passed] < v:
-            passed += 1
-        if len(clique) + len(tops) - passed < t:
-            return None
-        rest ^= low
-        found = _extend_clique(clique + (v,), rest & neighbors[v], neighbors, t)
-        if found is not None:
-            return found
-    return None
+    return tops
 
 
 @dataclass(frozen=True)

@@ -520,3 +520,8 @@ def test_reduction_accounting_identity_randomized():
             outcome = reduction_pipeline(code, t=t)
             acc = outcome.accounting
             assert acc["size"] == acc["s_y"] + acc["others"] + acc["clique"]
+
+
+def test_find_clique_deeper_than_the_recursion_limit():
+    # one stack frame per clique vertex would overflow the interpreter's stack
+    assert find_clique(np.ones((1100, 1100), dtype=bool), 1100) == tuple(range(1100))

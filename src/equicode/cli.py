@@ -3,7 +3,11 @@
 Files are written in a canonical JSON form: fixed key order, floats at 17
 significant digits, no whitespace.  Writing, reading, and re-writing a file
 reproduces identical bytes, so every certificate is reproducible from the
-file alone.
+file alone.  ``canonical_json`` is the one entry point for files; it hands
+every 1-D and 2-D float array to ``_format_floats``, the one float-array
+writer, which formats a whole row with one ``"%.17g"`` row template.  The
+``--gram-csv`` rows and the ``angles:`` line of ``construct`` use the same
+writer.
 """
 
 from __future__ import annotations
@@ -67,6 +71,20 @@ def _float_token(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _format_floats(a: np.ndarray, sep: str = ",", open_: str = "[",
+                   close: str = "]") -> list:
+    """Each row of a finite 1-D or 2-D float array as text; 1-D is one row.
+
+    One template of ``"%.17g"`` fields per row width is applied to whole
+    rows, so every token is ``format(x, ".17g")``, as ``_float_token`` gives.
+    """
+    if not np.isfinite(a).all():
+        raise InvalidParams("cannot serialize non-finite numbers")
+    rows = a.reshape(1, -1) if a.ndim == 1 else a
+    template = open_ + sep.join(["%.17g"] * rows.shape[1]) + close
+    return [template % tuple(r) for r in rows.tolist()]
+
+
 def canonical_json(obj) -> str:
     """Serialize with deterministic bytes; floats carry 17 significant digits."""
     if obj is None:
@@ -86,6 +104,10 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim == 1:
+            return _format_floats(obj)[0]
+        if obj.dtype.kind == "f" and obj.ndim == 2:
+            return "[" + ",".join(_format_floats(obj)) + "]"
         return canonical_json(obj.tolist())
     raise InvalidParams(f"cannot serialize {type(obj).__name__}")
 
@@ -95,10 +117,16 @@ def write_code_file(path: str, dim: int, vectors=None, gram=None,
     if (vectors is None) == (gram is None):
         raise InvalidParams("exactly one of vectors/gram must be given")
     doc = {"format_version": "1", "dim": int(dim)}
-    if vectors is not None:
-        doc["vectors"] = [[float(x) for x in row] for row in vectors]
-    else:
-        doc["gram"] = [[float(x) for x in row] for row in gram]
+    key, rows = ("vectors", vectors) if vectors is not None else ("gram", gram)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise InvalidParams("vectors/gram must be a rectangular array of numbers") from exc
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 0)  # no rows at all
+    if arr.ndim != 2:
+        raise InvalidParams("vectors/gram must be a list of rows")
+    doc[key] = arr
     doc["metadata"] = metadata or {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(doc))
@@ -161,9 +189,7 @@ def write_gram_csv(path: str, code: Code) -> None:
     g = code.gram.as_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GRAM_CSV_HEADER + "\n")
-        for row in g:
-            fh.write(",".join(_float_token(float(x)) for x in row))
-            fh.write("\n")
+        fh.writelines(_format_floats(g, open_="", close="\n"))
 
 
 def write_report(path: Optional[str], certificates: Sequence[Certificate],
@@ -223,10 +249,10 @@ def tolerance_from_env(base: Tolerance = DEFAULT_TOL) -> Tolerance:
 # subcommands ------------------------------------------------------------
 
 
-def _detected_points(code: Code, tol: Tolerance) -> list:
+def _detected_points(code: Code, tol: Tolerance) -> np.ndarray:
     if len(code) < 2:
-        return []
-    return [float(p) for p in angle_set_of(code, tol).points]
+        return np.empty(0)
+    return np.array(angle_set_of(code, tol).points)
 
 
 def _with_rank(built) -> tuple:
@@ -281,7 +307,7 @@ def cmd_construct(args, tol: Tolerance) -> int:
     del code  # frees the code's Gram before serialization, where peak memory is set
     write_code_file(args.out, dim, vectors=vectors, metadata=metadata)
     print(f"{name}: {len(vectors)} vectors in R^{dim} -> {args.out}")
-    print("angles: " + (", ".join(_float_token(p) for p in points) or "n/a"))
+    print("angles: " + (_format_floats(points, ", ", "", "")[0] or "n/a"))
     return EXIT_OK
 
 

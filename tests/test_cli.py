@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -11,6 +12,7 @@ from equicode.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     GRAM_CSV_HEADER,
+    _format_floats,
     canonical_json,
     load_code,
     parse_angle_set,
@@ -21,6 +23,7 @@ from equicode.cli import (
     write_code_file,
 )
 from equicode import gram_of, regular_simplex
+from equicode.errors import InvalidParams
 
 
 def test_canonical_json_floats_round_trip():
@@ -33,6 +36,57 @@ def test_canonical_json_floats_round_trip():
 def test_canonical_json_rejects_non_finite():
     with pytest.raises(Exception):
         canonical_json(float("inf"))
+
+
+def test_float_array_writer_tokens_match_format():
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    edges = np.array([-0.0, 0.0, 5e-324, 1e-300, 1.2345678901234568e+17])
+    values = np.concatenate([edges, values])
+    expected = [format(x, ".17g") for x in values.tolist()]
+    assert _format_floats(values)[0] == "[" + ",".join(expected) + "]"
+    rows = _format_floats(values[:99_000].reshape(990, 100))
+    assert [tok for row in rows for tok in row[1:-1].split(",")] == expected[:99_000]
+    # the array path and the per-float path of canonical_json agree
+    assert canonical_json(values[:1000].reshape(10, 100)) == \
+        canonical_json(values[:1000].reshape(10, 100).tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_array_writer_refuses_non_finite(bad, tmp_path):
+    rows = np.eye(3)
+    rows[1, 2] = bad
+    out = str(tmp_path / "bad.json")
+    with pytest.raises(InvalidParams):
+        write_code_file(out, 3, vectors=rows)
+    with pytest.raises(InvalidParams):
+        write_code_file(out, 3, gram=rows)
+    with pytest.raises(InvalidParams):
+        write_code_file(out, 3, vectors=np.eye(3),
+                        metadata={"angles": np.array([0.5, bad, -0.5])})
+
+
+def test_write_code_file_refuses_ragged_rows(tmp_path):
+    out = str(tmp_path / "ragged.json")
+    with pytest.raises(InvalidParams):
+        write_code_file(out, 2, vectors=[[1.0, 0.0], [1.0]])
+    with pytest.raises(InvalidParams):
+        write_code_file(out, 2, gram=[[1.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(InvalidParams):
+        write_code_file(out, 2, vectors=[1.0, 0.0])
+
+
+def test_empty_arrays_write_the_same_bytes(tmp_path):
+    out = tmp_path / "empty.json"
+    head = '{"format_version":"1","dim":2,"vectors":'
+    for rows, body in (([], "[]"), (np.empty((0, 2)), "[]"),
+                       ([[], []], "[[],[]]"), (np.empty((2, 0)), "[[],[]]")):
+        write_code_file(str(out), 2, vectors=rows)
+        assert out.read_text() == head + body + ',"metadata":{}}\n'
+    assert canonical_json(np.empty(0)) == "[]"
+    assert canonical_json({"angles": np.empty(0)}) == '{"angles":[]}'
 
 
 def test_construct_write_read_write_identical_bytes(tmp_path):
@@ -341,3 +395,17 @@ def test_tolerance_env_override(monkeypatch):
     assert tol.psd_slack == 1e-7 and tol.angle_tol == 1e-5
     monkeypatch.delenv("EQUICODE_TOL")
     assert tolerance_from_env().angle_tol == 1e-9
+
+
+def test_certify_dgs_on_concat_n14_within_budget(tmp_path, capsys):
+    # 364 vectors with 49,673 detected angle points; the report is pinned
+    src, report = tmp_path / "concat14.json", tmp_path / "dgs.json"
+    assert run(["construct", "concat", "--n", "14", "--k", "2", "--r", "3",
+                "--alpha1", "0.5", "--seed", "7", "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["certify", str(src), "--suite", "dgs", "--report", str(report)]) == EXIT_OK
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out == "PASS dgs: |C| <= C(rank + |L|, |L|)\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "c39ef8fa123241d7ebb1a8be25b6964b0ea881732e07e70bff6254ce476b4dc2"

@@ -104,10 +104,9 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim == 1:
-            return _format_floats(obj)[0]
-        if obj.dtype.kind == "f" and obj.ndim == 2:
-            return "[" + ",".join(_format_floats(obj)) + "]"
+        if obj.dtype.kind == "f" and obj.ndim in (1, 2):
+            rows = _format_floats(obj)
+            return rows[0] if obj.ndim == 1 else "[" + ",".join(rows) + "]"
         return canonical_json(obj.tolist())
     raise InvalidParams(f"cannot serialize {type(obj).__name__}")
 

@@ -472,11 +472,12 @@ def _extend_clique(candidates: int, neighbors: List[int],
             while passed < len(tops) and tops[passed] < v:
                 passed += 1
             if len(clique) + len(tops) - passed >= t:
-                frame[0], frame[2] = rest ^ low, passed
+                rest ^= low
+                frame[0], frame[2] = rest, passed
                 clique.append(v)
                 if len(clique) == t:
                     return tuple(clique)
-                inner = (rest ^ low) & neighbors[v]
+                inner = rest & neighbors[v]
                 stack.append([inner, _colour_tops(inner, neighbors), 0])
                 continue
         stack.pop()

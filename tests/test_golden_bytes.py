@@ -5,8 +5,9 @@ Each construct case records the sha256 of the written code file, of the
 `<out>`).  The read-side cases pin `certify --suite all --report` and
 `reduce --t 6` on a lines28 file, on a Gram-only LS(12) file and on the
 reduced LS(12) code, the bytes `write_code_file` writes for that Gram-only
-file, and `project` and `verify --report` on it.  The digests pin the output across refactors: a change
-that moves a single byte of any of them fails here.
+file, and `project` and `verify --report` on it.  The digests pin the output
+across refactors: a change that moves a single byte of any of them fails
+here.
 """
 
 import hashlib

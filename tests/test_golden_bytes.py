@@ -2,7 +2,8 @@
 
 Each construct case records the sha256 of the written code file, of the
 `--gram-csv` export and of stdout (with the output directory replaced by
-`<out>`).  The read-side cases pin `certify --suite all --report` and
+`<out>`); reading a construct output and rewriting it reproduces its
+bytes.  The read-side cases pin `certify --suite all --report` and
 `reduce --t 6` on a lines28 file, on a Gram-only LS(12) file and on the
 reduced LS(12) code, the bytes `write_code_file` writes for that Gram-only
 file, and `project` and `verify --report` on it.  The digests pin the output
@@ -14,7 +15,7 @@ import hashlib
 
 import pytest
 
-from equicode.cli import EXIT_OK, run, write_code_file
+from equicode.cli import EXIT_OK, read_code_file, rewrite_code_file, run, write_code_file
 from equicode.constructions import lemmens_seidel_gram
 
 # case -> (construct arguments, sha256 of json, of csv, of stdout)
@@ -79,6 +80,14 @@ def construct_digests(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_construct_golden_bytes(case, tmp_path, capsys):
     assert construct_digests(case, tmp_path, capsys) == GOLDEN[case][1:]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_read_rewrite_reproduces_golden_bytes(case, tmp_path):
+    out, again = tmp_path / f"{case}.json", tmp_path / "again.json"
+    assert run(["construct", *GOLDEN[case][0], "--out", str(out)]) == EXIT_OK
+    rewrite_code_file(str(again), read_code_file(str(out)))
+    assert _sha(again.read_bytes()) == GOLDEN[case][1]
 
 
 # input file -> (sha256 of the certify --suite all report, of its stdout)

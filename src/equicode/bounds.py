@@ -88,13 +88,17 @@ def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         witness={"rank": r, "outer_rank": outer_rank, "alpha": alpha})
 
 
+def _require_validates(C: Code, L: AngleSet, name: str = "L") -> None:
+    if not validate_code(C, L).passed:
+        raise NotAnLCode(f"code does not validate against {name}")
+
+
 def _l_code_negatives(C: Code, params: Optional[AngleParams], tol: Tolerance):
     """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
     boolean mask of its negative edges; NotAnLCode if C does not validate."""
     if params is None:
         params = detect_projection_params(C, tol)
-    if not validate_code(C, angle_set_after_projection(params, tol.angle_tol)).passed:
-        raise NotAnLCode("code does not validate against L(alpha, t)")
+    _require_validates(C, angle_set_after_projection(params, tol.angle_tol), "L(alpha, t)")
     mask = np.abs(C.gram.as_array() - float(params.negative_value)) <= tol.angle_tol
     np.fill_diagonal(mask, False)
     return params, mask
@@ -226,9 +230,7 @@ def dgs_bound_check(C: Code, L: AngleSet,
     """|C| <= C(rank + |L|, |L|) for a finite angle set L."""
     if L.intervals:
         raise NotFinite("the bound needs a finite point set, no intervals")
-    report = validate_code(C, L)
-    if not report.passed:
-        raise NotAnLCode("code does not validate against L")
+    _require_validates(C, L)
     k = len(L.points)
     r = rank_of(C.gram, tol)
     rhs = math.comb(r + k, k)
@@ -249,9 +251,7 @@ def beta_energy_check(C: Code, x: int, L: AngleSet,
         raise InvalidParams("angle set must be one interval plus one point")
     if L.intervals[0][1] >= 0 or L.points[0] <= 0:
         raise InvalidParams("expected a negative interval and a positive point")
-    report = validate_code(C, L)
-    if not report.passed:
-        raise NotAnLCode("code does not validate against L")
+    _require_validates(C, L)
     if not (0 <= x < len(C)):
         raise InvalidIndex(f"vertex {x} out of range")
     alpha = L.points[0]

@@ -52,7 +52,7 @@ from .constructions import (
 )
 from .errors import EquicodeError, InvalidParams, RandomizedFailure, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
-from .matcore import DEFAULT_TOL, Tolerance, embed_from_gram, is_psd
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, is_psd
 
 GRAM_CSV_HEADER = "# equicode gram v1"
 
@@ -111,25 +111,39 @@ def canonical_json(obj) -> str:
     raise InvalidParams(f"cannot serialize {type(obj).__name__}")
 
 
-def write_code_file(path: str, dim: int, vectors=None, gram=None,
-                    metadata: Optional[dict] = None) -> None:
-    if (vectors is None) == (gram is None):
-        raise InvalidParams("exactly one of vectors/gram must be given")
-    doc = {"format_version": "1", "dim": int(dim)}
-    key, rows = ("vectors", vectors) if vectors is not None else ("gram", gram)
+def _float_rows(rows) -> np.ndarray:
+    """The vectors/gram rows of a code file as a 2-D float array.
+
+    InvalidParams unless the rows are equally long and every entry is a
+    number.  Numpy's dtype inference, in the one pass that converts, turns
+    strings, nulls, objects and nested lists into a non-numeric array.  It
+    does turn true/false into 1/0 silently, so only the entries equal to 0
+    or 1 are looked up.
+    """
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows)
     except ValueError as exc:
         raise InvalidParams("vectors/gram must be a rectangular array of numbers") from exc
     if arr.shape == (0,):
         arr = arr.reshape(0, 0)  # no rows at all
     if arr.ndim != 2:
         raise InvalidParams("vectors/gram must be a list of rows")
-    doc[key] = arr
-    doc["metadata"] = metadata or {}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
+    numeric = arr.dtype.kind in "iuf"
+    if numeric and not isinstance(rows, np.ndarray):
+        i, j = np.nonzero((arr == 0) | (arr == 1))
+        numeric = not any(type(rows[a][b]) is bool for a, b in zip(i.tolist(), j.tolist()))
+    if not numeric:
+        raise InvalidParams("vectors/gram entries must be JSON numbers")
+    return arr.astype(float, copy=False)
+
+
+def write_code_file(path: str, dim: int, vectors=None, gram=None,
+                    metadata: Optional[dict] = None) -> None:
+    if (vectors is None) == (gram is None):
+        raise InvalidParams("exactly one of vectors/gram must be given")
+    key, rows = ("vectors", vectors) if vectors is not None else ("gram", gram)
+    _write_canonical(path, {"format_version": "1", "dim": int(dim), key: _float_rows(rows),
+                            "metadata": metadata or {}})
 
 
 def _json_int(token: str):
@@ -138,50 +152,47 @@ def _json_int(token: str):
 
 
 def read_code_file(path: str) -> dict:
+    """The parsed code file, its vectors/gram rows as a float array."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_int=_json_int)
     if not isinstance(doc, dict):
         raise InvalidParams("a code file holds one JSON object")
     if doc.get("format_version") != "1":
         raise InvalidParams("unsupported or missing format_version")
+    if type(doc.get("dim")) is not int or doc["dim"] < 1:
+        raise InvalidParams("dim must be a positive integer")
     if ("vectors" in doc) == ("gram" in doc):
         raise InvalidParams("file must carry exactly one of vectors/gram")
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict) or not isinstance(meta.get("parameters", {}), dict):
         raise InvalidParams("metadata and its parameters must be JSON objects")
-    rows = doc.get("vectors", doc.get("gram"))
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InvalidParams("vectors/gram must be a list of rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InvalidParams("arrays must be rectangular")
+    key = "vectors" if "vectors" in doc else "gram"
+    doc[key] = _float_rows(doc[key])
+    if doc[key].size == 0:
+        raise InvalidParams("vectors/gram must hold at least one number")
     return doc
 
 
 def rewrite_code_file(path: str, doc: dict) -> None:
     """Re-serialize a parsed document canonically (byte-stable round trip)."""
+    _write_canonical(path, doc)
+
+
+def _write_canonical(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(doc))
         fh.write("\n")
 
 
 def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Code from a file and the parsed document; Gram-only files are embedded.
-
-    Commands that do not read the document drop it at once: its rows are
-    Python floats, several times the size of the code's arrays.
-    """
+    """Code from a file and the parsed document; Gram-only files are embedded."""
     doc = read_code_file(path)
-    dim = int(doc["dim"])
     if "vectors" in doc:
-        vectors = np.array(doc["vectors"], dtype=float)
-        if vectors.shape[1] != dim:
+        if doc["vectors"].shape[1] != doc["dim"]:
             raise InvalidParams("vector length disagrees with dim")
-        return Code(vectors, tol), doc
-    from .matcore import SymMatrix
-
-    gram = SymMatrix.from_array_symmetrized(np.array(doc["gram"], dtype=float))
-    return _pad_to_dim(embed_from_gram(gram, tol), dim, InvalidParams, tol), doc
+        return Code(doc["vectors"], tol), doc
+    gram = SymMatrix.from_array_symmetrized(doc["gram"])
+    return _pad_to_dim(embed_from_gram(gram, tol), doc["dim"], InvalidParams, tol), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:
@@ -201,9 +212,7 @@ def write_report(path: Optional[str], certificates: Sequence[Certificate],
         "certificates": [c.to_dict() for c in certificates],
     }
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
-            fh.write("\n")
+        _write_canonical(path, doc)
     return doc
 
 
@@ -264,8 +273,8 @@ def _build_lines28(args) -> tuple:
 
 
 def _build_concat(args) -> tuple:
-    params = ConcatParams.from_inputs(args.n, args.k, args.r, args.alpha1,
-                                      args.seed if args.seed is not None else 0)
+    params = ConcatParams(args.n, args.k, args.r, args.alpha1,
+                          args.seed if args.seed is not None else 0)
     code, achieved_beta, report = concatenated_code(params)
     return code, {"seed": params.seed, "achieved_beta": achieved_beta,
                   "beta_target": params.beta_target, "attempts": report.attempts,
@@ -473,9 +482,7 @@ def cmd_reduce(args, tol: Tolerance) -> int:
         "garbage_checks": [dict(g) for g in outcome.garbage_checks],
         "projected_size": len(outcome.projected) if outcome.projected else 0,
     }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
+    _write_canonical(sidecar, doc)
     if outcome.projected is not None:
         metadata = {"construction": "reduction",
                     "parameters": {"t": args.t, "source": os.path.basename(args.file)},

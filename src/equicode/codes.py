@@ -154,53 +154,62 @@ class AngleSet:
 
     def distance(self, value: float) -> float:
         """Distance to the nearest declared element (0 when matched)."""
-        best = np.inf
+        return float(self.distance_all(np.array([float(value)]))[0])
+
+    def distance_all(self, values: np.ndarray) -> np.ndarray:
+        """Vectorized distance.
+
+        As p grows, v - p only falls, so |v - p| is smallest at the points
+        on either side of v: the first point >= v and the one before it.
+        """
+        values = np.asarray(values, dtype=float)
+        best = np.full(values.shape, np.inf)
         for lo, hi in self.intervals:
-            best = min(best, max(lo - value, value - hi, 0.0))
-        for p in self.points:
-            best = min(best, abs(value - p))
-        return float(best)
+            best = np.minimum(best, np.maximum(np.maximum(lo - values, values - hi), 0.0))
+        if self.points:
+            pts = np.array(self.points)
+            j = np.searchsorted(pts, values)
+            for near in (np.maximum(j - 1, 0), np.minimum(j, len(pts) - 1)):
+                best = np.minimum(best, np.abs(values - pts[near]))
+        return best
 
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Projection parameters (alpha, t) with the derived epsilon and sigma.
+    """Projection parameters (alpha, t) and the epsilon and sigma they define.
 
     epsilon = 1/(t + 1/alpha) is the projected positive angle and
-    sigma = 2 alpha/(1 - alpha) drives the projected negative angle.
-    Stored values must reproduce exactly from alpha and t.
+    sigma = 2 alpha/(1 - alpha) drives the projected negative angle; both
+    are exact when alpha is a Fraction.
     """
 
     alpha: object
     t: int
-    epsilon: object
-    sigma: object
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise InvalidParams("alpha must lie in (0, 1)")
-        if int(self.t) != self.t or self.t < 1:
-            raise InvalidParams("t must be a positive integer")
-        eps = 1 / (self.t + 1 / self.alpha)
-        sig = 2 * self.alpha / (1 - self.alpha)
-        if eps != self.epsilon or sig != self.sigma:
-            raise InvalidParams("epsilon/sigma do not match their defining formulas")
+        object.__setattr__(self, "t", _positive_int(self.t))
 
-    @classmethod
-    def from_alpha_t(cls, alpha, t: int) -> "AngleParams":
-        """Derive epsilon and sigma; exact when alpha is a Fraction."""
-        if not (0 < alpha < 1):
-            raise InvalidParams("alpha must lie in (0, 1)")
-        if int(t) != t or t < 1:
-            raise InvalidParams("t must be a positive integer")
-        t = int(t)
-        return cls(alpha=alpha, t=t, epsilon=1 / (t + 1 / alpha),
-                   sigma=2 * alpha / (1 - alpha))
+    @property
+    def epsilon(self):
+        return 1 / (self.t + 1 / self.alpha)
+
+    @property
+    def sigma(self):
+        return 2 * self.alpha / (1 - self.alpha)
 
     @property
     def negative_value(self):
         """The projected negative angle -sigma(1 - epsilon) + epsilon."""
         return -self.sigma * (1 - self.epsilon) + self.epsilon
+
+
+def _positive_int(t) -> int:
+    """A clique size t as an int; InvalidParams unless it is a positive integer."""
+    if int(t) != t or t < 1:
+        raise InvalidParams("t must be a positive integer")
+    return int(t)
 
 
 @dataclass(frozen=True)
@@ -234,10 +243,9 @@ def validate_code(C: Code, L: AngleSet) -> ValidationReport:
     labels = L.class_labels
     counts = np.bincount(classes + 1, minlength=L.class_count() + 1)[1:]
     histogram = {labels[cid]: int(counts[cid]) for cid in np.flatnonzero(counts)}
-    bad = np.nonzero(classes < 0)[0]
-    violations = tuple(
-        (int(iu[0][k]), int(iu[1][k]), float(values[k]), L.distance(float(values[k])))
-        for k in bad)
+    bad = np.flatnonzero(classes < 0)
+    violations = tuple(zip(iu[0][bad].tolist(), iu[1][bad].tolist(), values[bad].tolist(),
+                           L.distance_all(values[bad]).tolist()))
     return ValidationReport(passed=len(violations) == 0,
                             violations=violations, histogram=histogram)
 
@@ -271,8 +279,7 @@ def predicted_projection_angle(gamma, t, p):
     """
     if not (-1 < gamma < 1):
         raise InvalidParams("gamma must lie in (-1, 1)")
-    if int(t) != t or t < 1:
-        raise InvalidParams("t must be a positive integer")
+    t = _positive_int(t)
     if gamma < 0 and t != 1:
         raise InvalidParams("a negative-angle clique must have size 1")
     if not (-1 <= p <= 1):
@@ -321,8 +328,6 @@ def project_onto_complement(X: Code, Y: Code,
             raise NotAClique("clique contains duplicate vectors")
         if gamma < 0:
             raise NotAClique("a negative-angle clique must have size 1")
-        if gamma <= -1:
-            raise NotAClique("clique angle must exceed -1")
     u, s, _ = np.linalg.svd(Y.vectors.T, full_matrices=False)
     basis = u[:, s > s.max() * 1e-12]
     proj = X.vectors - (X.vectors @ basis) @ basis.T
@@ -369,10 +374,8 @@ def detect_projection_params(C: Code, tol: Tolerance = DEFAULT_TOL) -> AnglePara
     sigma = (eps - nu) / (1 - eps)
     alpha = sigma / (2 + sigma)
     t = round(1 / eps - 1 / alpha)
-    if t < 1 or not (0 < alpha < 1):
-        raise NotAnLCode("observed values are not a projected angle pair")
-    params = AngleParams.from_alpha_t(alpha, int(t))
-    if abs(params.epsilon - eps) > tol.angle_tol or \
+    params = AngleParams(alpha, t) if t >= 1 and 0 < alpha < 1 else None
+    if params is None or abs(params.epsilon - eps) > tol.angle_tol or \
             abs(params.negative_value - nu) > tol.angle_tol:
         raise NotAnLCode("observed values are not a projected angle pair")
     return params

@@ -224,19 +224,14 @@ class ConcatParams:
     lam = sqrt(1/alpha1 - 1) sets the concatenation scaling; alphas lists
     the within-copy inner products (alpha1 is reproduced at i = 1);
     beta_target is the cross-copy separation the randomized rotations must
-    achieve.  lam_sq is carried explicitly so every formula uses the exact
-    same float.
+    achieve.  Each derived value is computed from the inputs on access, so
+    every formula sees the same float.
     """
 
     n: int
     k: int
     r: int
     alpha1: float
-    lam: float
-    lam_sq: float
-    t_threshold: float
-    beta_target: float
-    alphas: Tuple[float, ...]
     seed: int
 
     def __post_init__(self):
@@ -246,40 +241,35 @@ class ConcatParams:
             raise InvalidParams("need 1 <= k <= n and r >= 1")
         if self.r * self.r > self.n:
             raise InvalidParams("need r <= sqrt(n)")
-        lam_sq = 1.0 / self.alpha1 - 1.0
-        if self.lam_sq != lam_sq or self.lam != math.sqrt(lam_sq):
-            raise InvalidParams("lam does not match sqrt(1/alpha1 - 1)")
-        if self.t_threshold != _log_threshold(self.n, self.k):
-            raise InvalidParams("t_threshold does not match its formula")
-        if self.beta_target != (1.0 / self.r - lam_sq * self.t_threshold) / (lam_sq + 1.0):
-            raise InvalidParams("beta_target does not match its formula")
-        if self.alphas != _alpha_ladder(lam_sq, self.k):
-            raise InvalidParams("alphas do not match their formula")
-        if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
+        alphas = self.alphas
+        if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise InvalidParams("alphas must be strictly increasing")
-        if abs(self.alphas[0] - self.alpha1) > 1e-12:
+        if abs(alphas[0] - self.alpha1) > 1e-12:
             raise InvalidParams("alpha ladder does not reproduce alpha1")
 
-    @classmethod
-    def from_inputs(cls, n: int, k: int, r: int, alpha1: float,
-                    seed: int) -> "ConcatParams":
-        if not (0 < alpha1 < 1):
-            raise InvalidParams("alpha1 must lie in (0, 1)")
-        lam_sq = 1.0 / alpha1 - 1.0
-        return cls(n=n, k=k, r=r, alpha1=float(alpha1),
-                   lam=math.sqrt(lam_sq), lam_sq=lam_sq,
-                   t_threshold=_log_threshold(n, k),
-                   beta_target=(1.0 / r - lam_sq * _log_threshold(n, k)) / (lam_sq + 1.0),
-                   alphas=_alpha_ladder(lam_sq, k), seed=int(seed))
+    @property
+    def lam_sq(self) -> float:
+        return 1.0 / self.alpha1 - 1.0
 
+    @property
+    def lam(self) -> float:
+        return math.sqrt(self.lam_sq)
 
-def _log_threshold(n: int, k: int) -> float:
-    return math.sqrt((4.0 * math.log(math.comb(n, k)) + 2.0 * math.log(n)) / n)
+    @property
+    def t_threshold(self) -> float:
+        n = self.n
+        return math.sqrt((4.0 * math.log(math.comb(n, self.k)) + 2.0 * math.log(n)) / n)
 
+    @property
+    def beta_target(self) -> float:
+        lam_sq = self.lam_sq
+        return (1.0 / self.r - lam_sq * self.t_threshold) / (lam_sq + 1.0)
 
-def _alpha_ladder(lam_sq: float, k: int) -> Tuple[float, ...]:
-    return tuple((lam_sq * (i - 1) / k + 1.0) / (lam_sq + 1.0)
-                 for i in range(1, k + 1))
+    @property
+    def alphas(self) -> Tuple[float, ...]:
+        lam_sq = self.lam_sq
+        return tuple((lam_sq * (i - 1) / self.k + 1.0) / (lam_sq + 1.0)
+                     for i in range(1, self.k + 1))
 
 
 @dataclass(frozen=True)
@@ -308,9 +298,6 @@ def concatenated_code(params: ConcatParams,
     probability.  On failure the construction retries seeds seed+1, seed+2,
     ... up to max_attempts before raising RandomizedFailure.
     """
-    size = math.comb(params.n, params.k)
-    if size > SIZE_CAP:
-        raise TooLarge(f"C({params.n},{params.k}) = {size} exceeds the cap {SIZE_CAP}")
     base = binary_kcode(params.n, params.k).vectors
     simplex = regular_simplex(params.r).vectors
     scale = 1.0 / math.sqrt(params.lam_sq + 1.0)

@@ -528,40 +528,33 @@ def reduction_pipeline(C: Code, t: int, tol: Tolerance = DEFAULT_TOL) -> Reducti
     which flips their bucket to the complement.  S_Y projects onto the
     orthogonal complement of span(Y) as an L(alpha, t)-code, and
     |C| = |S_Y| + sum of the other buckets + |Y| holds exactly.
+
+    Negating a vector negates its inner products exactly in floating point,
+    and no clique vertex is negated, so the switched code's classes follow
+    from the input's graph: one graph and one validation serve both.
     """
     alpha = detect_equiangular(C, tol)
     if alpha is None or alpha <= tol.angle_tol:
         raise NotEquiangular("reduction needs a code with all pairs +/- alpha")
     if t < 1 or t >= len(C):
         raise InvalidParams("clique size t must satisfy 1 <= t < |C|")
-    aset = AngleSet(points=(-alpha, alpha), tol=tol.angle_tol)
-    graph = build_graph(C, aset, tol)
-    positive_class = 1
+    graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=tol.angle_tol), tol)
     clique = _positive_clique(graph, t, alpha)
     if clique is None:
         raise NoClique(f"no positive clique of size {t}")
     clique_set = set(clique)
-
-    def attachments(g: LabelledGraph) -> Dict[int, Tuple[int, ...]]:
-        out = {}
-        for v in range(g.size):
-            if v in clique_set:
-                continue
-            out[v] = tuple(y for y in clique if g.classes[v, y] == positive_class)
-        return out
-
-    first = attachments(graph)
-    switched = tuple(sorted(v for v, T in first.items() if 2 * len(T) < t))
-    work = switch_vertices(C, switched) if switched else C
-    graph2 = build_graph(work, aset, tol)
-    second = attachments(graph2)
-
-    buckets: Dict[object, List[int]] = {}
     use_exact_keys = t <= 24
-    for v, T in second.items():
-        key = T if use_exact_keys else len(T)
-        buckets.setdefault(key, []).append(v)
-    buckets = {key: tuple(sorted(vs)) for key, vs in buckets.items()}
+    switched: List[int] = []
+    buckets: Dict[object, List[int]] = {}
+    for v, row in enumerate((graph.classes[:, list(clique)] == 1).tolist()):  # 1 is +alpha
+        if v in clique_set:
+            continue
+        flip = 2 * sum(row) < t
+        if flip:
+            switched.append(v)
+        T = tuple(y for y, positive in zip(clique, row) if positive != flip)
+        buckets.setdefault(T if use_exact_keys else len(T), []).append(v)
+    buckets = {key: tuple(vs) for key, vs in buckets.items()}
 
     full_key = tuple(clique) if use_exact_keys else t
     s_y = buckets.get(full_key, ())
@@ -585,14 +578,15 @@ def reduction_pipeline(C: Code, t: int, tol: Tolerance = DEFAULT_TOL) -> Reducti
                 "ok": (len(vs) < garbage_bound) if applicable else None,
             })
 
-    params = AngleParams.from_alpha_t(alpha, t)
+    params = AngleParams(alpha, t)
     projected = None
     if s_y:
+        work = switch_vertices(C, switched)  # the projection needs the vectors
         projected = project_onto_complement(work.subset(s_y), work.subset(clique), tol)
         rep = validate_code(projected, angle_set_after_projection(params, tol.angle_tol))
         if not rep.passed:
             raise InternalError("projected bucket is not an L(alpha, t)-code")
-    return ReductionOutcome(alpha=alpha, clique=tuple(clique), switched=switched,
+    return ReductionOutcome(alpha=alpha, clique=tuple(clique), switched=tuple(switched),
                             buckets=buckets, projected=projected, params=params,
                             accounting=accounting,
                             garbage_checks=tuple(garbage_checks))

@@ -72,42 +72,29 @@ class SymMatrix:
         if backend is None:
             backend = RATIONAL if _all_rational(data) else FLOAT64
         if backend == FLOAT64:
-            arr = np.asarray(data, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-                raise InvalidMatrix("expected a square matrix of order >= 1")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidMatrix("matrix entries must be finite")
-            if not np.array_equal(arr, arr.T):
-                raise InvalidMatrix("matrix entries must be exactly symmetric")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            self._array = arr
-            self._den = None
-            self._rows = None
-            self._eigenvalues = None
-            self.order = arr.shape[0]
+            self._store(np.array(data, dtype=float), None)
         elif backend == RATIONAL:
             rows = [[Fraction(x) for x in row] for row in data]
-            if len(rows) < 1 or any(len(r) != len(rows) for r in rows):
-                raise InvalidMatrix("expected a square matrix of order >= 1")
             den = math.lcm(*(x.denominator for row in rows for x in row))
-            self._set_integers([[x.numerator * (den // x.denominator) for x in row]
-                                for row in rows], den)
+            self._store(_integer_array([[x.numerator * (den // x.denominator) for x in row]
+                                        for row in rows]), den)
         else:
             raise InvalidMatrix(f"unknown backend {backend!r}")
         self.backend = backend
 
-    def _set_integers(self, num, den):
-        arr = _integer_array(num)
+    def _store(self, arr: np.ndarray, den: Optional[int]):
+        """Keep a fresh array read-only, with ``den`` None on float64.
+
+        InvalidMatrix unless it is square, finite and exactly symmetric.
+        """
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidMatrix("expected a square matrix of order >= 1")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise InvalidMatrix("matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
             raise InvalidMatrix("matrix entries must be exactly symmetric")
         arr.flags.writeable = False
-        self._array = arr
-        self._den = den
-        self._rows = None
-        self._eigenvalues = None
+        self._array, self._den, self._rows, self._eigenvalues = arr, den, None, None
         self.order = arr.shape[0]
 
     # construction helpers -------------------------------------------------
@@ -119,7 +106,7 @@ class SymMatrix:
         if den < 1:
             raise InvalidMatrix("the common denominator must be a positive integer")
         out = cls.__new__(cls)
-        out._set_integers(num, den)
+        out._store(_integer_array(num), den)
         out.backend = RATIONAL
         return out
 

@@ -119,7 +119,7 @@ def test_criterion_4_concatenated_construction():
     successes = 0
     for seed in range(10):
         seed_started = time.time()
-        params = ConcatParams.from_inputs(30, 2, 3, 0.5, seed)
+        params = ConcatParams(30, 2, 3, 0.5, seed)
         assert abs(params.beta_target - (1 / 3 - params.t_threshold) / 2) <= 1e-15
         code, achieved_beta, report = concatenated_code(params)
         block = math.comb(30, 2)

@@ -127,7 +127,7 @@ def test_schnirelman_applied_on_projected_code():
 
 
 def test_schnirelman_applied_no_negative_edges():
-    params = AngleParams.from_alpha_t(0.25, 8)
+    params = AngleParams(0.25, 8)
     eps = float(params.epsilon)
     g = np.full((6, 6), eps)
     np.fill_diagonal(g, 1.0)
@@ -140,7 +140,7 @@ def test_schnirelman_applied_no_negative_edges():
 
 def test_schnirelman_applied_random_instances():
     rng = np.random.default_rng(9)
-    params = AngleParams.from_alpha_t(0.2, 50)
+    params = AngleParams(0.2, 50)
     eps, sigma = float(params.epsilon), float(params.sigma)
     from equicode import is_psd
 
@@ -159,7 +159,7 @@ def test_schnirelman_applied_random_instances():
 
 
 def _matching_code(alpha, t, matching_edges, singletons):
-    params = AngleParams.from_alpha_t(alpha, t)
+    params = AngleParams(alpha, t)
     eps, sigma = params.epsilon, params.sigma
     m = 2 * matching_edges + singletons
     g = np.full((m, m), float(eps))
@@ -172,7 +172,7 @@ def _matching_code(alpha, t, matching_edges, singletons):
 
 def test_matching_full_rank_synthetic():
     code, _ = _matching_code(Fraction(1, 5), 10, matching_edges=2, singletons=2)
-    params = AngleParams.from_alpha_t(Fraction(1, 5), 10)
+    params = AngleParams(Fraction(1, 5), 10)
     cert = matching_full_rank_certificate(code, params)
     assert cert.passed
     assert cert.witness["rank_shifted"] == 6
@@ -199,7 +199,7 @@ def test_matching_full_rank_excludes_one_third():
 
 
 def test_matching_full_rank_wrong_structure():
-    params = AngleParams.from_alpha_t(Fraction(1, 5), 10)
+    params = AngleParams(Fraction(1, 5), 10)
     eps, sigma = params.epsilon, params.sigma
     g = np.full((5, 5), float(eps))
     np.fill_diagonal(g, 1.0)
@@ -244,7 +244,7 @@ def test_multipartite_rejects_non_clique_parts():
 
 
 def test_multipartite_on_concatenated_code():
-    params = ConcatParams.from_inputs(100, 1, 2, 0.5, seed=1)
+    params = ConcatParams(100, 1, 2, 0.5, seed=1)
     code, achieved_beta, _ = concatenated_code(params)
     assert achieved_beta > 0
     block = 100
@@ -294,7 +294,7 @@ def test_beta_energy_no_negative_edges():
 
 
 def test_beta_energy_on_concat_code():
-    params = ConcatParams.from_inputs(100, 1, 2, 0.5, seed=0)
+    params = ConcatParams(100, 1, 2, 0.5, seed=0)
     code, achieved_beta, _ = concatenated_code(params)
     assert achieved_beta > 0
     L = AngleSet(intervals=((-1.0, -achieved_beta),), points=(0.5,), tol=1e-9)

@@ -369,8 +369,25 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
       "metadata": {"construction": "concat", "achieved_beta": "x",
                    "parameters": {"n": 2, "k": 1, "r": 0, "alpha1": 0.5}}},
      EXIT_OK, "SKIP multipartite: needs --alpha and a positive --beta"),
+    ({"format_version": "1", "dim": None, "vectors": _BASIS, "metadata": {}},
+     EXIT_USAGE, "InvalidParams: dim must be a positive integer"),
+    ({"format_version": "1", "dim": [2], "vectors": _BASIS, "metadata": {}},
+     EXIT_USAGE, "InvalidParams: dim must be a positive integer"),
+    ({"format_version": "1", "dim": 2.5, "vectors": _BASIS, "metadata": {}},
+     EXIT_USAGE, "InvalidParams: dim must be a positive integer"),
+    ({"format_version": "1", "dim": 2, "vectors": [[{}, 0.0], [0.0, 1.0]], "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
+    ({"format_version": "1", "dim": 2, "vectors": [["0.6", 0.8], [0.0, 1.0]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
+    ({"format_version": "1", "dim": 2, "vectors": [[True, False], [0.0, 1.0]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
+    ({"format_version": "1", "dim": 2, "gram": [[1.0, None], [None, 1.0]], "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
-        "concat-beta-string"])
+        "concat-beta-string", "dim-null", "dim-list", "dim-fraction", "entry-object",
+        "entry-string", "entry-bool", "gram-null"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -246,16 +247,16 @@ def test_projection_dimension_mismatch():
 
 
 def test_angle_set_after_projection_examples():
-    ap = AngleParams.from_alpha_t(1 / 3, 2)
+    ap = AngleParams(1 / 3, 2)
     pts = angle_set_after_projection(ap).points
     assert abs(pts[0] + 3 / 5) <= 1e-12 and abs(pts[1] - 1 / 5) <= 1e-12
-    ap = AngleParams.from_alpha_t(1 / 5, 10)
+    ap = AngleParams(1 / 5, 10)
     pts = angle_set_after_projection(ap).points
     assert abs(pts[0] + 2 / 5) <= 1e-12 and abs(pts[1] - 1 / 15) <= 1e-12
 
 
 def test_angle_set_after_projection_large_t_limit():
-    ap = AngleParams.from_alpha_t(0.2, 10 ** 6)
+    ap = AngleParams(0.2, 10 ** 6)
     sigma = 2 * 0.2 / 0.8
     pts = angle_set_after_projection(ap).points
     assert abs(pts[0] + sigma) <= 1e-5 and abs(pts[1]) <= 1e-5
@@ -263,13 +264,13 @@ def test_angle_set_after_projection_large_t_limit():
 
 def test_angle_set_after_projection_drops_unreachable_negative():
     # sigma > 1 pushes the negative value below -1; no pair can attain it
-    ap = AngleParams.from_alpha_t(0.4, 10 ** 6)
+    ap = AngleParams(0.4, 10 ** 6)
     pts = angle_set_after_projection(ap).points
     assert len(pts) == 1 and abs(pts[0]) <= 1e-5
 
 
 def test_angle_params_exact_for_fractions():
-    ap = AngleParams.from_alpha_t(Fraction(1, 3), 2)
+    ap = AngleParams(Fraction(1, 3), 2)
     assert ap.epsilon == Fraction(1, 5) and ap.sigma == 1
     assert ap.negative_value == Fraction(-3, 5)
 
@@ -318,7 +319,7 @@ def test_embed_validate_round_trip_invariant():
 
 
 def test_detect_projection_params_round_trip():
-    ap = AngleParams.from_alpha_t(0.25, 6)
+    ap = AngleParams(0.25, 6)
     pts = angle_set_after_projection(ap).points
     g = np.full((8, 8), pts[1])
     np.fill_diagonal(g, 1.0)
@@ -444,3 +445,59 @@ def test_classify_all_at_rounding_edges():
               AngleSet(points=tuple(np.nextafter(below[:40], -2.0)) + tuple(below[:40]),
                        tol=0.1)):
         assert np.array_equal(L.classify_all(vals), _classify_by_loop(L, vals))
+
+
+def _distance_by_loop(L, value):
+    """Reference distance: one step per declared element."""
+    best = np.inf
+    for lo, hi in L.intervals:
+        best = min(best, max(lo - value, value - hi, 0.0))
+    for p in L.points:
+        best = min(best, abs(value - p))
+    return float(best)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distance_all_matches_reference_loop(seed):
+    code, tol = _jittered_code(seed)
+    detected = angle_set_of(code, tol)
+    pts = np.array(detected.points)
+    rng = np.random.default_rng(seed)
+    vals = np.concatenate([gram_of(code).as_array().ravel(), pts + tol.angle_tol,
+                           pts - tol.angle_tol, np.nextafter(pts + tol.angle_tol, 2.0),
+                           rng.uniform(-1, 1, 200), [-1.0, 0.999]])
+    sets = [
+        detected,
+        AngleSet(intervals=((-1.0, -0.5), (-0.2, 0.1)), points=tuple(pts), tol=tol.angle_tol),
+        AngleSet(intervals=((-0.4, -0.3),), tol=0.01),
+        AngleSet(points=tuple(rng.uniform(-1, 0.9, 7)), tol=0.2),
+    ]
+    for L in sets:
+        expected = [_distance_by_loop(L, v) for v in vals.tolist()]
+        assert L.distance_all(vals).tolist() == expected
+        assert [L.distance(v) for v in vals[:30].tolist()] == expected[:30]
+
+
+def test_distance_at_exactly_tol():
+    # dyadic values lie exactly at +-tol from a point or an interval end
+    tol = 2.0 ** -20
+    pts = (-0.5, 0.25, 0.5)
+    L = AngleSet(intervals=((-0.125, 0.0),), points=pts, tol=tol)
+    vals = np.array([p + s * tol for p in pts for s in (1, -1)] + [-0.125 - tol, tol])
+    assert L.distance_all(vals).tolist() == [tol] * len(vals)
+    assert [L.distance(v) for v in vals] == [_distance_by_loop(L, v) for v in vals]
+
+
+def test_validate_code_with_many_points_and_violations_within_budget():
+    # every pair misses a 100,000-point set; a loop over every point took
+    # 14 ms per violation, about 10 minutes for this code
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(300, 12))
+    code = Code(v / np.linalg.norm(v, axis=1)[:, None])
+    L = AngleSet(points=tuple(np.linspace(-1.0, 0.99, 100_000)), tol=1e-13)
+    start = time.perf_counter()
+    report = validate_code(code, L)
+    assert time.perf_counter() - start < 2.0
+    assert len(report.violations) > 40_000
+    for i, j, value, dist in report.violations[::5000]:
+        assert dist == _distance_by_loop(L, value) > L.tol

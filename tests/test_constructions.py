@@ -133,7 +133,7 @@ def test_binary_kcode_validates_ladder():
 
 
 def test_concat_params_ladder():
-    p = ConcatParams.from_inputs(30, 2, 3, 0.5, seed=7)
+    p = ConcatParams(30, 2, 3, 0.5, seed=7)
     assert p.lam == 1.0 and p.lam_sq == 1.0
     assert p.alphas == (0.5, 0.75)
     assert abs(p.beta_target - (1 / 3 - p.t_threshold) / 2) <= 1e-15
@@ -141,13 +141,13 @@ def test_concat_params_ladder():
 
 def test_concat_params_domain():
     with pytest.raises(InvalidParams):
-        ConcatParams.from_inputs(30, 2, 6, 0.5, seed=0)  # r > sqrt(n)
+        ConcatParams(30, 2, 6, 0.5, seed=0)  # r > sqrt(n)
     with pytest.raises(InvalidParams):
-        ConcatParams.from_inputs(30, 2, 3, 1.5, seed=0)
+        ConcatParams(30, 2, 3, 1.5, seed=0)
 
 
 def test_concatenated_code_shape_and_angles():
-    p = ConcatParams.from_inputs(30, 2, 3, 0.5, seed=7)
+    p = ConcatParams(30, 2, 3, 0.5, seed=7)
     code, achieved_beta, report = concatenated_code(p)
     assert len(code) == 4 * math.comb(30, 2) == 1740
     assert code.dim == 33
@@ -162,7 +162,7 @@ def test_concatenated_code_shape_and_angles():
 
 
 def test_concatenated_code_deterministic():
-    p = ConcatParams.from_inputs(12, 2, 2, 0.5, seed=3)
+    p = ConcatParams(12, 2, 2, 0.5, seed=3)
     a, beta_a, _ = concatenated_code(p)
     b, beta_b, _ = concatenated_code(p)
     assert beta_a == beta_b

@@ -69,11 +69,9 @@ def test_angle_set_domain_checks():
 
 def test_angle_params_domain_checks():
     with pytest.raises(InvalidParams):
-        AngleParams.from_alpha_t(0.0, 3)
+        AngleParams(0.0, 3)
     with pytest.raises(InvalidParams):
-        AngleParams.from_alpha_t(0.5, 0)
-    with pytest.raises(InvalidParams):
-        AngleParams(alpha=0.5, t=2, epsilon=0.1, sigma=1.0)
+        AngleParams(0.5, 0)
 
 
 def test_construction_parameter_errors():
@@ -88,7 +86,7 @@ def test_construction_parameter_errors():
 
 
 def test_concat_failure_without_attempts():
-    params = ConcatParams.from_inputs(16, 2, 2, 0.5, seed=0)
+    params = ConcatParams(16, 2, 2, 0.5, seed=0)
     with pytest.raises(RandomizedFailure) as exc:
         concatenated_code(params, max_attempts=0)
     assert exc.value.worst_cross is None

@@ -25,14 +25,17 @@ from equicode import (
     lambda_inequality_check,
     lemmens_seidel_code,
     negative_structure_report,
+    project_onto_complement,
     ramsey_pair,
     reduction_pipeline,
     regular_simplex,
     seven_dim_28_lines,
+    switch_vertices,
     validate_code,
     verify_monochromatic,
     SymMatrix,
 )
+from equicode import codes
 from equicode.graphlab import (
     _majority_chain,
     cycle_graph,
@@ -411,7 +414,7 @@ def test_lambda_inequality_on_projected_code():
 
 
 def test_lambda_inequality_no_negative_edges():
-    params = AngleParams.from_alpha_t(0.25, 6)
+    params = AngleParams(0.25, 6)
     eps = float(params.epsilon)
     g = np.full((7, 7), eps)
     np.fill_diagonal(g, 1.0)
@@ -423,7 +426,7 @@ def test_lambda_inequality_no_negative_edges():
 
 def test_lambda_inequality_random_psd_instances():
     rng = np.random.default_rng(31)
-    params = AngleParams.from_alpha_t(0.2, 50)
+    params = AngleParams(0.2, 50)
     eps, sigma = float(params.epsilon), float(params.sigma)
     built = 0
     while built < 10:
@@ -525,3 +528,58 @@ def test_reduction_accounting_identity_randomized():
 def test_find_clique_deeper_than_the_recursion_limit():
     # one stack frame per clique vertex would overflow the interpreter's stack
     assert find_clique(np.ones((1100, 1100), dtype=bool), 1100) == tuple(range(1100))
+
+
+def _scrambled_ls(n, seed, flip=0.15):
+    """LS(n) with a random part of its vectors negated and the rows permuted."""
+    rng = np.random.default_rng(seed)
+    v = lemmens_seidel_code(n).vectors.copy()
+    v[rng.random(len(v)) < flip] *= -1.0
+    return Code(v[rng.permutation(len(v))])
+
+
+def _reduction_oracle(C, t, alpha, clique):
+    """Switched set, buckets and projection of the pipeline, from a second
+    graph built on the switched code through the public functions."""
+    aset = AngleSet(points=(-alpha, alpha))
+
+    def attachments(code):
+        g = build_graph(code, aset)
+        return {v: tuple(y for y in clique if g.classes[v, y] == 1)
+                for v in range(len(code)) if v not in clique}
+
+    switched = tuple(v for v, T in attachments(C).items() if 2 * len(T) < t)
+    work = switch_vertices(C, switched)
+    buckets = {}
+    for v, T in attachments(work).items():
+        buckets.setdefault(T if t <= 24 else len(T), []).append(v)
+    s_y = buckets.get(tuple(clique) if t <= 24 else t, [])
+    projected = project_onto_complement(work.subset(s_y), work.subset(clique)) \
+        if s_y else None
+    return switched, {key: tuple(vs) for key, vs in buckets.items()}, projected
+
+
+@pytest.mark.parametrize("n, t, seed", [(12, 6, 1), (16, 9, 2), (20, 5, 3),
+                                        (30, 25, 4), (32, 27, 5)])
+def test_reduction_matches_a_graph_built_on_the_switched_code(n, t, seed):
+    code = _scrambled_ls(n, seed)
+    outcome = reduction_pipeline(code, t)
+    switched, buckets, projected = _reduction_oracle(code, t, outcome.alpha,
+                                                     outcome.clique)
+    assert outcome.switched == switched and switched
+    assert outcome.buckets == buckets
+    assert projected is not None
+    assert np.array_equal(outcome.projected.gram.as_array(), projected.gram.as_array())
+
+
+@pytest.mark.parametrize("t", [1, 6])
+def test_reduction_builds_no_gram_for_the_switched_code(t, monkeypatch):
+    # Grams of the input code, of the clique (which has no pairs at t = 1)
+    # and of the projected bucket; the switched code's classes follow from
+    # the input's by sign flips
+    calls = []
+    real = codes.gram_of
+    monkeypatch.setattr(codes, "gram_of", lambda C: calls.append(len(C)) or real(C))
+    outcome = reduction_pipeline(_scrambled_ls(12, 1), t=t)
+    assert outcome.switched and outcome.projected is not None
+    assert calls == [22] + [t] * (t > 1) + [len(outcome.projected)]

@@ -94,7 +94,10 @@ class SymMatrix:
         if not np.array_equal(arr, arr.T):
             raise InvalidMatrix("matrix entries must be exactly symmetric")
         arr.flags.writeable = False
-        self._array, self._den, self._rows, self._eigenvalues = arr, den, None, None
+        self._array = arr
+        self._den = den
+        self._rows = None
+        self._eigenvalues = None
         self.order = arr.shape[0]
 
     # construction helpers -------------------------------------------------

@@ -116,9 +116,9 @@ def _float_rows(rows) -> np.ndarray:
 
     InvalidParams unless the rows are equally long and every entry is a
     number.  Numpy's dtype inference, in the one pass that converts, turns
-    strings, nulls, objects and nested lists into a non-numeric array.  It
-    does turn true/false into 1/0 silently, so only the entries equal to 0
-    or 1 are looked up.
+    strings, nulls, objects, nested lists and integers wider than 64 bits
+    into a non-numeric array.  It does turn true/false into 1/0 silently,
+    so only the entries equal to 0 or 1 are looked up.
     """
     try:
         arr = np.asarray(rows)
@@ -133,7 +133,8 @@ def _float_rows(rows) -> np.ndarray:
         i, j = np.nonzero((arr == 0) | (arr == 1))
         numeric = not any(type(rows[a][b]) is bool for a, b in zip(i.tolist(), j.tolist()))
     if not numeric:
-        raise InvalidParams("vectors/gram entries must be JSON numbers")
+        raise InvalidParams("vectors/gram entries must be JSON numbers "
+                            "(integers of at most 64 bits)")
     return arr.astype(float, copy=False)
 
 

@@ -530,11 +530,11 @@ def test_find_clique_deeper_than_the_recursion_limit():
     assert find_clique(np.ones((1100, 1100), dtype=bool), 1100) == tuple(range(1100))
 
 
-def _scrambled_ls(n, seed, flip=0.15):
-    """LS(n) with a random part of its vectors negated and the rows permuted."""
+def _scrambled_ls(n, seed):
+    """LS(n) with about 15% of its vectors negated and the rows permuted."""
     rng = np.random.default_rng(seed)
     v = lemmens_seidel_code(n).vectors.copy()
-    v[rng.random(len(v)) < flip] *= -1.0
+    v[rng.random(len(v)) < 0.15] *= -1.0
     return Code(v[rng.permutation(len(v))])
 
 

@@ -385,9 +385,14 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
      EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
     ({"format_version": "1", "dim": 2, "gram": [[1.0, None], [None, 1.0]], "metadata": {}},
      EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
+    ({"format_version": "1", "dim": 3, "gram": [[1.0, 1.0, 1.0]], "metadata": {}},
+     EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
+    ({"format_version": "1", "dim": 3, "gram": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
         "concat-beta-string", "dim-null", "dim-list", "dim-fraction", "entry-object",
-        "entry-string", "entry-bool", "gram-null"])
+        "entry-string", "entry-bool", "gram-null", "gram-one-row", "gram-not-square"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -395,6 +400,21 @@ def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
     assert run(["certify", str(path), "--suite", "multipartite"]) == exit_code
     captured = capsys.readouterr()
     assert expected in captured.out + captured.err
+
+
+def test_boolean_in_metadata_leaves_numeric_rows_accepted(tmp_path):
+    # "true" in the text sends the reader to the exact per-entry lookup,
+    # which must accept rows of 0 and 1 that are numbers
+    path = tmp_path / "flagged.json"
+    path.write_text(json.dumps({"format_version": "1", "dim": 2, "vectors": [[1, 0], [0, 1]],
+                                "metadata": {"flag": True}}))
+    doc = read_code_file(str(path))
+    assert doc["vectors"].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_writer_refuses_boolean_entries(tmp_path):
+    with pytest.raises(InvalidParams, match="JSON numbers"):
+        write_code_file(str(tmp_path / "b.json"), 2, vectors=[[True, 0.0], [0.0, 1.0]])
 
 
 def test_parse_angle_set_grammar():

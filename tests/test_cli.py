@@ -152,6 +152,20 @@ def test_construct_unknown_name_and_missing_field_exit_2(tmp_path, capsys):
     assert "construction requires --alpha1" in capsys.readouterr().err
 
 
+def test_randomized_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from equicode import cli
+    from equicode.errors import RandomizedFailure
+
+    def fail(params):
+        raise RandomizedFailure("no seed reached beta_target", worst_cross=None)
+
+    monkeypatch.setattr(cli, "concatenated_code", fail)
+    assert run(["construct", "concat", "--n", "22", "--k", "2", "--r", "2",
+                "--alpha1", "0.5", "--out", str(tmp_path / "c.json")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(
+        "RandomizedFailure: no seed reached beta_target")
+
+
 def test_verify_zero_tol_is_refused(tmp_path, capsys):
     # --tol 0 is an invalid tolerance, not "no --tol given"
     out = tmp_path / "lines28.json"

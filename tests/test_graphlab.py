@@ -76,6 +76,11 @@ def test_build_graph_rejects_wrong_angle_set():
         build_graph(regular_simplex(3), AngleSet(points=(0.5,)))
 
 
+def test_build_graph_counts_the_pairs_outside_the_angle_set():
+    with pytest.raises(NotAnLCode, match="^6 pairs fall outside the angle set$"):
+        build_graph(regular_simplex(3), AngleSet(points=(0.5,)))
+
+
 def test_degree_stats_simplex():
     g = build_graph(regular_simplex(3), AngleSet(intervals=((-1, -1 / 3),)))
     stats = gamma_degree_stats(g)

@@ -50,7 +50,7 @@ from .constructions import (
     regular_simplex,
     seven_dim_28_lines,
 )
-from .errors import EquicodeError, InvalidParams, RandomizedFailure, TooLarge
+from .errors import EquicodeError, InvalidParams, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
 from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, is_psd
 
@@ -66,9 +66,7 @@ EXIT_RUNTIME = 3
 
 
 def _float_token(x: float) -> str:
-    if not math.isfinite(x):
-        raise InvalidParams("cannot serialize non-finite numbers")
-    return format(float(x), ".17g")
+    return _format_floats(np.array([x], dtype=float), open_="", close="")[0]
 
 
 def _format_floats(a: np.ndarray, sep: str = ",", open_: str = "[",
@@ -76,7 +74,7 @@ def _format_floats(a: np.ndarray, sep: str = ",", open_: str = "[",
     """Each row of a finite 1-D or 2-D float array as text; 1-D is one row.
 
     One template of ``"%.17g"`` fields per row width is applied to whole
-    rows, so every token is ``format(x, ".17g")``, as ``_float_token`` gives.
+    rows, so every token is ``format(x, ".17g")``.
     """
     if not np.isfinite(a).all():
         raise InvalidParams("cannot serialize non-finite numbers")
@@ -573,9 +571,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidParams, TooLarge, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RandomizedFailure as exc:
-        print(f"RandomizedFailure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except EquicodeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

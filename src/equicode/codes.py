@@ -149,9 +149,6 @@ class AngleSet:
             out[(values >= lo - self.tol) & (values <= hi + self.tol)] = cid
         return out
 
-    def contains(self, value: float) -> bool:
-        return self.classify(value) is not None
-
     def distance(self, value: float) -> float:
         """Distance to the nearest declared element (0 when matched)."""
         return float(self.distance_all(np.array([float(value)]))[0])

@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .codes import Code
 from .errors import InternalError, InvalidParams, RandomizedFailure, TooLarge
-from .matcore import DEFAULT_TOL, SymMatrix, embed_from_gram, is_psd
+from .matcore import DEFAULT_TOL, SymMatrix, embed_from_gram
 
 SIZE_CAP = 10 ** 5
 
@@ -110,24 +110,15 @@ def simplex_gram(r: int) -> SymMatrix:
     return SymMatrix.from_integers(num, r)
 
 
-def _certified_embed(gram: SymMatrix, expected_rank: Optional[int] = None,
-                     max_rank: Optional[int] = None) -> Tuple[Code, int]:
-    """Exact PSD/rank certification of a rational Gram, then float embedding.
+def _certified_embed(gram: SymMatrix, expected_rank: int) -> Tuple[Code, int]:
+    """Embedding of a rational Gram by ``embed_from_gram``'s exact branch.
 
-    Returns the code and the certified rank of ``gram``.
+    Returns the code and the certified rank of ``gram``, which is its dimension.
     """
-    cert = is_psd(gram)
-    if not cert.passed:
-        raise InternalError(f"construction Gram is not PSD: {cert.witness}")
-    rank = cert.witness["rank"]
-    if expected_rank is not None and rank != expected_rank:
-        raise InternalError(f"construction Gram rank {rank} != expected {expected_rank}")
-    if max_rank is not None and rank > max_rank:
-        raise InternalError(f"construction Gram rank {rank} exceeds {max_rank}")
-    code = embed_from_gram(gram.to_float())
-    if code.dim != rank:
-        raise InternalError("float embedding dimension disagrees with exact rank")
-    return code, rank
+    code = embed_from_gram(gram)
+    if code.dim != expected_rank:
+        raise InternalError(f"construction Gram rank {code.dim} != expected {expected_rank}")
+    return code, code.dim
 
 
 def _pad_to_dim(code: Code, dim: int, error=InternalError, tol=DEFAULT_TOL) -> Code:
@@ -160,7 +151,7 @@ def odd_reciprocal_code(n: int, r: int, return_rank: bool = False):
     """
     gram = odd_reciprocal_gram(n, r)
     blocks = (n - 1) // (r - 1)
-    code, rank = _certified_embed(gram, expected_rank=1 + blocks * (r - 1), max_rank=n)
+    code, rank = _certified_embed(gram, expected_rank=1 + blocks * (r - 1))
     code = _pad_to_dim(code, n)
     return (code, rank) if return_rank else code
 

@@ -14,7 +14,7 @@ class DegenerateInput(EquicodeError):
 
 
 class NotRealizable(EquicodeError):
-    """Matrix is not positive semidefinite, so no vector set realizes it."""
+    """Matrix is not PSD, or its float rank misses its exact rank: no embedding realizes it."""
 
 
 class NotUnitDiagonal(EquicodeError):

@@ -20,6 +20,7 @@ from .codes import (
     AngleParams,
     AngleSet,
     Code,
+    _pairs,
     angle_set_after_projection,
     detect_equiangular,
     project_onto_complement,
@@ -35,38 +36,26 @@ from .errors import (
     NotEquiangular,
     TooSmall,
 )
-from .matcore import DEFAULT_TOL, Tolerance
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, sym_eigen
 
 
 class LabelledGraph:
-    """Complete graph on a code with real edge labels and derived classes."""
+    """Complete graph on a code, each edge carrying a class id (-1 on the diagonal)."""
 
-    __slots__ = ("size", "labels", "classes", "angle_set", "n_classes")
+    __slots__ = ("size", "classes", "angle_set", "n_classes")
 
-    def __init__(self, labels: np.ndarray, classes: np.ndarray,
-                 n_classes: int, angle_set: Optional[AngleSet] = None):
-        labels = np.asarray(labels, dtype=float)
-        classes = np.asarray(classes, dtype=int)
-        if labels.shape != classes.shape or labels.ndim != 2 or \
-                labels.shape[0] != labels.shape[1]:
-            raise InvalidParams("labels and classes must be square and congruent")
-        if not np.array_equal(labels, labels.T) or not np.array_equal(classes, classes.T):
-            raise InvalidParams("labels and classes must be symmetric")
-        labels = labels.copy()
-        classes = classes.copy()
-        labels.flags.writeable = False
+    def __init__(self, classes: np.ndarray, n_classes: int,
+                 angle_set: Optional[AngleSet] = None):
+        classes = np.array(classes, dtype=int)
+        if classes.ndim != 2 or classes.shape[0] != classes.shape[1]:
+            raise InvalidParams("classes must be a square matrix")
+        if not np.array_equal(classes, classes.T):
+            raise InvalidParams("classes must be symmetric")
         classes.flags.writeable = False
-        self.size = labels.shape[0]
-        self.labels = labels
+        self.size = classes.shape[0]
         self.classes = classes
         self.n_classes = int(n_classes)
         self.angle_set = angle_set
-
-    @classmethod
-    def from_classes(cls, classes: np.ndarray, n_classes: int) -> "LabelledGraph":
-        """Synthetic colored complete graph (labels mirror the class ids)."""
-        classes = np.asarray(classes, dtype=int)
-        return cls(classes.astype(float), classes, n_classes)
 
     def adjacency(self, class_ids) -> np.ndarray:
         """Boolean adjacency of the union of the given classes."""
@@ -88,17 +77,20 @@ class LabelledGraph:
         return self.adjacency(self.negative_class_ids())
 
 
-def build_graph(C: Code, L: AngleSet, tol: Tolerance = DEFAULT_TOL) -> LabelledGraph:
-    """Labelled graph of a code; the code must validate against L."""
-    report = validate_code(C, L)
-    if not report.passed:
-        raise NotAnLCode(
-            f"{len(report.violations)} pairs fall outside the angle set")
-    g = C.gram.as_array().copy()
-    np.fill_diagonal(g, 0.0)
-    classes = L.classify_all(g)
-    np.fill_diagonal(classes, -1)
-    return LabelledGraph(g, classes, L.class_count(), angle_set=L)
+def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
+    """Labelled graph of a code; NotAnLCode unless every pair matches L.
+
+    Each pair i < j is classified once and mirrored to (j, i).
+    """
+    (rows, cols), values = _pairs(C)
+    ids = L.classify_all(values)
+    outside = int(np.count_nonzero(ids < 0))
+    if outside:
+        raise NotAnLCode(f"{outside} pairs fall outside the angle set")
+    classes = np.full((len(C), len(C)), -1, dtype=int)
+    classes[rows, cols] = ids
+    classes[cols, rows] = ids
+    return LabelledGraph(classes, L.class_count(), angle_set=L)
 
 
 @dataclass(frozen=True)
@@ -408,9 +400,9 @@ def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None,
     params, neg = _l_code_negatives(C, params, tol)
     eps = float(params.epsilon)
     sigma = float(params.sigma)
-    vals, vecs = np.linalg.eigh(neg.astype(float))
-    lam = float(vals[-1])
-    x = vecs[:, -1]
+    spec = sym_eigen(SymMatrix(neg.astype(float)))
+    lam = float(spec.eigenvalues[0])
+    x = spec.eigenvectors[:, 0]
     jxx = float(np.sum(x)) ** 2
     rhs = 1.0 - eps + eps * jxx - sigma * (1.0 - eps) * lam
     return Certificate.check(
@@ -538,7 +530,7 @@ def reduction_pipeline(C: Code, t: int, tol: Tolerance = DEFAULT_TOL) -> Reducti
         raise NotEquiangular("reduction needs a code with all pairs +/- alpha")
     if t < 1 or t >= len(C):
         raise InvalidParams("clique size t must satisfy 1 <= t < |C|")
-    graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=tol.angle_tol), tol)
+    graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=tol.angle_tol))
     clique = _positive_clique(graph, t, alpha)
     if clique is None:
         raise NoClique(f"no positive clique of size {t}")

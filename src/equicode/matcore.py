@@ -322,7 +322,8 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     Requires M to be PSD with a unit diagonal.  One float spectrum serves
     the PSD verdict, the rank and the embedding; a rational M is instead
     certified by one exact symmetric sweep, whose positive pivots give the
-    rank.  The embedding scales the eigenvectors of the nonzero spectrum by
+    rank, and refused unless its float spectrum has that rank.  The
+    embedding scales the eigenvectors of the nonzero spectrum by
     sqrt(lambda); rows are then renormalized so every output vector is unit
     length.  The result is only canonical up to orthogonal transformation,
     so callers should compare Gram matrices, never raw vectors.
@@ -343,6 +344,9 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     if M.backend == RATIONAL:
         r = cert.witness["rank"]
         spec = sym_eigen(M.to_float())
+        float_rank = _float_rank(spec.eigenvalues, tol)
+        if float_rank != r:
+            raise NotRealizable(f"float spectrum has rank {float_rank}, exact rank is {r}")
     else:
         r = _float_rank(spec.eigenvalues, tol)
     vals = np.clip(spec.eigenvalues[:r], 0.0, None)

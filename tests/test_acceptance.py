@@ -227,7 +227,7 @@ def test_criterion_8_ramsey_and_turan():
         classes = np.triu(upper, k=1)
         classes = classes + classes.T
         np.fill_diagonal(classes, -1)
-        g = LabelledGraph.from_classes(classes, k)
+        g = LabelledGraph(classes, k)
         pair = ramsey_pair(g, k=k, t=t, m=m)
         ok &= verify_monochromatic(g, pair)
         ok &= len(pair.X) == m and len(pair.Y) == t
@@ -239,7 +239,7 @@ def test_criterion_8_ramsey_and_turan():
         adj = np.triu(rng.random((n, n)) < p, k=1)
         classes = np.where(adj | adj.T, 0, 1)
         np.fill_diagonal(classes, -1)
-        g = LabelledGraph.from_classes(classes, 2)
+        g = LabelledGraph(classes, 2)
         chosen = greedy_independent_set(g, 0)
         delta = int(g.adjacency(0).sum(axis=1).max(initial=0))
         ok &= len(chosen) >= n / (delta + 1)

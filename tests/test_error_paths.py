@@ -94,11 +94,10 @@ def test_concat_failure_without_attempts():
 
 def test_labelled_graph_shape_checks():
     with pytest.raises(InvalidParams):
-        LabelledGraph(np.zeros((2, 3)), np.zeros((2, 3), dtype=int), 1)
+        LabelledGraph(np.zeros((2, 3), dtype=int), 1)
     with pytest.raises(InvalidParams):
-        LabelledGraph(np.array([[0.0, 1.0], [2.0, 0.0]]),
-                      np.zeros((2, 2), dtype=int), 1)
-    g = LabelledGraph.from_classes(np.array([[-1, 0], [0, -1]]), 1)
+        LabelledGraph(np.array([[-1, 0], [1, -1]]), 2)
+    g = LabelledGraph(np.array([[-1, 0], [0, -1]]), 1)
     with pytest.raises(InvalidParams):
         g.negative_class_ids()
 
@@ -106,7 +105,7 @@ def test_labelled_graph_shape_checks():
 def test_ramsey_requires_classified_edges():
     classes = np.full((10, 10), 5)
     np.fill_diagonal(classes, -1)
-    g = LabelledGraph.from_classes(classes, 2)
+    g = LabelledGraph(classes, 2)
     with pytest.raises(InvalidParams):
         ramsey_pair(g, k=2, t=1, m=1)
 

@@ -81,6 +81,23 @@ def test_build_graph_counts_the_pairs_outside_the_angle_set():
         build_graph(regular_simplex(3), AngleSet(points=(0.5,)))
 
 
+def test_build_graph_classifies_each_pair_once(monkeypatch):
+    from equicode import graphlab
+
+    code = lemmens_seidel_code(9)
+    sizes, validations = [], []
+    classify_all = AngleSet.classify_all
+    monkeypatch.setattr(AngleSet, "classify_all",
+                        lambda self, values: sizes.append(np.size(values))
+                        or classify_all(self, values))
+    monkeypatch.setattr(graphlab, "validate_code",
+                        lambda *args: validations.append(args) or validate_code(*args))
+    g = build_graph(code, TWO_POINT)
+    m = len(code)
+    assert sizes == [m * (m - 1) // 2] and validations == []
+    assert np.array_equal(g.classes, g.classes.T) and np.all(np.diag(g.classes) == -1)
+
+
 def test_degree_stats_simplex():
     g = build_graph(regular_simplex(3), AngleSet(intervals=((-1, -1 / 3),)))
     stats = gamma_degree_stats(g)
@@ -131,7 +148,7 @@ def test_greedy_independent_set_meets_turan_bound_randomized():
         adj = np.triu(adj, k=1)
         classes = np.where(adj | adj.T, 0, 1)
         np.fill_diagonal(classes, -1)
-        g = LabelledGraph.from_classes(classes, 2)
+        g = LabelledGraph(classes, 2)
         chosen = greedy_independent_set(g, 0)
         delta = int(g.adjacency(0).sum(axis=1).max(initial=0))
         assert len(chosen) >= math.ceil(n / (delta + 1))
@@ -140,7 +157,7 @@ def test_greedy_independent_set_meets_turan_bound_randomized():
 def test_ramsey_single_color_trivial():
     classes = np.zeros((6, 6), dtype=int)
     np.fill_diagonal(classes, -1)
-    g = LabelledGraph.from_classes(classes, 1)
+    g = LabelledGraph(classes, 1)
     pair = ramsey_pair(g, k=1, t=2, m=2)
     assert len(pair.X) == 2 and len(pair.Y) == 2
     assert verify_monochromatic(g, pair)
@@ -151,7 +168,7 @@ def test_ramsey_parity_coloring():
     idx = np.arange(n)
     classes = (idx[:, None] + idx[None, :]) % 2
     np.fill_diagonal(classes, -1)
-    g = LabelledGraph.from_classes(classes, 2)
+    g = LabelledGraph(classes, 2)
     pair = ramsey_pair(g, k=2, t=2, m=1)
     assert verify_monochromatic(g, pair)
 
@@ -164,7 +181,7 @@ def test_ramsey_first_shrink_bound():
         classes = np.triu(upper, k=1)
         classes = classes + classes.T
         np.fill_diagonal(classes, -1)
-        g = LabelledGraph.from_classes(classes, k)
+        g = LabelledGraph(classes, k)
         _, _, _, sizes = _majority_chain(g, k, 1)
         assert sizes[0] >= math.ceil((n - 1) / k)
 
@@ -172,7 +189,7 @@ def test_ramsey_first_shrink_bound():
 def test_ramsey_too_small():
     classes = np.zeros((5, 5), dtype=int)
     np.fill_diagonal(classes, -1)
-    g = LabelledGraph.from_classes(classes, 2)
+    g = LabelledGraph(classes, 2)
     with pytest.raises(TooSmall):
         ramsey_pair(g, k=2, t=2, m=1)
 
@@ -187,7 +204,7 @@ def test_ramsey_random_colorings_invariant():
         classes = np.triu(upper, k=1)
         classes = classes + classes.T
         np.fill_diagonal(classes, -1)
-        g = LabelledGraph.from_classes(classes, k)
+        g = LabelledGraph(classes, k)
         pair = ramsey_pair(g, k=k, t=t, m=m)
         assert verify_monochromatic(g, pair)
         assert len(pair.X) == m and len(pair.Y) == t
@@ -329,14 +346,15 @@ def test_graph_helpers():
 
 
 def test_find_clique():
-    g = build_graph(seven_dim_28_lines(), TWO_POINT)
+    code = seven_dim_28_lines()
+    g = build_graph(code, TWO_POINT)
     clique = find_clique(g.adjacency(1), 4)
     assert clique is not None and len(clique) == 4
-    labels = g.labels
+    gram = code.gram.as_array()
     for a in clique:
         for b in clique:
             if a != b:
-                assert labels[a, b] > 0
+                assert gram[a, b] > 0
     assert find_clique(np.zeros((5, 5), dtype=bool), 2) is None
 
 

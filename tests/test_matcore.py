@@ -437,3 +437,12 @@ def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):
     code = embed_from_gram(lemmens_seidel_gram(10))
     assert calls == [{"symmetric": True}]
     assert code.dim == 10
+
+
+def test_rational_embedding_refuses_a_float_rank_off_the_exact_rank(monkeypatch):
+    from equicode import matcore
+
+    float_rank = matcore._float_rank
+    monkeypatch.setattr(matcore, "_float_rank", lambda *args: float_rank(*args) - 1)
+    with pytest.raises(NotRealizable, match="float spectrum has rank 5, exact rank is 6"):
+        embed_from_gram(lemmens_seidel_gram(6))

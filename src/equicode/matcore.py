@@ -342,13 +342,11 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     if not cert.passed:
         raise NotRealizable(f"matrix is not PSD: {cert.witness}")
     if M.backend == RATIONAL:
-        r = cert.witness["rank"]
         spec = sym_eigen(M.to_float())
-        float_rank = _float_rank(spec.eigenvalues, tol)
-        if float_rank != r:
-            raise NotRealizable(f"float spectrum has rank {float_rank}, exact rank is {r}")
-    else:
-        r = _float_rank(spec.eigenvalues, tol)
+    r = _float_rank(spec.eigenvalues, tol)
+    if M.backend == RATIONAL and r != cert.witness["rank"]:
+        raise NotRealizable(
+            f"float spectrum has rank {r}, exact rank is {cert.witness['rank']}")
     vals = np.clip(spec.eigenvalues[:r], 0.0, None)
     vecs = spec.eigenvectors[:, :r]
     X = vecs * np.sqrt(vals)[np.newaxis, :]

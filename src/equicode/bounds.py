@@ -84,7 +84,7 @@ def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     return Certificate(
         name="gerzon",
         statement="outer products are independent and |C| <= C(rank+1, 2)",
-        passed=passed, lhs=m, rhs=rhs, margin=rhs - m, tol=0.0,
+        passed=passed, lhs=m, rhs=rhs, tol=0.0,
         witness={"rank": r, "outer_rank": outer_rank, "alpha": alpha})
 
 
@@ -134,7 +134,8 @@ def matching_full_rank_certificate(C: Code,
 
     Excludes alpha = 1/3, where the 2x2 matching blocks are singular.  When
     alpha is rational the rank runs on the exact backend: the idealized
-    matrix has 1-eps on the diagonal and -sigma(1-eps) on matching pairs.
+    matrix (1-eps)(I - sigma A), A the matching, has the rank of q I - p A
+    for sigma = p/q.
     Also certifies the consequence |C| <= rank(M_C) + 1.
     """
     if params is None:
@@ -146,12 +147,10 @@ def matching_full_rank_certificate(C: Code,
         raise WrongStructure("negative edges do not form a matching")
     m = len(C)
     if isinstance(params.alpha, Fraction):
-        eps, sig = params.epsilon, params.sigma
-        one = Fraction(1)
-        rows = [[one - eps if i == j else
-                 (-sig * (one - eps) if neg[i, j] else Fraction(0))
-                 for j in range(m)] for i in range(m)]
-        n_matrix = SymMatrix(rows, backend="rational")
+        p, q = params.sigma.numerator, params.sigma.denominator
+        # 0-d arrays, not Python ints: numpy makes them object when int64 is too narrow
+        n_matrix = SymMatrix.from_integers(
+            np.where(np.eye(m, dtype=bool), np.array(q), np.where(neg, np.array(-p), 0)))
         backend = "rational"
     else:
         eps = float(params.epsilon)
@@ -165,9 +164,14 @@ def matching_full_rank_certificate(C: Code,
     return Certificate(
         name="matching-full-rank",
         statement="rank(M - eps J) = |C| and |C| <= rank(M) + 1",
-        passed=passed, lhs=m, rhs=rhs, margin=rhs - m, tol=0.0,
+        passed=passed, lhs=m, rhs=rhs, tol=0.0,
         witness={"rank_shifted": rank_n, "rank": rank_m,
                  "matching_edges": int(neg.sum()) // 2, "backend": backend})
+
+
+def _require_positive_beta(beta) -> None:
+    if beta <= 0:
+        raise InvalidParams("beta must be positive")
 
 
 def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
@@ -181,8 +185,7 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
     / (beta - delta(1+beta)), where delta is the measured deficiency of
     cross-part negative edges.
     """
-    if beta <= 0:
-        raise InvalidParams("beta must be positive")
+    _require_positive_beta(beta)
     seen = set()
     for part in parts:
         for v in part:
@@ -298,8 +301,7 @@ def bound_table(n: int, k: int, alpha: float, beta: float) -> BoundTable:
     """
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
-    if beta <= 0:
-        raise InvalidParams("beta must be positive")
+    _require_positive_beta(beta)
     targets = {
         "two_angle_onethird": 2.0 * n - 2.0,
         "two_angle_other": 1.93 * n,

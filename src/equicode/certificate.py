@@ -11,10 +11,12 @@ from typing import Any, Optional
 class Certificate:
     """Verdict of a single certified inequality ``lhs <= rhs``.
 
-    ``passed`` is True iff ``lhs <= rhs + tol``; ``margin`` is ``rhs - lhs``.
-    ``statement`` spells out the inequality being checked so a report is
-    readable on its own.  ``witness`` carries any structured evidence
-    (eigenvalue, failing pivot, index set).
+    ``check`` sets ``passed`` iff ``lhs <= rhs + tol``; a certificate built
+    directly (Gerzon, matching, the exact PSD sweep, ``verify``) sets it
+    from the whole of its own statement.  ``margin`` is derived, always
+    ``rhs - lhs``.  ``statement`` spells out the inequality being checked so
+    a report is readable on its own.  ``witness`` carries any structured
+    evidence (eigenvalue, failing pivot, index set).
     """
 
     name: str
@@ -22,7 +24,6 @@ class Certificate:
     passed: bool
     lhs: Any
     rhs: Any
-    margin: Any
     tol: float = 0.0
     witness: Optional[dict] = None
     skipped: bool = False
@@ -33,13 +34,17 @@ class Certificate:
         """Build a certificate for ``lhs <= rhs`` with the stated tolerance."""
         passed = bool(lhs <= rhs + tol)
         return cls(name=name, statement=statement, passed=passed,
-                   lhs=lhs, rhs=rhs, margin=rhs - lhs, tol=tol, witness=witness)
+                   lhs=lhs, rhs=rhs, tol=tol, witness=witness)
 
     @classmethod
     def skip(cls, name, reason):
         """Record that a check's preconditions did not apply."""
         return cls(name=name, statement="", passed=True, lhs=0, rhs=0,
-                   margin=0, tol=0.0, witness=None, skipped=True, reason=reason)
+                   tol=0.0, witness=None, skipped=True, reason=reason)
+
+    @property
+    def margin(self):
+        return self.rhs - self.lhs
 
     def to_dict(self) -> dict:
         """Plain-data form used by report serialization."""

@@ -235,12 +235,12 @@ def parse_angle_set(spec: str, tol: float) -> AngleSet:
     intervals, points = [], []
     for term in spec.split("+"):
         term = term.strip()
-        if term.startswith("interval:"):
-            body = term[len("interval:"):]
-            lo, hi = body.split(",")
-            intervals.append((float(lo), float(hi)))
-        elif term.startswith("point:"):
-            points.append(float(term[len("point:"):]))
+        kind, _, body = term.partition(":")
+        values = [_parsed(float, x, f"angle-set term {term!r}") for x in body.split(",")]
+        if kind == "interval" and len(values) == 2:
+            intervals.append(tuple(values))
+        elif kind == "point" and len(values) == 1:
+            points.append(values[0])
         else:
             raise InvalidParams(f"cannot parse angle-set term {term!r}")
     return AngleSet(intervals=tuple(intervals), points=tuple(points), tol=tol)
@@ -255,14 +255,22 @@ def tolerance_from_env(base: Tolerance = DEFAULT_TOL) -> Tolerance:
               "angle_tol": base.angle_tol}
     if "=" in raw:
         for piece in raw.split(","):
-            key, value = piece.split("=")
+            key, _, value = piece.partition("=")
             key = key.strip()
             if key not in fields:
                 raise InvalidParams(f"unknown tolerance field {key!r}")
-            fields[key] = float(value)
+            fields[key] = _parsed(float, value, f"EQUICODE_TOL {key} value {value!r}")
     else:
-        fields["angle_tol"] = float(raw)
+        fields["angle_tol"] = _parsed(float, raw, f"EQUICODE_TOL value {raw!r}")
     return Tolerance(**fields)
+
+
+def _parsed(parse, text: str, term: str):
+    """``parse(text)``; InvalidParams naming ``term`` if that raises ValueError."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidParams(f"cannot parse {term}") from None
 
 
 # subcommands ------------------------------------------------------------
@@ -344,8 +352,7 @@ def cmd_verify(args, tol: Tolerance) -> int:
         print(f"... and {extra} more violations")
     cert = Certificate(
         name="validate", statement="every pair lies in the angle set",
-        passed=report.passed, lhs=len(report.violations), rhs=0,
-        margin=-len(report.violations), tol=0.0,
+        passed=report.passed, lhs=len(report.violations), rhs=0, tol=0.0,
         witness={"histogram": dict(sorted(report.histogram.items()))})
     write_report(args.report, [cert], tol)
     print("PASS" if report.passed else f"FAIL ({len(report.violations)} violations)")
@@ -353,15 +360,15 @@ def cmd_verify(args, tol: Tolerance) -> int:
 
 
 def _parse_parts(raw: str) -> list:
-    parts = []
-    for piece in raw.split(";"):
-        piece = piece.strip()
-        if "-" in piece:
-            lo, hi = piece.split("-")
-            parts.append(list(range(int(lo), int(hi) + 1)))
-        else:
-            parts.append([int(x) for x in piece.split(",") if x])
-    return parts
+    return [_parsed(_part, p.strip(), f"part {p.strip()!r}") for p in raw.split(";")]
+
+
+def _part(piece: str) -> list:
+    """Indices of one part: 'lo-hi' or comma-separated."""
+    if "-" in piece:
+        lo, hi = piece.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(x) for x in piece.split(",") if x]
 
 
 def _concat_parts(doc: dict) -> Optional[list]:
@@ -457,7 +464,8 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
 def cmd_project(args, tol: Tolerance) -> int:
     code = load_code(args.file, tol)[0]
-    clique = [int(x) for x in args.clique.split(",") if x]
+    clique = _parsed(lambda s: [int(x) for x in s.split(",") if x], args.clique,
+                     f"clique {args.clique!r}")
     rest = [i for i in range(len(code)) if i not in set(clique)]
     if not rest:
         raise InvalidParams("the clique covers the whole code")

@@ -17,6 +17,7 @@ from .errors import (
     InvalidIndex,
     InvalidParams,
     NotAClique,
+    NotAnLCode,
     SingularGram,
     ZeroProjection,
 )
@@ -213,13 +214,12 @@ def _positive_int(t) -> int:
 class ValidationReport:
     """Outcome of checking every pair of a code against an angle set."""
 
-    passed: bool
     violations: Tuple[Tuple[int, int, float, float], ...]
     histogram: dict
 
-    def __post_init__(self):
-        if self.passed != (len(self.violations) == 0):
-            raise InvalidParams("report passes iff there are no violations")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def gram_of(C: Code) -> SymMatrix:
@@ -243,8 +243,7 @@ def validate_code(C: Code, L: AngleSet) -> ValidationReport:
     bad = np.flatnonzero(classes < 0)
     violations = tuple(zip(iu[0][bad].tolist(), iu[1][bad].tolist(), values[bad].tolist(),
                            L.distance_all(values[bad]).tolist()))
-    return ValidationReport(passed=len(violations) == 0,
-                            violations=violations, histogram=histogram)
+    return ValidationReport(violations=violations, histogram=histogram)
 
 
 def detect_equiangular(C: Code, tol: Tolerance = DEFAULT_TOL) -> Optional[float]:
@@ -360,8 +359,6 @@ def detect_projection_params(C: Code, tol: Tolerance = DEFAULT_TOL) -> AnglePara
     -sigma(1-epsilon)+epsilon; both determine alpha and t uniquely.  Raises
     NotAnLCode when the observed angles do not have that shape.
     """
-    from .errors import NotAnLCode
-
     aset = angle_set_of(C, tol)
     if len(aset.points) != 2:
         raise NotAnLCode("expected exactly two distinct inner-product values")

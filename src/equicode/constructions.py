@@ -265,16 +265,12 @@ class ConcatParams:
 
 @dataclass(frozen=True)
 class ConcatReport:
-    """What the randomized construction actually achieved."""
+    """What the randomized construction achieved; seed and target stay on ConcatParams."""
 
-    success: bool
     attempts: int
-    master_seed: int
     attempt_seed: int
     copy_seeds: Tuple[Tuple[int, ...], ...]
     achieved_beta: float
-    beta_target: float
-    max_cross_inner: float
     max_within_deviation: float
 
 
@@ -318,10 +314,9 @@ def concatenated_code(params: ConcatParams,
                 raise InternalError(
                     f"within-copy inner products deviate by {deviation:g}")
             report = ConcatReport(
-                success=True, attempts=attempt + 1, master_seed=params.seed,
-                attempt_seed=attempt_seed, copy_seeds=tuple(copy_seeds),
-                achieved_beta=achieved_beta, beta_target=params.beta_target,
-                max_cross_inner=max_cross, max_within_deviation=deviation)
+                attempts=attempt + 1, attempt_seed=attempt_seed,
+                copy_seeds=tuple(copy_seeds), achieved_beta=achieved_beta,
+                max_within_deviation=deviation)
             return Code(vectors), achieved_beta, report
     observed = "none observed" if worst_cross is None else format(worst_cross, "g")
     raise RandomizedFailure(

@@ -62,7 +62,7 @@ class SymMatrix:
     the eigenvalues of its first ``sym_eigen`` for ``rank_of`` and ``is_psd``.
     """
 
-    __slots__ = ("order", "backend", "_array", "_den", "_rows", "_eigenvalues")
+    __slots__ = ("order", "backend", "_array", "_den", "_eigenvalues")
 
     def __init__(self, data, backend=None):
         if isinstance(data, SymMatrix):
@@ -96,7 +96,6 @@ class SymMatrix:
         arr.flags.writeable = False
         self._array = arr
         self._den = den
-        self._rows = None
         self._eigenvalues = None
         self.order = arr.shape[0]
 
@@ -139,14 +138,11 @@ class SymMatrix:
         return Fraction(int(self._array[i, j]), self._den)
 
     def rows(self):
-        """Rational rows (rational backend only), built on first use."""
+        """Rational rows (rational backend only), built from the integers per call."""
         if self.backend != RATIONAL:
             raise InvalidMatrix("rows() requires the rational backend")
-        if self._rows is None:
-            den = self._den
-            self._rows = tuple(tuple(Fraction(x, den) for x in row)
-                               for row in self._array.tolist())
-        return self._rows
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._array.tolist())
 
     def as_array(self) -> np.ndarray:
         if self.backend == FLOAT64:
@@ -266,15 +262,10 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """
     if M.backend == RATIONAL:
         rank, witness = _fraction_free(M._array, M._den, symmetric=True)
-        if witness is None:
-            return Certificate.check(
-                "psd", "all leading pivots of the symmetric elimination are >= 0",
-                lhs=0, rhs=0, tol=0.0, witness={"rank": rank})
         return Certificate(
-            name="psd",
-            statement="all leading pivots of the symmetric elimination are >= 0",
-            passed=False, lhs=0, rhs=witness["pivot"],
-            margin=witness["pivot"], tol=0.0, witness=witness)
+            name="psd", statement="all leading pivots of the symmetric elimination are >= 0",
+            passed=witness is None, lhs=0, rhs=0 if witness is None else witness["pivot"],
+            tol=0.0, witness=witness or {"rank": rank})
     return _float_psd(_eigenvalues(M), tol)
 
 
@@ -302,16 +293,17 @@ def trace_rank_lower_bound(M: SymMatrix):
 
 
 def quadratic_form(M: SymMatrix, v: Sequence):
-    """v^T M v, exact on the rational backend when v is rational."""
+    """v^T M v, exact on the rational backend when v is rational: with D the
+    lcm of v's denominators and w = Dv, w^T num w / (den D^2) on Python ints."""
     v = list(v)
     if len(v) != M.order:
         raise DimensionMismatch(
             f"vector length {len(v)} != matrix order {M.order}")
     if M.backend == RATIONAL and _all_rational([v]):
         v = [Fraction(x) for x in v]
-        rows = M.rows()
-        return sum((v[i] * sum((rows[i][j] * v[j] for j in range(M.order)),
-                               Fraction(0)) for i in range(M.order)), Fraction(0))
+        scale = math.lcm(*(x.denominator for x in v))
+        w = np.array([x.numerator * (scale // x.denominator) for x in v], dtype=object)
+        return Fraction(int(w @ M._array.astype(object) @ w), M._den * scale * scale)
     x = np.asarray(v, dtype=float)
     return float(x @ M.as_array() @ x)
 

@@ -137,7 +137,7 @@ def test_criterion_4_concatenated_construction():
                 sb = slice(b * block, (b + 1) * block)
                 cross_max = max(cross_max, float(g[sa, sb].max()))
         okay &= cross_max <= -params.beta_target
-        okay &= report.success
+        okay &= achieved_beta >= params.beta_target
         if okay:
             successes += 1
         assert time.time() - seed_started < 60, f"seed {seed} exceeded 60s"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,11 +6,15 @@ import numpy as np
 import pytest
 
 from equicode import (
+    DEFAULT_TOL,
     AngleParams,
     AngleSet,
+    Certificate,
     Code,
     ConcatParams,
+    ConcatReport,
     SymMatrix,
+    ValidationReport,
     beta_energy_check,
     binary_kcode,
     bound_table,
@@ -22,6 +27,7 @@ from equicode import (
     matching_full_rank_certificate,
     multipartite_certificate,
     negative_clique_certificate,
+    rank_of,
     reduction_pipeline,
     regular_simplex,
     schnirelman_applied_certificate,
@@ -180,6 +186,28 @@ def test_matching_full_rank_synthetic():
     assert cert.witness["matching_edges"] == 2
 
 
+def _fraction_grid(code, params):
+    """The idealized shifted matrix as an m x m grid of Fractions: 1 - eps on
+    the diagonal, -sigma(1 - eps) on the negative edges, 0 elsewhere."""
+    neg = np.abs(code.gram.as_array() - float(params.negative_value)) <= DEFAULT_TOL.angle_tol
+    np.fill_diagonal(neg, False)
+    eps, sig, m = params.epsilon, params.sigma, len(code)
+    return SymMatrix([[1 - eps if i == j else (-sig * (1 - eps) if neg[i, j] else Fraction(0))
+                       for j in range(m)] for i in range(m)], backend="rational")
+
+
+@pytest.mark.parametrize("alpha, t, edges, singletons, expected", [
+    (Fraction(1, 5), 10, 100, 100, 300),
+    (Fraction(2, 5), 2, 1, 1, 3),  # sigma = 4/3 > 1: one edge keeps the Gram PSD
+])
+def test_matching_exact_rank_equals_the_fraction_grid_rank(alpha, t, edges, singletons,
+                                                            expected):
+    code, params = _matching_code(alpha, t, edges, singletons)
+    cert = matching_full_rank_certificate(code, params)
+    assert cert.witness["backend"] == "rational"
+    assert cert.witness["rank_shifted"] == rank_of(_fraction_grid(code, params)) == expected
+
+
 def test_matching_full_rank_float_detection_path():
     code, _ = _matching_code(0.2, 10, matching_edges=3, singletons=1)
     cert = matching_full_rank_certificate(code)
@@ -321,3 +349,16 @@ def test_certificates_are_reproducible():
     a = gerzon_certificate(code)
     b = gerzon_certificate(code)
     assert a.to_dict() == b.to_dict()
+
+
+def test_result_records_store_no_restated_fields():
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert names(Certificate) == {"name", "statement", "passed", "lhs", "rhs", "tol",
+                                  "witness", "skipped", "reason"}
+    assert names(ValidationReport) == {"violations", "histogram"}
+    assert names(ConcatReport) == {"attempts", "attempt_seed", "copy_seeds",
+                                   "achieved_beta", "max_within_deviation"}
+    cert = Certificate.check("c", "lhs <= rhs", lhs=Fraction(1, 3), rhs=1)
+    assert cert.margin == Fraction(2, 3) and cert.to_dict()["margin"] == "2/3"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_certify_schnirelman_on_reduced_code(tmp_path):
     assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
     assert run(["certify", str(reduced), "--suite", "schnirelman"]) == EXIT_OK
     sidecar = str(reduced) + ".reduction.json"
-    side = json.loads(open(sidecar).read())
+    side = json.loads(Path(sidecar).read_text())
     assert side["accounting_identity"] is True
     acc = side["accounting"]
     assert acc["size"] == acc["s_y"] + acc["others"] + acc["clique"]
@@ -263,7 +264,7 @@ def test_reduce_full_clique_writes_sidecar_only(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "sidecar only" in captured
     assert not out.exists()
-    side = json.loads(open(str(out) + ".reduction.json").read())
+    side = json.loads(Path(str(out) + ".reduction.json").read_text())
     assert side["accounting_identity"] is True
     assert side["projected_size"] == 0
 
@@ -414,6 +415,27 @@ def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
     assert run(["certify", str(path), "--suite", "multipartite"]) == exit_code
     captured = capsys.readouterr()
     assert expected in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, env_tol, term", [
+    (["verify", "{src}", "--L", "point:abc"], None, "point:abc"),
+    (["verify", "{src}", "--L", "interval:1"], None, "interval:1"),
+    (["project", "{src}", "--clique", "a", "--out", "{out}"], None, "a"),
+    (["certify", "{src}", "--suite", "multipartite", "--parts", "0-x"], None, "0-x"),
+    (["verify", "{src}", "--L", "point:0"], "angle_tol", "angle_tol"),
+], ids=["point-not-a-number", "interval-one-bound", "clique-not-an-index",
+        "parts-range-not-an-index", "env-tol-not-a-number"])
+def test_malformed_argument_is_a_typed_refusal(argv, env_tol, term, tmp_path, monkeypatch,
+                                               capsys):
+    src = tmp_path / "simplex.json"
+    assert run(["construct", "simplex", "--r", "3", "--out", str(src)]) == EXIT_OK
+    if env_tol is not None:
+        monkeypatch.setenv("EQUICODE_TOL", env_tol)
+    capsys.readouterr()
+    argv = [a.format(src=src, out=tmp_path / "out.json") for a in argv]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidParams: ") and repr(term) in err
 
 
 def test_boolean_in_metadata_leaves_numeric_rows_accepted(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from equicode import (
     is_psd,
     lemmens_seidel_code,
     lemmens_seidel_gram,
+    lines28_gram,
+    odd_reciprocal_gram,
     quadratic_form,
     rank_of,
     seven_dim_28_lines,
@@ -446,3 +449,47 @@ def test_rational_embedding_refuses_a_float_rank_off_the_exact_rank(monkeypatch)
     monkeypatch.setattr(matcore, "_float_rank", lambda *args: float_rank(*args) - 1)
     with pytest.raises(NotRealizable, match="float spectrum has rank 5, exact rank is 6"):
         embed_from_gram(lemmens_seidel_gram(6))
+
+
+# a rational matrix is stored once, as integers over one denominator --------
+
+
+def test_rational_matrix_keeps_no_fraction_rows():
+    assert "_rows" not in SymMatrix.__slots__
+    rows = simplex_gram(3).rows()
+    assert rows == tuple(tuple(Fraction(1) if i == j else Fraction(-1, 3) for j in range(4))
+                         for i in range(4))
+
+
+def _fraction_double_sum(rows, v):
+    n = len(rows)
+    return sum((v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n)), Fraction(0))
+
+
+@pytest.mark.parametrize("build", [lambda: lemmens_seidel_gram(12), lambda: simplex_gram(7),
+                                   lambda: odd_reciprocal_gram(9, 3), lines28_gram],
+                         ids=["ls12", "simplex7", "odd-reciprocal-9-3", "lines28"])
+def test_exact_quadratic_form_equals_the_fraction_double_sum(build):
+    m = build()
+    rows = m.rows()
+    rng = np.random.default_rng(37)
+    for trial in range(6):
+        nums = rng.integers(-20, 21, size=m.order).tolist()
+        dens = rng.integers(1, 13, size=m.order).tolist()
+        v = [Fraction(a, b) for a, b in zip(nums, dens)]
+        if trial == 0:
+            v = [int(a) for a in nums]  # integers only
+        elif trial == 1:
+            v = [x * Fraction(3 ** 40, 7 ** 25) for x in v]  # far past int64
+        value = quadratic_form(m, v)
+        assert type(value) is Fraction
+        assert value == _fraction_double_sum(rows, [Fraction(x) for x in v])
+
+
+def test_exact_quadratic_form_runs_on_integers_in_time():
+    m = lemmens_seidel_gram(150)
+    v = [Fraction(i % 7 - 3, i % 5 + 1) for i in range(m.order)]
+    start = time.perf_counter()
+    value = quadratic_form(m, v)
+    assert time.perf_counter() - start < 0.05
+    assert value == Fraction(706057, 3600)

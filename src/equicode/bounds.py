@@ -170,8 +170,8 @@ def matching_full_rank_certificate(C: Code,
 
 
 def _require_positive_beta(beta) -> None:
-    if beta <= 0:
-        raise InvalidParams("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise InvalidParams("beta must be positive and finite")
 
 
 def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
@@ -186,6 +186,8 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
     cross-part negative edges.
     """
     _require_positive_beta(beta)
+    if not math.isfinite(alpha):
+        raise InvalidParams("alpha must be finite")
     seen = set()
     for part in parts:
         for v in part:

@@ -203,7 +203,7 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
     if doc["gram"].shape[0] != doc["gram"].shape[1]:
         raise InvalidParams("gram must be a square matrix")
     gram = SymMatrix.from_array_symmetrized(doc["gram"])
-    return _pad_to_dim(embed_from_gram(gram, tol), doc["dim"], InvalidParams, tol), doc
+    return _pad_to_dim(embed_from_gram(gram, tol), doc["dim"], InvalidParams), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:

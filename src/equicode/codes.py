@@ -25,9 +25,12 @@ from .matcore import DEFAULT_TOL, SymMatrix, Tolerance
 
 
 class Code:
-    """Ordered set of unit vectors in R^dim."""
+    """Ordered set of unit vectors in R^dim, checked at ``tol``.
 
-    __slots__ = ("dim", "vectors", "_gram")
+    ``subset`` and ``switch_vertices`` check the codes they derive at it too.
+    """
+
+    __slots__ = ("dim", "vectors", "tol", "_gram")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL):
         arr = np.asarray(vectors, dtype=float)
@@ -43,6 +46,7 @@ class Code:
         arr.flags.writeable = False
         self.vectors = arr
         self.dim = arr.shape[1]
+        self.tol = tol
         self._gram = None
 
     @property
@@ -57,7 +61,7 @@ class Code:
 
     def subset(self, indices) -> "Code":
         idx = _checked_indices(indices, len(self))
-        return Code(self.vectors[idx])
+        return Code(self.vectors[idx], self.tol)
 
     def __repr__(self):
         return f"Code(size={len(self)}, dim={self.dim})"
@@ -263,7 +267,7 @@ def switch_vertices(C: Code, S) -> Code:
     v = C.vectors.copy()
     if idx:
         v[idx] *= -1.0
-    return Code(v)
+    return Code(v, C.tol)
 
 
 def predicted_projection_angle(gamma, t, p):

@@ -121,14 +121,14 @@ def _certified_embed(gram: SymMatrix, expected_rank: int) -> Tuple[Code, int]:
     return code, code.dim
 
 
-def _pad_to_dim(code: Code, dim: int, error=InternalError, tol=DEFAULT_TOL) -> Code:
+def _pad_to_dim(code: Code, dim: int, error=InternalError) -> Code:
     """The code in R^dim by zero padding; ``error`` if it needs more dimensions."""
     if code.dim > dim:
         raise error(f"embedding needs {code.dim} > {dim} dimensions")
     if code.dim == dim:
         return code
     pad = np.zeros((len(code), dim - code.dim))
-    return Code(np.hstack([code.vectors, pad]), tol)
+    return Code(np.hstack([code.vectors, pad]), code.tol)
 
 
 # deterministic constructions -------------------------------------------

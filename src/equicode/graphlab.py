@@ -259,11 +259,11 @@ def negative_structure_report(G: LabelledGraph) -> NegativeStructure:
 
 
 def lambda1(adj: np.ndarray) -> float:
-    """Largest adjacency eigenvalue, by a dense symmetric solve at every size."""
+    """Largest adjacency eigenvalue, from ``sym_eigen`` at every size."""
     adj = np.asarray(adj)
     if adj.shape[0] == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(adj.astype(float))[-1])
+    return float(sym_eigen(SymMatrix(adj.astype(float))).eigenvalues[0])
 
 
 @dataclass(frozen=True)

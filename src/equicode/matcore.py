@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     InvalidMatrix,
+    InvalidParams,
     NotRealizable,
     NotUnitDiagonal,
 )
@@ -45,42 +46,42 @@ class Tolerance:
     angle_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eig_zero > 0 and self.psd_slack > 0 and self.angle_tol > 0):
-            raise InvalidMatrix("all tolerances must be strictly positive")
+        if not all(0 < x < math.inf for x in (self.eig_zero, self.psd_slack, self.angle_tol)):
+            raise InvalidParams("all tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
 
 
 class SymMatrix:
-    """Dense symmetric matrix tagged with its numeric backend.
+    """Dense symmetric matrix whose numeric backend follows from how it is built.
 
-    The float64 backend stores a numpy array.  The rational backend stores
-    an integer matrix with one common positive denominator, entry (i, j)
-    being ``num[i, j] / den``; the integers are int64 when they all fit and
-    Python ints otherwise.  Instances are immutable; a float matrix keeps
-    the eigenvalues of its first ``sym_eigen`` for ``rank_of`` and ``is_psd``.
+    A numpy array of non-object dtype, or rows with a non-rational entry,
+    give float64, stored as a numpy array.  Rows of Python rationals (int,
+    ``Fraction``) and ``from_integers`` give the rational backend: an integer
+    matrix over one common positive denominator, entry (i, j) being
+    ``num[i, j] / den``, in int64 when the integers fit and Python ints
+    otherwise.  Instances are immutable; a float matrix keeps the
+    eigenvalues of its first ``sym_eigen`` for ``rank_of`` and ``is_psd``.
     """
 
-    __slots__ = ("order", "backend", "_array", "_den", "_eigenvalues")
+    __slots__ = ("order", "_array", "_den", "_eigenvalues")
 
-    def __init__(self, data, backend=None):
+    def __init__(self, data):
         if isinstance(data, SymMatrix):
             raise InvalidMatrix("wrap raw entries, not another SymMatrix")
-        if isinstance(data, np.ndarray) and data.dtype != object:
-            backend = backend or FLOAT64
-        if backend is None:
-            backend = RATIONAL if _all_rational(data) else FLOAT64
-        if backend == FLOAT64:
+        if (isinstance(data, np.ndarray) and data.dtype != object) or not _all_rational(data):
             self._store(np.array(data, dtype=float), None)
-        elif backend == RATIONAL:
+        else:
             rows = [[Fraction(x) for x in row] for row in data]
             den = math.lcm(*(x.denominator for row in rows for x in row))
             self._store(_integer_array([[x.numerator * (den // x.denominator) for x in row]
                                         for row in rows]), den)
-        else:
-            raise InvalidMatrix(f"unknown backend {backend!r}")
-        self.backend = backend
+
+    @property
+    def backend(self) -> str:
+        """RATIONAL when the matrix is held as integers over ``_den``, else FLOAT64."""
+        return FLOAT64 if self._den is None else RATIONAL
 
     def _store(self, arr: np.ndarray, den: Optional[int]):
         """Keep a fresh array read-only, with ``den`` None on float64.
@@ -109,26 +110,13 @@ class SymMatrix:
             raise InvalidMatrix("the common denominator must be a positive integer")
         out = cls.__new__(cls)
         out._store(_integer_array(num), den)
-        out.backend = RATIONAL
         return out
-
-    @classmethod
-    def identity(cls, n, backend=FLOAT64):
-        if backend == RATIONAL:
-            return cls.from_integers(np.eye(n, dtype=np.int64))
-        return cls(np.eye(n), backend=FLOAT64)
-
-    @classmethod
-    def ones(cls, n, backend=FLOAT64):
-        if backend == RATIONAL:
-            return cls.from_integers(np.ones((n, n), dtype=np.int64))
-        return cls(np.ones((n, n)), backend=FLOAT64)
 
     @classmethod
     def from_array_symmetrized(cls, arr):
         """Float matrix from a nearly symmetric array, symmetrized exactly."""
         arr = np.asarray(arr, dtype=float)
-        return cls((arr + arr.T) / 2.0, backend=FLOAT64)
+        return cls((arr + arr.T) / 2.0)
 
     # accessors -------------------------------------------------------------
 
@@ -155,7 +143,7 @@ class SymMatrix:
     def to_float(self) -> "SymMatrix":
         if self.backend == FLOAT64:
             return self
-        return SymMatrix(self.as_array(), backend=FLOAT64)
+        return SymMatrix(self.as_array())
 
     def trace(self):
         if self.backend == FLOAT64:
@@ -346,7 +334,7 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     if np.any(norms < 1e-12):
         raise NotRealizable("degenerate embedding row")
     X = X / norms[:, np.newaxis]
-    return Code(X)
+    return Code(X, tol)
 
 
 # exact fraction-free elimination ------------------------------------------

@@ -171,9 +171,9 @@ def test_criterion_6_trace_ratio_bound():
         ok &= rank_of(m) >= bound - 1e-9
         if not ok:
             break
-    eye = SymMatrix.identity(7, backend="rational")
+    eye = SymMatrix.from_integers(np.eye(7, dtype=np.int64))
     ok &= trace_rank_lower_bound(eye) == Fraction(7) == rank_of(eye)
-    ones = SymMatrix.ones(7, backend="rational")
+    ones = SymMatrix.from_integers(np.ones((7, 7), dtype=np.int64))
     ok &= trace_rank_lower_bound(ones) == Fraction(1) == rank_of(ones)
     _report(6, started, 30, ok)
 

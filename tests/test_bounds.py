@@ -192,8 +192,10 @@ def _fraction_grid(code, params):
     neg = np.abs(code.gram.as_array() - float(params.negative_value)) <= DEFAULT_TOL.angle_tol
     np.fill_diagonal(neg, False)
     eps, sig, m = params.epsilon, params.sigma, len(code)
-    return SymMatrix([[1 - eps if i == j else (-sig * (1 - eps) if neg[i, j] else Fraction(0))
-                       for j in range(m)] for i in range(m)], backend="rational")
+    grid = SymMatrix([[1 - eps if i == j else (-sig * (1 - eps) if neg[i, j] else Fraction(0))
+                       for j in range(m)] for i in range(m)])
+    assert grid.backend == "rational"
+    return grid
 
 
 @pytest.mark.parametrize("alpha, t, edges, singletons, expected", [

@@ -23,7 +23,7 @@ from equicode.cli import (
     tolerance_from_env,
     write_code_file,
 )
-from equicode import gram_of, regular_simplex
+from equicode import gram_of, lemmens_seidel_code, regular_simplex
 from equicode.errors import InvalidParams
 
 
@@ -175,10 +175,69 @@ def test_verify_zero_tol_is_refused(tmp_path, capsys):
     report = tmp_path / "report.json"
     capsys.readouterr()
     assert run(["verify", str(out), "--L", spec, "--tol", "0",
-                "--report", str(report)]) == EXIT_RUNTIME
-    assert "InvalidMatrix" in capsys.readouterr().err
+                "--report", str(report)]) == EXIT_USAGE
+    assert "InvalidParams" in capsys.readouterr().err
     assert not report.exists()
-    assert run(["verify", str(out), "--L", spec, "--tol=-1e-9"]) == EXIT_RUNTIME
+    assert run(["verify", str(out), "--L", spec, "--tol=-1e-9"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("env_tol, argv_tol", [
+    ("0", None), ("nan", None), ("inf", None), ("angle_tol=-1", None),
+    ("eig_zero=inf", None), (None, "inf"), (None, "nan"),
+], ids=["env-zero", "env-nan", "env-inf", "env-negative-field", "env-inf-field",
+        "tol-inf", "tol-nan"])
+def test_bad_tolerance_is_a_usage_error(env_tol, argv_tol, tmp_path, monkeypatch, capsys):
+    # an infinite angle_tol would match every pair: simplex pairs are -1/3,
+    # so "point:0.9" would PASS vacuously
+    src = tmp_path / "simplex.json"
+    assert run(["construct", "simplex", "--r", "3", "--out", str(src)]) == EXIT_OK
+    if env_tol is not None:
+        monkeypatch.setenv("EQUICODE_TOL", env_tol)
+    argv = ["verify", str(src), "--L", "point:0.9"]
+    if argv_tol is not None:
+        argv += ["--tol", argv_tol]
+    capsys.readouterr()
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "InvalidParams: all tolerances must be finite and strictly positive\n"
+
+
+@pytest.mark.parametrize("parts, alpha, beta, term", [
+    ("0-1;2-3", "nan", "0.3", "alpha"),
+    ("0-1;2-3", "inf", "0.3", "alpha"),
+    ("0;1;2;3", "0.5", "nan", "beta"),
+    ("0;1;2;3", "0.5", "inf", "beta"),
+], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf"])
+def test_multipartite_refuses_non_finite_parameters(parts, alpha, beta, term, tmp_path,
+                                                    capsys):
+    src = tmp_path / "simplex.json"
+    assert run(["construct", "simplex", "--r", "3", "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["certify", str(src), "--suite", "multipartite", "--parts", parts,
+                "--alpha", alpha, "--beta", beta]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"SKIP multipartite: InvalidParams: {term} must be")
+
+
+def test_derived_codes_keep_the_load_tolerance(tmp_path, monkeypatch, capsys):
+    # vectors 1e-7 off unit length load at angle_tol 1e-6; the clique,
+    # the switched code and the projected part must not be re-checked at 1e-9
+    src = tmp_path / "ls6.json"
+    code = lemmens_seidel_code(6)
+    write_code_file(str(src), code.dim, vectors=(code.vectors * (1 + 1e-7)).tolist(),
+                    metadata={})
+    argvs = [["project", str(src), "--clique", "0,2", "--out", str(tmp_path / "p.json")],
+             ["reduce", str(src), "--t", "2", "--out", str(tmp_path / "r.json")]]
+    capsys.readouterr()
+    assert run(argvs[0]) == EXIT_USAGE  # refused at the default tolerance
+    assert "vectors must be unit length" in capsys.readouterr().err
+    monkeypatch.setenv("EQUICODE_TOL", "1e-6")
+    assert run(["certify", str(src), "--suite", "all"]) == EXIT_OK
+    for argv in argvs:
+        capsys.readouterr()
+        assert run(argv) == EXIT_OK, capsys.readouterr().err
 
 
 def test_verify_lines28(tmp_path, capsys):

@@ -64,7 +64,8 @@ def test_bareiss_rank_matches_fraction_oracle():
     for trial in range(120):
         n = int(rng.integers(1, 14))
         rows = random_symmetric_rational(rng, n, trial % 3)
-        m = SymMatrix(rows, backend="rational")
+        m = SymMatrix(rows)
+        assert m.backend == "rational"
         assert rank_of(m) == oracle_rank(rows), rows
 
 
@@ -74,7 +75,8 @@ def test_exact_psd_matches_float_spectrum_on_clear_cases():
     for trial in range(250):
         n = int(rng.integers(2, 12))
         rows = random_symmetric_rational(rng, n, trial % 3)
-        m = SymMatrix(rows, backend="rational")
+        m = SymMatrix(rows)
+        assert m.backend == "rational"
         lam_min = float(sym_eigen(m.to_float()).eigenvalues[-1])
         verdict = is_psd(m).passed
         if lam_min > 1e-6:
@@ -93,7 +95,8 @@ def test_exact_psd_rank_agrees_with_rank_of():
         r = int(rng.integers(1, n + 1))
         b = rng.integers(-3, 4, size=(r, n))
         rows = [[Fraction(int(x)) for x in row] for row in (b.T @ b).tolist()]
-        m = SymMatrix(rows, backend="rational")
+        m = SymMatrix(rows)
+        assert m.backend == "rational"
         cert = is_psd(m)
         assert cert.passed
         assert cert.witness["rank"] == rank_of(m) == oracle_rank(rows)
@@ -108,5 +111,6 @@ def test_bareiss_object_fallback_agrees_with_oracle():
         rows = [[Fraction(int(rng.integers(-big, big)), int(rng.integers(1, 50)))
                  for _ in range(n)] for _ in range(n)]
         sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-        m = SymMatrix(sym, backend="rational")
+        m = SymMatrix(sym)
+        assert m.backend == "rational"
         assert rank_of(m) == oracle_rank(sym)

@@ -4,8 +4,8 @@ Only ``Code.gram`` calls the builder ``gram_of``, so every consumer shares
 the Gram that the code keeps, and only ``codes._pairs`` extracts the pairs
 i < j of a Gram.  An upper triangle with its diagonal, ``np.triu_indices(m)``
 as in the exact elimination kernel, is not a pair extraction.  Every
-eigendecomposition with vectors goes through ``matcore.sym_eigen``, so a
-trace counts them all; ``graphlab.lambda1`` needs eigenvalues only.
+eigendecomposition goes through ``matcore.sym_eigen``, so a trace counts
+them all; nothing takes bare eigenvalues with ``eigvalsh``.
 """
 
 import ast
@@ -49,6 +49,6 @@ def test_only_the_pair_helper_extracts_pairs():
     assert offenders == []
 
 
-def test_only_sym_eigen_decomposes_and_only_lambda1_takes_bare_eigenvalues():
+def test_only_sym_eigen_decomposes():
     assert [(f, s) for f, s, _ in _calls("eigh")] == [("matcore.py", "sym_eigen")]
-    assert [(f, s) for f, s, _ in _calls("eigvalsh")] == [("graphlab.py", "lambda1")]
+    assert _calls("eigvalsh") == []

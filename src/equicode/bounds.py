@@ -34,11 +34,10 @@ from .errors import (
     NotFinite,
     WrongStructure,
 )
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, rank_of
+from .matcore import SymMatrix, rank_of
 
 
-def negative_clique_certificate(C: Code, alpha: float,
-                                tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def negative_clique_certificate(C: Code, alpha: float) -> Certificate:
     """|C| <= 1/alpha + 1 for a code with all inner products <= -alpha.
 
     On equality the code must be a regular simplex; the witness records
@@ -46,7 +45,7 @@ def negative_clique_certificate(C: Code, alpha: float,
     """
     if not (0 < alpha <= 1):
         raise InvalidParams("alpha must lie in (0, 1]")
-    aset = AngleSet(intervals=((-1.0, -alpha),), tol=tol.angle_tol)
+    aset = AngleSet(intervals=((-1.0, -alpha),), tol=C.tol.angle_tol)
     report = validate_code(C, aset)
     if not report.passed:
         raise NotAnLCode("code has inner products above -alpha")
@@ -56,22 +55,22 @@ def negative_clique_certificate(C: Code, alpha: float,
     if m >= 2 and abs(m - rhs) <= 1e-9:
         dev = float(np.abs(_pairs(C)[1] - (-1.0 / (m - 1))).max())
         witness["equality"] = True
-        witness["simplex_confirmed"] = bool(dev <= tol.angle_tol)
+        witness["simplex_confirmed"] = bool(dev <= C.tol.angle_tol)
         witness["simplex_deviation"] = dev
     return Certificate.check(
         "negative-clique", "|C| <= 1/alpha + 1 for a [-1, -alpha]-code",
         lhs=m, rhs=rhs, tol=1e-9, witness=witness)
 
 
-def gerzon_certificate(C: Code, tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def gerzon_certificate(C: Code) -> Certificate:
     """Linear independence of the outer products and |C| <= C(rank+1, 2).
 
     The Gram matrix of the outer products x x^T has entries <x_i, x_j>^2,
     the code's Gram squared entrywise, and must have full rank m.
     """
-    m = len(C)
+    m, tol = len(C), C.tol
     if m >= 2:
-        alpha = detect_equiangular(C, tol)
+        alpha = detect_equiangular(C)
         if alpha is None or not (tol.angle_tol < alpha < 1 - tol.angle_tol):
             raise NotEquiangular("code is not equiangular with alpha in (0, 1)")
     else:
@@ -93,31 +92,31 @@ def _require_validates(C: Code, L: AngleSet, name: str = "L") -> None:
         raise NotAnLCode(f"code does not validate against {name}")
 
 
-def _l_code_negatives(C: Code, params: Optional[AngleParams], tol: Tolerance):
+def _l_code_negatives(C: Code, params: Optional[AngleParams]):
     """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
     boolean mask of its negative edges; NotAnLCode if C does not validate."""
     if params is None:
-        params = detect_projection_params(C, tol)
-    _require_validates(C, angle_set_after_projection(params, tol.angle_tol), "L(alpha, t)")
-    mask = np.abs(C.gram.as_array() - float(params.negative_value)) <= tol.angle_tol
+        params = detect_projection_params(C)
+    angle_tol = C.tol.angle_tol
+    _require_validates(C, angle_set_after_projection(params, angle_tol), "L(alpha, t)")
+    mask = np.abs(C.gram.as_array() - float(params.negative_value)) <= angle_tol
     np.fill_diagonal(mask, False)
     return params, mask
 
 
 def schnirelman_applied_certificate(C: Code,
-                                    params: Optional[AngleParams] = None,
-                                    tol: Tolerance = DEFAULT_TOL) -> Certificate:
+                                    params: Optional[AngleParams] = None) -> Certificate:
     """|C| <= (1 + sigma^2 d)(n + 1) for an L(alpha,t)-code.
 
     d is the average degree of the negative-edge graph and n the Gram rank;
     the bound follows from the trace-ratio rank inequality applied to
     M_C - eps J and is exact, not asymptotic.
     """
-    params, neg = _l_code_negatives(C, params, tol)
+    params, neg = _l_code_negatives(C, params)
     m = len(C)
     edges = int(neg.sum()) // 2
     d = 2.0 * edges / m
-    n = rank_of(C.gram, tol)
+    n = rank_of(C.gram, C.tol)
     sigma = float(params.sigma)
     rhs = (1.0 + sigma * sigma * d) * (n + 1)
     return Certificate.check(
@@ -128,8 +127,7 @@ def schnirelman_applied_certificate(C: Code,
 
 
 def matching_full_rank_certificate(C: Code,
-                                   params: Optional[AngleParams] = None,
-                                   tol: Tolerance = DEFAULT_TOL) -> Certificate:
+                                   params: Optional[AngleParams] = None) -> Certificate:
     """rank(M_C - eps J) = |C| when the negative edges form a matching.
 
     Excludes alpha = 1/3, where the 2x2 matching blocks are singular.  When
@@ -139,10 +137,10 @@ def matching_full_rank_certificate(C: Code,
     Also certifies the consequence |C| <= rank(M_C) + 1.
     """
     if params is None:
-        params = detect_projection_params(C, tol)
-    if abs(float(params.alpha) - 1.0 / 3.0) <= tol.angle_tol:
+        params = detect_projection_params(C)
+    if abs(float(params.alpha) - 1.0 / 3.0) <= C.tol.angle_tol:
         raise ExcludedAngle("alpha = 1/3 makes the matching blocks singular")
-    _, neg = _l_code_negatives(C, params, tol)
+    _, neg = _l_code_negatives(C, params)
     if int(neg.sum(axis=1).max(initial=0)) > 1:
         raise WrongStructure("negative edges do not form a matching")
     m = len(C)
@@ -157,8 +155,8 @@ def matching_full_rank_certificate(C: Code,
         n_matrix = SymMatrix.from_array_symmetrized(
             C.gram.as_array() - eps * np.ones((m, m)))
         backend = "float64"
-    rank_n = rank_of(n_matrix, tol)
-    rank_m = rank_of(C.gram, tol)
+    rank_n = rank_of(n_matrix, C.tol)
+    rank_m = rank_of(C.gram, C.tol)
     rhs = rank_m + 1
     passed = (rank_n == m) and (m <= rhs)
     return Certificate(
@@ -175,8 +173,7 @@ def _require_positive_beta(beta) -> None:
 
 
 def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
-                             alpha: float, beta: float,
-                             tol: Tolerance = DEFAULT_TOL) -> Certificate:
+                             alpha: float, beta: float) -> Certificate:
     """2B(beta+1) + 2A(1-alpha) <= |C|^2 over a union of alpha-cliques.
 
     B counts edges with value <= -beta, A the remaining edges with value
@@ -204,12 +201,12 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
         for a_i in range(len(part)):
             for b_i in range(a_i + 1, len(part)):
                 v = g[pos[part[a_i]], pos[part[b_i]]]
-                if abs(v - alpha) > tol.angle_tol:
+                if abs(v - alpha) > C.tol.angle_tol:
                     raise WrongStructure("every part must be an alpha-clique")
     mm = len(members)
     values = _pairs(sub)[1]
-    b_mask = values <= -beta + tol.angle_tol
-    a_mask = (~b_mask) & (values >= alpha - tol.angle_tol)
+    b_mask = values <= -beta + C.tol.angle_tol
+    a_mask = (~b_mask) & (values >= alpha - C.tol.angle_tol)
     B = int(b_mask.sum())
     A = int(a_mask.sum())
     lhs = 2.0 * B * (beta + 1.0) + 2.0 * A * (1.0 - alpha)
@@ -230,22 +227,20 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
         lhs=lhs, rhs=rhs, tol=1e-9 * max(1.0, rhs), witness=witness)
 
 
-def dgs_bound_check(C: Code, L: AngleSet,
-                    tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def dgs_bound_check(C: Code, L: AngleSet) -> Certificate:
     """|C| <= C(rank + |L|, |L|) for a finite angle set L."""
     if L.intervals:
         raise NotFinite("the bound needs a finite point set, no intervals")
     _require_validates(C, L)
     k = len(L.points)
-    r = rank_of(C.gram, tol)
+    r = rank_of(C.gram, C.tol)
     rhs = math.comb(r + k, k)
     return Certificate.check(
         "dgs", "|C| <= C(rank + |L|, |L|)",
         lhs=len(C), rhs=rhs, tol=0.0, witness={"rank": r, "k": k})
 
 
-def beta_energy_check(C: Code, x: int, L: AngleSet,
-                      tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def beta_energy_check(C: Code, x: int, L: AngleSet) -> Certificate:
     """sum beta_i^2 <= 1 + alpha N sum beta_i^2 at a vertex x.
 
     beta_i are the magnitudes of the negative edges at x in a
@@ -262,7 +257,7 @@ def beta_energy_check(C: Code, x: int, L: AngleSet,
     alpha = L.points[0]
     beta = -L.intervals[0][1]
     row = np.delete(C.gram.as_array()[x], x)
-    neg = row[row <= -beta + tol.angle_tol]
+    neg = row[row <= -beta + C.tol.angle_tol]
     energy = float(np.sum(neg * neg))
     count = int(neg.size)
     rhs = 1.0 + alpha * count * energy

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -218,8 +219,7 @@ def write_report(path: Optional[str], certificates: Sequence[Certificate],
     doc = {
         "format_version": "1",
         "artifact_version": __version__,
-        "tolerances": {"eig_zero": tol.eig_zero, "psd_slack": tol.psd_slack,
-                       "angle_tol": tol.angle_tol},
+        "tolerances": asdict(tol),
         "certificates": [c.to_dict() for c in certificates],
     }
     if path:
@@ -251,8 +251,7 @@ def tolerance_from_env(base: Tolerance = DEFAULT_TOL) -> Tolerance:
     raw = os.environ.get("EQUICODE_TOL")
     if not raw:
         return base
-    fields = {"eig_zero": base.eig_zero, "psd_slack": base.psd_slack,
-              "angle_tol": base.angle_tol}
+    fields = asdict(base)
     if "=" in raw:
         for piece in raw.split(","):
             key, _, value = piece.partition("=")
@@ -276,10 +275,10 @@ def _parsed(parse, text: str, term: str):
 # subcommands ------------------------------------------------------------
 
 
-def _detected_points(code: Code, tol: Tolerance) -> np.ndarray:
+def _detected_points(code: Code) -> np.ndarray:
     if len(code) < 2:
         return np.empty(0)
-    return np.array(angle_set_of(code, tol).points)
+    return np.array(angle_set_of(code).points)
 
 
 def _with_rank(built) -> tuple:
@@ -324,9 +323,10 @@ def cmd_construct(args, tol: Tolerance) -> int:
                 "parameters": {field: getattr(args, field) for field in fields},
                 "seed": args.seed}
     code, extra = build(args)
+    code = Code(code.vectors, tol)  # angles are detected at the run's tolerance
     metadata.update(extra)
     metadata["size"] = len(code)
-    points = _detected_points(code, tol)
+    points = _detected_points(code)
     metadata["angles"] = points
     if args.gram_csv:
         write_gram_csv(args.gram_csv, code)
@@ -392,16 +392,16 @@ def _attempt(name: str, certify, *args) -> Certificate:
         return Certificate.skip(name, f"{type(exc).__name__}: {exc}")
 
 
-def _certify_negclique(code, doc, args, tol) -> Certificate:
+def _certify_negclique(code, doc, args) -> Certificate:
     alpha = args.alpha
     if alpha is None:
         alpha = -float(_pairs(code)[1].max()) if len(code) > 1 else 1.0
-    if alpha <= 0:
-        return Certificate.skip("negative-clique", "code has non-negative inner products")
-    return _attempt("negative-clique", negative_clique_certificate, code, alpha, tol)
+        if alpha <= 0:
+            return Certificate.skip("negative-clique", "code has an inner product >= 0")
+    return _attempt("negative-clique", negative_clique_certificate, code, alpha)
 
 
-def _certify_multipartite(code, doc, args, tol) -> Certificate:
+def _certify_multipartite(code, doc, args) -> Certificate:
     meta = doc.get("metadata", {})
     parts = _parse_parts(args.parts) if args.parts else _concat_parts(doc)
     alpha = args.alpha
@@ -412,42 +412,41 @@ def _certify_multipartite(code, doc, args, tol) -> Certificate:
         beta = meta.get("achieved_beta")
     if parts is None:
         return Certificate.skip("multipartite", "no --parts given and none derivable")
-    if not isinstance(alpha, (int, float)) or not isinstance(beta, (int, float)) or beta <= 0:
+    if not isinstance(alpha, (int, float)) or not isinstance(beta, (int, float)):
         return Certificate.skip("multipartite", "needs --alpha and a positive --beta")
-    return _attempt("multipartite", multipartite_certificate, code, parts, alpha, beta, tol)
+    return _attempt("multipartite", multipartite_certificate, code, parts, alpha, beta)
 
 
-def _certify_dgs(code, doc, args, tol) -> Certificate:
+def _certify_dgs(code, doc, args) -> Certificate:
     if args.L:
-        aset = parse_angle_set(args.L, tol.angle_tol)
+        aset = parse_angle_set(args.L, code.tol.angle_tol)
     elif len(code) > 1:
-        aset = angle_set_of(code, tol)
+        aset = angle_set_of(code)
     else:
         return Certificate.skip("dgs", "no angle set available")
-    return _attempt("dgs", dgs_bound_check, code, aset, tol)
+    return _attempt("dgs", dgs_bound_check, code, aset)
 
 
-# suite -> runner (code, parsed file, arguments, tolerance) -> one certificate;
+# suite -> runner (code, parsed file, arguments) -> one certificate;
 # `certify --suite all` runs them in this order
 SUITES = {
-    "gerzon": lambda code, doc, args, tol: _attempt(
-        "gerzon", gerzon_certificate, code, tol),
+    "gerzon": lambda code, doc, args: _attempt("gerzon", gerzon_certificate, code),
     "negclique": _certify_negclique,
-    "schnirelman": lambda code, doc, args, tol: _attempt(
-        "schnirelman-applied", schnirelman_applied_certificate, code, None, tol),
-    "matching": lambda code, doc, args, tol: _attempt(
-        "matching-full-rank", matching_full_rank_certificate, code, None, tol),
+    "schnirelman": lambda code, doc, args: _attempt(
+        "schnirelman-applied", schnirelman_applied_certificate, code),
+    "matching": lambda code, doc, args: _attempt(
+        "matching-full-rank", matching_full_rank_certificate, code),
     "multipartite": _certify_multipartite,
     "dgs": _certify_dgs,
-    "lambda": lambda code, doc, args, tol: _attempt(
-        "lambda-inequality", lambda_inequality_check, code, None, tol),
+    "lambda": lambda code, doc, args: _attempt(
+        "lambda-inequality", lambda_inequality_check, code),
 }
 
 
 def cmd_certify(args, tol: Tolerance) -> int:
     code, doc = load_code(args.file, tol)
     wanted = list(SUITES) if args.suite == "all" else [args.suite]
-    certificates = [SUITES[suite](code, doc, args, tol) for suite in wanted]
+    certificates = [SUITES[suite](code, doc, args) for suite in wanted]
     write_report(args.report, certificates, tol)
     failed = 0
     for cert in certificates:
@@ -469,11 +468,11 @@ def cmd_project(args, tol: Tolerance) -> int:
     rest = [i for i in range(len(code)) if i not in set(clique)]
     if not rest:
         raise InvalidParams("the clique covers the whole code")
-    projected = project_onto_complement(code.subset(rest), code.subset(clique), tol)
+    projected = project_onto_complement(code.subset(rest), code.subset(clique))
     metadata = {"construction": "projection",
                 "parameters": {"clique": clique, "source": os.path.basename(args.file)},
                 "seed": None, "size": len(projected),
-                "angles": _detected_points(projected, tol)}
+                "angles": _detected_points(projected)}
     write_code_file(args.out, projected.dim, vectors=projected.vectors,
                     metadata=metadata)
     print(f"projected {len(projected)} vectors -> {args.out}")
@@ -482,7 +481,7 @@ def cmd_project(args, tol: Tolerance) -> int:
 
 def cmd_reduce(args, tol: Tolerance) -> int:
     code = load_code(args.file, tol)[0]
-    outcome = reduction_pipeline(code, args.t, tol)
+    outcome = reduction_pipeline(code, args.t)
     sidecar = args.sidecar or (args.out + ".reduction.json")
     bucket_doc = {}
     for key, members in sorted(outcome.buckets.items(), key=lambda kv: str(kv[0])):
@@ -506,7 +505,7 @@ def cmd_reduce(args, tol: Tolerance) -> int:
         metadata = {"construction": "reduction",
                     "parameters": {"t": args.t, "source": os.path.basename(args.file)},
                     "seed": None, "size": len(outcome.projected),
-                    "angles": _detected_points(outcome.projected, tol)}
+                    "angles": _detected_points(outcome.projected)}
         write_code_file(args.out, outcome.projected.dim,
                         vectors=outcome.projected.vectors, metadata=metadata)
         print(f"reduced to {len(outcome.projected)} vectors -> {args.out}")
@@ -573,8 +572,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         tol = tolerance_from_env()
         if getattr(args, "tol", None) is not None:
-            tol = Tolerance(eig_zero=tol.eig_zero, psd_slack=tol.psd_slack,
-                            angle_tol=args.tol)
+            tol = replace(tol, angle_tol=args.tol)
         return handlers[args.command](args, tol)
     except (InvalidParams, TooLarge, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

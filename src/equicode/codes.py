@@ -7,7 +7,6 @@ immutable; operations return new values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +26,8 @@ from .matcore import DEFAULT_TOL, SymMatrix, Tolerance
 class Code:
     """Ordered set of unit vectors in R^dim, checked at ``tol``.
 
-    ``subset`` and ``switch_vertices`` check the codes they derive at it too.
+    ``tol`` is the code's only tolerance: every function that takes a code
+    reads it, and the codes derived from one are checked at it too.
     """
 
     __slots__ = ("dim", "vectors", "tol", "_gram")
@@ -131,24 +131,27 @@ class AngleSet:
         match v are a run at its start.  One ``searchsorted`` finds where
         the suffix starts up to the rounding of v - tol; the steps after it
         make that exact, so a value matches p exactly when |v - p| <= tol.
+        Padding the points with -inf and +inf stops both steps at the ends
+        and matches no value, so no step needs an index clip or a mask.
         """
         values = np.asarray(values, dtype=float)
         out = np.full(values.shape, -1, dtype=int)
         k = len(self.intervals)
         if self.points:
-            pts = np.array(self.points)
-            last = len(pts) - 1
+            padded = np.concatenate(([-np.inf], self.points, [np.inf]))
+            before, at = padded[:-1], padded[1:]  # p_(j-1) and p_j at index j
 
-            def within(j):  # v - p_j <= tol, False past the last point
-                return (j <= last) & (values - pts[np.minimum(j, last)] <= self.tol)
+            def gap(ends):  # v - ends[j], computed in the array ends[j] returns
+                d = ends[j]
+                return np.subtract(values, d, out=d)
 
-            j = np.searchsorted(pts, values - self.tol)
-            while (back := (j > 0) & within(j - 1)).any():
+            j = np.searchsorted(at[:-1], values - self.tol)
+            while (back := gap(before) <= self.tol).any():
                 j -= back
-            while (ahead := (j <= last) & ~within(j)).any():
+            while (ahead := gap(at) > self.tol).any():
                 j += ahead
-            hit = (j <= last) & (np.abs(values - pts[np.minimum(j, last)]) <= self.tol)
-            out[hit] = k + j[hit]
+            d = gap(at)
+            np.add(j, k, out=out, where=np.abs(d, out=d) <= self.tol)
         for cid in range(len(self.intervals) - 1, -1, -1):
             lo, hi = self.intervals[cid]
             out[(values >= lo - self.tol) & (values <= hi + self.tol)] = cid
@@ -250,13 +253,13 @@ def validate_code(C: Code, L: AngleSet) -> ValidationReport:
     return ValidationReport(violations=violations, histogram=histogram)
 
 
-def detect_equiangular(C: Code, tol: Tolerance = DEFAULT_TOL) -> Optional[float]:
+def detect_equiangular(C: Code) -> Optional[float]:
     """Common angle magnitude alpha when all pairs are +/- alpha, else None."""
     if len(C) < 2:
         raise InvalidParams("equiangularity needs at least two vectors")
     mags = np.abs(_pairs(C)[1])
     lo, hi = float(mags.min()), float(mags.max())
-    if hi - lo > 2 * tol.angle_tol:
+    if hi - lo > 2 * C.tol.angle_tol:
         return None
     return (hi + lo) / 2.0
 
@@ -301,7 +304,7 @@ def angle_set_after_projection(params: AngleParams,
     return AngleSet(points=points, tol=tol)
 
 
-def clique_angle(Y: Code, tol: Tolerance = DEFAULT_TOL) -> float:
+def clique_angle(Y: Code) -> float:
     """Common pairwise inner product of Y; NotAClique when values spread.
 
     Uses the mean of the observed values, so exact cliques become float
@@ -312,19 +315,18 @@ def clique_angle(Y: Code, tol: Tolerance = DEFAULT_TOL) -> float:
         return 1.0
     vals = _pairs(Y)[1]
     gamma = float(vals.mean())
-    if float(np.abs(vals - gamma).max()) >= tol.angle_tol:
+    if float(np.abs(vals - gamma).max()) >= Y.tol.angle_tol:
         raise NotAClique("pairwise inner products are not a single value")
     return gamma
 
 
-def project_onto_complement(X: Code, Y: Code,
-                            tol: Tolerance = DEFAULT_TOL) -> Code:
+def project_onto_complement(X: Code, Y: Code) -> Code:
     """Normalized projection of X onto the orthogonal complement of span(Y)."""
     if X.dim != Y.dim:
         raise DimensionMismatch("X and Y must share an ambient dimension")
-    gamma = clique_angle(Y, tol)
+    gamma = clique_angle(Y)
     if len(Y) > 1:
-        if gamma >= 1 - tol.angle_tol:
+        if gamma >= 1 - Y.tol.angle_tol:
             raise NotAClique("clique contains duplicate vectors")
         if gamma < 0:
             raise NotAClique("a negative-angle clique must have size 1")
@@ -334,7 +336,7 @@ def project_onto_complement(X: Code, Y: Code,
     norms = np.linalg.norm(proj, axis=1)
     if np.any(norms < 1e-10):
         raise ZeroProjection("a vector lies in the span of the clique")
-    return Code(proj / norms[:, np.newaxis])
+    return Code(proj / norms[:, np.newaxis], X.tol)
 
 
 def span_inner_product(s1: Sequence, s2: Sequence, gamma, t: int):
@@ -356,14 +358,14 @@ def span_inner_product(s1: Sequence, s2: Sequence, gamma, t: int):
     return (dot - (gamma / denom) * (sum(s1) * sum(s2))) / (1 - gamma)
 
 
-def detect_projection_params(C: Code, tol: Tolerance = DEFAULT_TOL) -> AngleParams:
+def detect_projection_params(C: Code) -> AngleParams:
     """Recover (alpha, t) from a code whose angles are the projected pair.
 
     The positive observed value is epsilon and the negative one is
     -sigma(1-epsilon)+epsilon; both determine alpha and t uniquely.  Raises
     NotAnLCode when the observed angles do not have that shape.
     """
-    aset = angle_set_of(C, tol)
+    aset = angle_set_of(C)
     if len(aset.points) != 2:
         raise NotAnLCode("expected exactly two distinct inner-product values")
     nu, eps = aset.points
@@ -373,23 +375,23 @@ def detect_projection_params(C: Code, tol: Tolerance = DEFAULT_TOL) -> AnglePara
     alpha = sigma / (2 + sigma)
     t = round(1 / eps - 1 / alpha)
     params = AngleParams(alpha, t) if t >= 1 and 0 < alpha < 1 else None
-    if params is None or abs(params.epsilon - eps) > tol.angle_tol or \
-            abs(params.negative_value - nu) > tol.angle_tol:
+    if params is None or abs(params.epsilon - eps) > C.tol.angle_tol or \
+            abs(params.negative_value - nu) > C.tol.angle_tol:
         raise NotAnLCode("observed values are not a projected angle pair")
     return params
 
 
-def angle_set_of(C: Code, tol: Tolerance = DEFAULT_TOL) -> AngleSet:
+def angle_set_of(C: Code) -> AngleSet:
     """Point angle set observed in the code's Gram matrix.
 
-    Off-diagonal values are clustered to within angle_tol; each cluster
-    contributes its midpoint as a point.
+    Off-diagonal values are clustered to within the code's angle_tol; each
+    cluster contributes its midpoint as a point.
     """
     if len(C) < 2:
         raise InvalidParams("need at least two vectors to observe angles")
     vals = np.sort(_pairs(C)[1])
-    breaks = np.flatnonzero(np.diff(vals) > 2 * tol.angle_tol) + 1
+    breaks = np.flatnonzero(np.diff(vals) > 2 * C.tol.angle_tol) + 1
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [len(vals)])) - 1
-    points = np.minimum((vals[starts] + vals[ends]) / 2.0, 1.0 - 2 * tol.angle_tol)
-    return AngleSet(points=tuple(points.tolist()), tol=tol.angle_tol)
+    points = np.minimum((vals[starts] + vals[ends]) / 2.0, 1.0 - 2 * C.tol.angle_tol)
+    return AngleSet(points=tuple(points.tolist()), tol=C.tol.angle_tol)

@@ -36,7 +36,7 @@ from .errors import (
     NotEquiangular,
     TooSmall,
 )
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, sym_eigen
+from .matcore import SymMatrix, sym_eigen
 
 
 class LabelledGraph:
@@ -46,16 +46,18 @@ class LabelledGraph:
 
     def __init__(self, classes: np.ndarray, n_classes: int,
                  angle_set: Optional[AngleSet] = None):
-        classes = np.array(classes, dtype=int)
+        classes = np.array(classes, dtype=int)  # a copy: the caller's array cannot change it
         if classes.ndim != 2 or classes.shape[0] != classes.shape[1]:
             raise InvalidParams("classes must be a square matrix")
         if not np.array_equal(classes, classes.T):
             raise InvalidParams("classes must be symmetric")
+        self._keep(classes, n_classes, angle_set)
+
+    def _keep(self, classes: np.ndarray, n_classes: int, angle_set: Optional[AngleSet]):
+        """Hold ``classes`` itself, read-only; nothing else may reference it."""
         classes.flags.writeable = False
-        self.size = classes.shape[0]
-        self.classes = classes
-        self.n_classes = int(n_classes)
-        self.angle_set = angle_set
+        self.size, self.classes = classes.shape[0], classes
+        self.n_classes, self.angle_set = int(n_classes), angle_set
 
     def adjacency(self, class_ids) -> np.ndarray:
         """Boolean adjacency of the union of the given classes."""
@@ -90,7 +92,9 @@ def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
     classes = np.full((len(C), len(C)), -1, dtype=int)
     classes[rows, cols] = ids
     classes[cols, rows] = ids
-    return LabelledGraph(classes, L.class_count(), angle_set=L)
+    graph = LabelledGraph.__new__(LabelledGraph)  # keeps this matrix, not a copy
+    graph._keep(classes, L.class_count(), L)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -389,15 +393,14 @@ def catalog_lambda_checks(seed: int = 0) -> List[Certificate]:
 # L(alpha, t) spectral certificate ---------------------------------------
 
 
-def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None,
-                            tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None) -> Certificate:
     """Exact PSD consequence for an L(alpha,t)-code and its negative graph.
 
     With x the top eigenvector of the negative-edge adjacency H, positive
     semidefiniteness of the Gram matrix forces
     0 <= 1 - eps + eps <Jx,x> - sigma (1 - eps) lambda_1(H).
     """
-    params, neg = _l_code_negatives(C, params, tol)
+    params, neg = _l_code_negatives(C, params)
     eps = float(params.epsilon)
     sigma = float(params.sigma)
     spec = sym_eigen(SymMatrix(neg.astype(float)))
@@ -408,7 +411,7 @@ def lambda_inequality_check(C: Code, params: Optional[AngleParams] = None,
     return Certificate.check(
         "lambda-inequality",
         "0 <= 1 - eps + eps <Jx,x> - sigma (1-eps) lambda_1(H)",
-        lhs=0.0, rhs=rhs, tol=tol.psd_slack * max(1.0, float(len(C))),
+        lhs=0.0, rhs=rhs, tol=C.tol.psd_slack * max(1.0, float(len(C))),
         witness={"lambda1": lam, "jxx": jxx, "epsilon": eps, "sigma": sigma,
                  "t": params.t, "negative_edges": int(neg.sum()) // 2})
 
@@ -512,7 +515,7 @@ class ReductionOutcome:
     garbage_checks: Tuple[dict, ...]
 
 
-def reduction_pipeline(C: Code, t: int, tol: Tolerance = DEFAULT_TOL) -> ReductionOutcome:
+def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     """Find a positive t-clique, switch small attachments, bucket, project.
 
     Every vertex outside the clique Y lands in the bucket S_T of the subset
@@ -525,12 +528,12 @@ def reduction_pipeline(C: Code, t: int, tol: Tolerance = DEFAULT_TOL) -> Reducti
     and no clique vertex is negated, so the switched code's classes follow
     from the input's graph: one graph and one validation serve both.
     """
-    alpha = detect_equiangular(C, tol)
-    if alpha is None or alpha <= tol.angle_tol:
+    alpha = detect_equiangular(C)
+    if alpha is None or alpha <= C.tol.angle_tol:
         raise NotEquiangular("reduction needs a code with all pairs +/- alpha")
     if t < 1 or t >= len(C):
         raise InvalidParams("clique size t must satisfy 1 <= t < |C|")
-    graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=tol.angle_tol))
+    graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=C.tol.angle_tol))
     clique = _positive_clique(graph, t, alpha)
     if clique is None:
         raise NoClique(f"no positive clique of size {t}")
@@ -574,8 +577,8 @@ def reduction_pipeline(C: Code, t: int, tol: Tolerance = DEFAULT_TOL) -> Reducti
     projected = None
     if s_y:
         work = switch_vertices(C, switched)  # the projection needs the vectors
-        projected = project_onto_complement(work.subset(s_y), work.subset(clique), tol)
-        rep = validate_code(projected, angle_set_after_projection(params, tol.angle_tol))
+        projected = project_onto_complement(work.subset(s_y), work.subset(clique))
+        rep = validate_code(projected, angle_set_after_projection(params, C.tol.angle_tol))
         if not rep.passed:
             raise InternalError("projected bucket is not an L(alpha, t)-code")
     return ReductionOutcome(alpha=alpha, clique=tuple(clique), switched=tuple(switched),

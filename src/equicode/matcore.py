@@ -46,8 +46,9 @@ class Tolerance:
     angle_tol: float = 1e-9
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.eig_zero, self.psd_slack, self.angle_tol)):
-            raise InvalidParams("all tolerances must be finite and strictly positive")
+        # from 1 up an angle window covers [-1, 1] and eig_zero zeroes every eigenvalue
+        if not all(0 < x < 1 for x in (self.eig_zero, self.psd_slack, self.angle_tol)):
+            raise InvalidParams("every tolerance must lie strictly between 0 and 1")
 
 
 DEFAULT_TOL = Tolerance()

@@ -14,7 +14,9 @@ from equicode import (
     ConcatParams,
     ConcatReport,
     SymMatrix,
+    Tolerance,
     ValidationReport,
+    angle_set_of,
     beta_energy_check,
     binary_kcode,
     bound_table,
@@ -27,6 +29,7 @@ from equicode import (
     matching_full_rank_certificate,
     multipartite_certificate,
     negative_clique_certificate,
+    project_onto_complement,
     rank_of,
     reduction_pipeline,
     regular_simplex,
@@ -40,6 +43,20 @@ from equicode.errors import (
     NotFinite,
     WrongStructure,
 )
+
+
+def test_functions_of_a_code_read_its_tolerance():
+    # LS(6) jittered by 1e-8 is equiangular at angle_tol 1e-6 but not at
+    # the default 1e-9; every function taking the code judges it at 1e-6
+    rng = np.random.default_rng(5)
+    v = lemmens_seidel_code(6).vectors
+    v = v + rng.normal(scale=1e-8, size=v.shape)
+    tol = Tolerance(angle_tol=1e-6)
+    code = Code(v / np.linalg.norm(v, axis=1)[:, None], tol)
+    assert gerzon_certificate(code).passed
+    assert reduction_pipeline(code, 2).accounting["size"] == len(code)
+    assert len(angle_set_of(code).points) == 2
+    assert project_onto_complement(code.subset([1, 3]), code.subset([0, 2])).tol == tol
 
 
 def test_negative_clique_simplex_equality():

@@ -183,12 +183,14 @@ def test_verify_zero_tol_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("env_tol, argv_tol", [
     ("0", None), ("nan", None), ("inf", None), ("angle_tol=-1", None),
-    ("eig_zero=inf", None), (None, "inf"), (None, "nan"),
+    ("eig_zero=inf", None), (None, "inf"), (None, "nan"), (None, "2"),
+    ("eig_zero=2", None),
 ], ids=["env-zero", "env-nan", "env-inf", "env-negative-field", "env-inf-field",
-        "tol-inf", "tol-nan"])
+        "tol-inf", "tol-nan", "tol-two", "env-eig-zero-two"])
 def test_bad_tolerance_is_a_usage_error(env_tol, argv_tol, tmp_path, monkeypatch, capsys):
-    # an infinite angle_tol would match every pair: simplex pairs are -1/3,
-    # so "point:0.9" would PASS vacuously
+    # an angle_tol of 1 or more matches every pair: simplex pairs are -1/3,
+    # so "point:0.9" would PASS vacuously; an eig_zero of 1 or more counts
+    # every eigenvalue as zero
     src = tmp_path / "simplex.json"
     assert run(["construct", "simplex", "--r", "3", "--out", str(src)]) == EXIT_OK
     if env_tol is not None:
@@ -201,7 +203,7 @@ def test_bad_tolerance_is_a_usage_error(env_tol, argv_tol, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == \
-        "InvalidParams: all tolerances must be finite and strictly positive\n"
+        "InvalidParams: every tolerance must lie strictly between 0 and 1\n"
 
 
 @pytest.mark.parametrize("parts, alpha, beta, term", [
@@ -209,7 +211,9 @@ def test_bad_tolerance_is_a_usage_error(env_tol, argv_tol, tmp_path, monkeypatch
     ("0-1;2-3", "inf", "0.3", "alpha"),
     ("0;1;2;3", "0.5", "nan", "beta"),
     ("0;1;2;3", "0.5", "inf", "beta"),
-], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf"])
+    ("0;1;2;3", "0.5", "0", "beta"),
+    ("0;1;2;3", "0.5", "-0.3", "beta"),
+], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "beta-zero", "beta-negative"])
 def test_multipartite_refuses_non_finite_parameters(parts, alpha, beta, term, tmp_path,
                                                     capsys):
     src = tmp_path / "simplex.json"
@@ -238,6 +242,18 @@ def test_derived_codes_keep_the_load_tolerance(tmp_path, monkeypatch, capsys):
     for argv in argvs:
         capsys.readouterr()
         assert run(argv) == EXIT_OK, capsys.readouterr().err
+
+
+def test_construct_below_float_rounding_is_refused(tmp_path, monkeypatch, capsys):
+    # the built vectors are ~1e-16 off unit length, and construct checks
+    # them at the run's tolerance, as reading the file back would
+    monkeypatch.setenv("EQUICODE_TOL", "1e-20")
+    out = tmp_path / "s4.json"
+    assert run(["construct", "simplex", "--r", "4", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvalidParams: vectors must be unit length")
+    assert not out.exists()
 
 
 def test_verify_lines28(tmp_path, capsys):
@@ -290,6 +306,20 @@ def test_certify_negclique_with_equality_witness(tmp_path):
     out = tmp_path / "s4.json"
     run(["construct", "simplex", "--r", "4", "--out", str(out)])
     assert run(["certify", str(out), "--suite", "negclique"]) == EXIT_OK
+
+
+def test_negclique_skip_names_the_largest_inner_product(tmp_path, capsys):
+    # LS(6) has inner products -1/3 and +1/3: the skip is for the positive one
+    ls6, simplex = tmp_path / "ls6.json", tmp_path / "s4.json"
+    run(["construct", "lemmens-seidel", "--n", "6", "--out", str(ls6)])
+    run(["construct", "simplex", "--r", "4", "--out", str(simplex)])
+    capsys.readouterr()
+    assert run(["certify", str(ls6), "--suite", "negclique"]) == EXIT_OK
+    assert capsys.readouterr().out == "SKIP negative-clique: code has an inner product >= 0\n"
+    # a given --alpha reaches the certificate unchanged, which refuses it
+    assert run(["certify", str(simplex), "--suite", "negclique", "--alpha", "-0.5"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "SKIP negative-clique: InvalidParams: alpha must lie in (0, 1]\n"
 
 
 def test_certify_all_skips_inapplicable(tmp_path, capsys):
@@ -443,6 +473,10 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
       "metadata": {"construction": "concat", "achieved_beta": "x",
                    "parameters": {"n": 2, "k": 1, "r": 0, "alpha1": 0.5}}},
      EXIT_OK, "SKIP multipartite: needs --alpha and a positive --beta"),
+    ({"format_version": "1", "dim": 2, "vectors": _BASIS,
+      "metadata": {"construction": "concat", "achieved_beta": -0.1,
+                   "parameters": {"n": 2, "k": 1, "r": 0, "alpha1": 0.5}}},
+     EXIT_OK, "SKIP multipartite: InvalidParams: beta must be positive and finite"),
     ({"format_version": "1", "dim": None, "vectors": _BASIS, "metadata": {}},
      EXIT_USAGE, "InvalidParams: dim must be a positive integer"),
     ({"format_version": "1", "dim": [2], "vectors": _BASIS, "metadata": {}},
@@ -465,7 +499,7 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
       "metadata": {}},
      EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
-        "concat-beta-string", "dim-null", "dim-list", "dim-fraction", "entry-object",
+        "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list", "dim-fraction", "entry-object",
         "entry-string", "entry-bool", "gram-null", "gram-one-row", "gram-not-square"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):

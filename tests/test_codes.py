@@ -355,13 +355,13 @@ def _jittered_code(seed):
     v = np.vstack([base, base[:1]])
     tol = Tolerance(angle_tol=10.0 ** rng.uniform(-9, -6))
     v = v + rng.normal(scale=tol.angle_tol * rng.uniform(0.1, 3.0), size=v.shape)
-    return Code(v / np.linalg.norm(v, axis=1)[:, None]), tol
+    return Code(v / np.linalg.norm(v, axis=1)[:, None], tol), tol
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_angle_set_of_matches_reference_loop(seed):
     code, tol = _jittered_code(seed)
-    points = angle_set_of(code, tol).points
+    points = angle_set_of(code).points
     assert points == _angle_points_by_loop(code, tol)
     assert points[-1] == 1.0 - 2 * tol.angle_tol  # the near-duplicate, clamped
 
@@ -369,7 +369,7 @@ def test_angle_set_of_matches_reference_loop(seed):
 def test_jittered_codes_split_clusters():
     # the jitter really splits the +/- 1/3 clusters, so the comparison
     # above exercises cluster boundaries
-    counts = [len(angle_set_of(*_jittered_code(seed)).points) for seed in range(12)]
+    counts = [len(angle_set_of(_jittered_code(seed)[0]).points) for seed in range(12)]
     assert max(counts) > 3 and min(counts) == 3
 
 
@@ -398,7 +398,7 @@ def _histogram_by_loop(L, classes):
 def test_classify_all_matches_reference_loop(seed):
     code, tol = _jittered_code(seed)
     values = gram_of(code).as_array()
-    detected = angle_set_of(code, tol)
+    detected = angle_set_of(code)
     pts = np.array(detected.points)
     # values exactly at +-tol from each point, and one ulp beyond
     edges = np.concatenate([pts + tol.angle_tol, pts - tol.angle_tol,
@@ -460,7 +460,7 @@ def _distance_by_loop(L, value):
 @pytest.mark.parametrize("seed", range(6))
 def test_distance_all_matches_reference_loop(seed):
     code, tol = _jittered_code(seed)
-    detected = angle_set_of(code, tol)
+    detected = angle_set_of(code)
     pts = np.array(detected.points)
     rng = np.random.default_rng(seed)
     vals = np.concatenate([gram_of(code).as_array().ravel(), pts + tol.angle_tol,

@@ -90,17 +90,18 @@ def test_read_rewrite_reproduces_golden_bytes(case, tmp_path):
     assert _sha(again.read_bytes()) == GOLDEN[case][1]
 
 
-# input file -> (sha256 of the certify --suite all report, of its stdout)
+# input file -> (sha256 of the certify --suite all report, of its stdout);
+# all three carry the negative-clique SKIP reason "code has an inner product >= 0"
 GOLDEN_CERTIFY = {
     "lines28": (
-        "e3cdac2fca66c849e3d39d4cabb913adc0faec05d5e663ce6707148aa70aa915",
-        "ac49267b8381200f630438de3fae38b358a7c0c3beb493b63814ebee7ac24b40"),
+        "d4964e8cb5f6e52b42484a52b31bcc1b1f2617c590d505369ac39cef44118f82",
+        "40d568c2dac9a1017e2e83893cfcd3571100e68ef582c39a683cb70b6ebbd4fc"),
     "ls12-gram": (
-        "bd5dc9f88ce83b725ed97ac3a3264ac4ecb20235b4cfa585d1e6ce3c99d4f802",
-        "ac49267b8381200f630438de3fae38b358a7c0c3beb493b63814ebee7ac24b40"),
+        "e5d3c1e282a603ff6d5840dd120aa64c3f4919fed9c1e7d3c426f382949e4e2b",
+        "40d568c2dac9a1017e2e83893cfcd3571100e68ef582c39a683cb70b6ebbd4fc"),
     "ls12-reduced": (
-        "47453cc032021cfca46806748429f8512b0db574e2322fb21f8f2664fe26bb65",
-        "3696582173297373514ac21d230fbe8ac7b7d541d36ee2d44c62f53e8d6d761e"),
+        "bb740cf3b8a6e34757923b4fac3b77824a84f4416b73591e1545db39c4f49ae8",
+        "339be8b45cdc5828de911f7815fb1de1827031f1fd35f169a06a5febde5ab777"),
 }
 
 # sha256 of the reduce --t 6 output, of its sidecar and of stdout, on ls12-gram

@@ -98,6 +98,32 @@ def test_build_graph_classifies_each_pair_once(monkeypatch):
     assert np.array_equal(g.classes, g.classes.T) and np.all(np.diag(g.classes) == -1)
 
 
+def test_build_graph_keeps_its_class_matrix_uncopied():
+    # LS(200) has 398 vectors, so its class matrix takes 8 m^2 = 1.27 MB.
+    # When the graph copied it (and classify_all kept more temporaries),
+    # build_graph's tracemalloc peak was 5.29 MB
+    code = lemmens_seidel_code(200)
+    code.gram  # built before the measurement: the Gram belongs to the code
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = build_graph(code, TWO_POINT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.classes.nbytes == 8 * 398 * 398
+    assert peak <= 5.29e6 - 1e6
+    assert not graph.classes.flags.writeable
+
+
+def test_labelled_graph_is_not_changed_through_the_callers_array():
+    classes = np.array([[-1, 0, 1], [0, -1, 0], [1, 0, -1]])
+    graph = LabelledGraph(classes, 2)
+    classes[0, 2] = classes[2, 0] = 0
+    assert graph.classes.tolist() == [[-1, 0, 1], [0, -1, 0], [1, 0, -1]]
+    assert classes.flags.writeable and not graph.classes.flags.writeable
+
+
 def test_degree_stats_simplex():
     g = build_graph(regular_simplex(3), AngleSet(intervals=((-1, -1 / 3),)))
     stats = gamma_degree_stats(g)

@@ -142,10 +142,10 @@ class AngleSet:
             before, at = padded[:-1], padded[1:]  # p_(j-1) and p_j at index j
 
             def gap(ends):  # v - ends[j], computed in the array ends[j] returns
-                d = ends[j]
+                d = np.asarray(ends[j])  # an array also when values is 0-d
                 return np.subtract(values, d, out=d)
 
-            j = np.searchsorted(at[:-1], values - self.tol)
+            j = np.searchsorted(padded[1:-1], values - self.tol)
             while (back := gap(before) <= self.tol).any():
                 j -= back
             while (ahead := gap(at) > self.tol).any():

@@ -437,6 +437,8 @@ def test_classify_all_at_rounding_edges():
     L = AngleSet(points=tuple(pts), tol=tol)
     assert np.array_equal(L.classify_all(vals), _classify_by_loop(L, vals))
     assert L.classify(0.25 + tol) == 1 and L.classify(0.5 + tol) == 3
+    assert L.classify_all(np.float64(0.5 + tol)) == 3  # a 0-d value stays 0-d
+    assert L.classify_all(np.array(0.9)).shape == ()
     assert L.classify(np.nextafter(0.5 + tol, 2.0)) is None
     # points just below the rounded v - tol that still match v
     vals = rng.uniform(-0.5, 0.9, 2000)

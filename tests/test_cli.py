@@ -499,8 +499,9 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
       "metadata": {}},
      EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
-        "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list", "dim-fraction", "entry-object",
-        "entry-string", "entry-bool", "gram-null", "gram-one-row", "gram-not-square"])
+        "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list",
+        "dim-fraction", "entry-object", "entry-string", "entry-bool", "gram-null",
+        "gram-one-row", "gram-not-square"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"

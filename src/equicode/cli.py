@@ -341,6 +341,9 @@ def cmd_construct(args, tol: Tolerance) -> int:
 def cmd_verify(args, tol: Tolerance) -> int:
     code = load_code(args.file, tol)[0]
     aset = parse_angle_set(args.L, tol.angle_tol)
+    if aset.covers_all():
+        raise InvalidParams(f"the angle set widened by angle_tol {tol.angle_tol:g} "
+                            "covers [-1, 1], so every code would pass")
     report = validate_code(code, aset)
     for label, count in sorted(report.histogram.items()):
         print(f"matched {label}: {count} pairs")
@@ -580,6 +583,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except EquicodeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError:
+        print("TooLarge: the input needs more memory than is available", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"OSError: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -110,6 +110,18 @@ class AngleSet:
     def class_count(self) -> int:
         return len(self.intervals) + len(self.points)
 
+    def covers_all(self) -> bool:
+        """True when the elements widened by ``tol`` cover all of [-1, 1], so
+        every inner product matches and validating against the set proves nothing."""
+        windows = sorted([(lo - self.tol, hi + self.tol) for lo, hi in self.intervals]
+                         + [(p - self.tol, p + self.tol) for p in self.points])
+        reach = -1.0
+        for lo, hi in windows:
+            if lo > reach:
+                return False
+            reach = max(reach, hi)
+        return reach >= 1.0
+
     def class_is_negative(self, class_id: int) -> bool:
         """True when every value of the class is negative."""
         k = len(self.intervals)

@@ -3,7 +3,8 @@
 Float work (eigendecomposition, thresholded rank, PSD tests) runs on numpy.
 Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
 rational matrix, numerators over one common denominator: in int64 while no
-step can overflow, on Python ints after.  Verdicts on rational matrices are
+step can overflow, restarted on the primitive part of the remaining block
+when that fits, and on Python ints after.  Verdicts on rational matrices are
 therefore bit-exact rather than threshold-dependent.
 """
 
@@ -354,9 +355,17 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
 
     After step k every live entry is a minor of order k + 1 of ``num``, so
     each division by the previous pivot is exact.  The sweep runs on an
-    int64 copy while ``2 * max|entry|^2 < 2^62``; at the first step where
-    that guard fails the working array is promoted to Python ints and the
-    sweep carries on from that step.
+    int64 copy while ``2 * max|entry|^2 < 2^62``.  The trailing block is
+    always ``prev / scale`` times the Schur complement of ``num`` that is
+    left to eliminate, so where the guard fails the block may be replaced
+    by its primitive part (the block over the gcd g of its entries): a
+    positive multiple has the same rank and the same pivot signs
+    (Sylvester's law of inertia).  If that part passes the guard the sweep
+    restarts on it with ``prev = 1`` and ``scale *= g / prev``, the
+    matrix analogue of the primitive PRS (Collins 1967; Brown 1971);
+    otherwise the working array is promoted to Python ints and the sweep
+    carries on from that step.  Witness pivots ``d / (prev * den) * scale``
+    are the pivots of ``num / den`` whether or not the sweep restarted.
 
     ``symmetric=True`` is the PSD sweep: diagonal pivots, no exchanges.  It
     stops at a negative pivot, or at a zero pivot whose row is not all zero
@@ -371,14 +380,14 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
     """
     A = np.array(num)
     m = A.shape[0]
-    prev, rank = 1, 0
+    prev, rank, scale = 1, 0, Fraction(1)
     upper = None
     for col in range(m):
         if symmetric:
             row = col
             d = int(A[col, col])
             if d < 0:
-                return rank, {"pivot_index": col, "pivot": Fraction(d, prev * den)}
+                return rank, {"pivot_index": col, "pivot": Fraction(d, prev * den) * scale}
             if d == 0:
                 nz = np.flatnonzero(A[col, col:])
                 if nz.size:
@@ -394,8 +403,15 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
                 piv = row + int(nz[0])
                 A[[row, piv], :] = A[[piv, row], :]
             d = int(A[row, col])
-        if A.dtype != object and 2 * _max_abs(A[row:, col:]) ** 2 >= _GUARD:
-            A = A.astype(object)
+        if A.dtype != object and 2 * (top := _max_abs(A[row:, col:])) ** 2 >= _GUARD:
+            g = int(np.gcd.reduce(A[row:, col:], axis=None))
+            if 2 * (top // g) ** 2 < _GUARD:
+                A[row:, col:] //= g
+                d //= g
+                scale *= Fraction(g, prev)
+                prev = 1
+            else:
+                A = A.astype(object)
         if symmetric and A.dtype == object:
             if upper is None:
                 upper = np.triu_indices(m)

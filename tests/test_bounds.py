@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,17 @@ def test_matching_exact_rank_equals_the_fraction_grid_rank(alpha, t, edges, sing
     cert = matching_full_rank_certificate(code, params)
     assert cert.witness["backend"] == "rational"
     assert cert.witness["rank_shifted"] == rank_of(_fraction_grid(code, params)) == expected
+
+
+def test_matching_exact_rank_at_300_within_budget():
+    # the exact rank sweep on q I - p A at m = 300, whose Bareiss minors pass int64
+    code, params = _matching_code(Fraction(1, 5), 10, 100, 100)
+    code.gram  # built outside the timed span
+    start = time.perf_counter()
+    cert = matching_full_rank_certificate(code, params)
+    assert time.perf_counter() - start < 0.3
+    assert cert.passed and cert.witness["backend"] == "rational"
+    assert cert.witness["rank_shifted"] == 300
 
 
 def test_matching_full_rank_float_detection_path():

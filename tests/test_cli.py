@@ -281,6 +281,49 @@ def test_verify_failure_lists_violations(tmp_path, capsys):
     assert "FAIL (3 violations)" in captured
 
 
+@pytest.mark.parametrize("spec, tol, want", [
+    ("point:-0.5+point:0.5", "0.6", EXIT_USAGE),             # [-1.1, 0.1] + [-0.1, 1.1]
+    ("interval:-1,0.2+point:0.7", "0.35", EXIT_USAGE),       # [-1.35, 0.55] + [0.35, 1.05]
+    ("point:-0.5+point:0.5", "0.4", EXIT_OK),                # a gap around 0
+    ("interval:-1,0.2+point:0.7", "0.29", EXIT_OK),          # a gap above 0.99
+], ids=["two-points", "interval-and-point", "gap-in-the-middle", "gap-at-the-top"])
+def test_verify_refuses_an_angle_set_that_covers_every_value(tmp_path, capsys, spec, tol,
+                                                             want):
+    out, report = tmp_path / "s4.json", tmp_path / "report.json"
+    run(["construct", "simplex", "--r", "4", "--out", str(out)])
+    capsys.readouterr()
+    assert run(["verify", str(out), "--L", spec, "--tol", tol,
+                "--report", str(report)]) == want
+    captured = capsys.readouterr()
+    if want == EXIT_USAGE:
+        assert captured.out == "" and not report.exists()
+        assert captured.err == (f"InvalidParams: the angle set widened by angle_tol {tol} "
+                                "covers [-1, 1], so every code would pass\n")
+    else:
+        assert captured.out.endswith("PASS\n") and report.exists()
+
+
+def test_memory_error_is_a_typed_refusal(monkeypatch, capsys):
+    from equicode import cli
+
+    def out_of_memory(args, tol):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_construct", out_of_memory)
+    assert run(["construct", "simplex", "--r", "3", "--out", "unused.json"]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "TooLarge: the input needs more memory than is available\n"
+
+
+def test_construct_simplex_300_within_budget(tmp_path, capsys):
+    # the Bareiss minors of this Gram pass int64 after 5 of its 301 steps
+    start = time.perf_counter()
+    assert run(["construct", "simplex", "--r", "300", "--out", str(tmp_path / "s.json")]) \
+        == EXIT_OK
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out.startswith("simplex: 301 vectors in R^300 -> ")
+
+
 def test_verify_parse_failure(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode import (
     DEFAULT_TOL,
@@ -254,7 +255,7 @@ def test_rational_rank_huge_entries_falls_back_exactly():
     assert is_psd(m).passed
 
 
-# exact kernel: int64 start, promotion to Python ints partway ----------------
+# exact kernel: int64 start, restarts on the primitive part, Python ints ------
 
 
 def _fraction_sweep(rows):
@@ -314,12 +315,50 @@ def _perturbed(gram, i, j, delta):
     return m
 
 
+def _dense_gram(n, seed):
+    """B^T B for a random integer B: dense, full rank, gcd-1 Schur blocks."""
+    b = np.random.default_rng(seed).integers(-9, 10, size=(n, n))
+    m = SymMatrix.from_integers(b.T @ b)
+    assert m.backend == "rational"
+    return m
+
+
+class _GcdProbe:
+    """Stands in for numpy in ``matcore`` and logs each ``gcd.reduce`` the
+    kernel takes where the int64 guard fails, as (gcd, max |entry| of the block)."""
+
+    def __init__(self):
+        self.log = []
+        self.gcd = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def reduce(self, block, **kwargs):
+        g = np.gcd.reduce(block, **kwargs)
+        self.log.append((int(g), int(np.abs(block).max())))
+        return g
+
+
+def _sweep_paths(sweep, *args):
+    """Run ``sweep(*args)`` and count the kernel's restarts and promotions."""
+    from equicode import matcore
+
+    probe = _GcdProbe()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcore, "np", probe)
+        result = sweep(*args)
+    restarts = sum(2 * (top // g) ** 2 < 2 ** 62 for g, top in probe.log)
+    return result, restarts, len(probe.log) - restarts
+
+
 @pytest.mark.parametrize("case, kind", [
-    ("ls40", "psd"),                      # rank 40 of 78, zero pivots after promotion
+    ("ls40", "psd"),                      # rank 40 of 78, zero pivots after the restart
     ("simplex30", "psd"),                 # rank 30 of 31
     ("ls40-last-diagonal", "negative-pivot"),
     ("simplex30-last-diagonal", "negative-pivot"),
     ("ls40-far-pair", "indefinite-pair"),
+    ("dense24", "psd"),                   # gcd-1 block past the guard: Python ints
 ])
 def test_exact_kernel_promotes_partway_and_matches_fraction_oracle(case, kind):
     ls, simplex = lemmens_seidel_gram(40), simplex_gram(30)
@@ -329,12 +368,17 @@ def test_exact_kernel_promotes_partway_and_matches_fraction_oracle(case, kind):
         "ls40-last-diagonal": _perturbed(ls, 77, 77, Fraction(-1, 3)),
         "simplex30-last-diagonal": _perturbed(simplex, 30, 30, Fraction(-1, 30)),
         "ls40-far-pair": _perturbed(ls, 70, 77, Fraction(1, 3)),
+        "dense24": _dense_gram(24, seed=41),
     }[case]
     rank, witness, largest = _fraction_sweep(m.rows())
-    # the entries pass the int64 guard (2 max^2 < 2^62) and a pivot before
-    # the verdict fails it, so the sweep starts in int64 and ends on Python ints
+    # the entries pass the int64 guard (2 max^2 < 2^62) and a leading minor
+    # before the verdict fails it, so plain Bareiss would leave int64 there;
+    # the kernel restarts on the primitive part instead when that fits
+    # (LS, simplex) and goes on in Python ints when it does not (dense)
     assert m._array.dtype == np.int64 and 2 * int(np.abs(m._array).max()) ** 2 < 2 ** 62
     assert 2 * largest ** 2 >= 2 ** 62
+    _, restarts, promotions = _sweep_paths(is_psd, m)
+    assert (restarts > 0, promotions) == ((False, 1) if case == "dense24" else (True, 0))
     cert = is_psd(m)
     assert cert.witness == ({"rank": rank} if witness is None else witness)
     assert rank_of(m) == _fraction_rank(m.rows())
@@ -344,6 +388,87 @@ def test_exact_kernel_promotes_partway_and_matches_fraction_oracle(case, kind):
         assert not cert.passed and cert.witness["pivot"] < 0
     else:
         assert not cert.passed and cert.witness["indefinite_pair"] == (71, 77)
+
+
+def _scaled(gram, factor):
+    m = SymMatrix.from_integers(gram._array * factor, gram._den)
+    assert m._array.dtype == np.int64
+    return m
+
+
+def _matching_matrix(m, p, q):
+    """q I - p A for A a perfect matching on m vertices, as the matching
+    certificate builds it."""
+    a = np.zeros((m, m), dtype=np.int64)
+    for e in range(0, m - 1, 2):
+        a[e, e + 1] = a[e + 1, e] = 1
+    return SymMatrix.from_integers(q * np.eye(m, dtype=np.int64) - p * a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: odd_reciprocal_gram(25, 3),
+    lambda: _scaled(lemmens_seidel_gram(12), 3 ** 9),   # the guard fails at step 1
+    lambda: _scaled(simplex_gram(9), 5 ** 19),          # the guard fails at step 0
+    lambda: _matching_matrix(40, 1, 2),
+], ids=["odd-reciprocal-25-3", "ls12-times-3^9", "simplex9-times-5^19", "matching40"])
+def test_exact_kernel_restarts_where_plain_bareiss_leaves_int64(build):
+    from equicode import matcore
+
+    m = build()
+    rank, witness, largest = _fraction_sweep(m.rows())
+    assert witness is None and 2 * largest ** 2 >= 2 ** 62
+    (psd_rank, _), psd_restarts, psd_promotions = _sweep_paths(
+        matcore._fraction_free, m._array, m._den, True)
+    (row_rank, _), row_restarts, row_promotions = _sweep_paths(
+        matcore._fraction_free, m._array)
+    assert psd_rank == row_rank == rank == _fraction_rank(m.rows())
+    assert psd_restarts > 0 and row_restarts > 0 and psd_promotions == row_promotions == 0
+
+
+@pytest.mark.parametrize("num", [
+    [[-2 ** 63, 6], [6, 4]],
+    [[-2 ** 63, 0], [0, -2 ** 63]],
+    [[0, -2 ** 63], [-2 ** 63, 0]],
+    [[2 ** 62, -2 ** 63], [-2 ** 63, 2 ** 62]],
+    [[2 ** 63 - 1, 2 ** 62], [2 ** 62, 2 ** 63 - 1]],
+], ids=["min-with-small", "min-diagonal", "min-off-diagonal", "indefinite", "max-psd"])
+def test_exact_kernel_at_the_ends_of_int64(num):
+    m = SymMatrix.from_integers(np.array(num, dtype=np.int64))
+    rank, witness, _ = _fraction_sweep(m.rows())
+    cert = is_psd(m)
+    assert repr(cert.witness) == repr({"rank": rank} if witness is None else witness)
+    assert rank_of(m) == _fraction_rank(m.rows())
+
+
+@st.composite
+def _small_grams(draw):
+    """Rational rows c/den * G for an integer Gram G = B^T B, maybe perturbed to
+    indefinite; a large common factor c makes the kernel restart."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    b = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=r, max_size=r)), dtype=np.int64)
+    g = b.T @ b
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    delta = draw(st.sampled_from([0, 0, -1, 1, -3]))
+    g[i, j] += delta
+    if i != j:
+        g[j, i] += delta
+    c = draw(st.sampled_from([1, 3 ** 9, 2 ** 20 + 7, 5 ** 19]))
+    den = draw(st.integers(1, 6))
+    return [[Fraction(int(x) * c, den) for x in row] for row in g]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_small_grams())
+def test_exact_kernel_matches_the_fraction_oracles(rows):
+    m = SymMatrix(rows)
+    assert m.backend == "rational"
+    rank, witness, _ = _fraction_sweep(rows)
+    cert = is_psd(m)
+    assert cert.passed == (witness is None)
+    assert repr(cert.witness) == repr({"rank": rank} if witness is None else witness)
+    assert rank_of(m) == _fraction_rank(rows)
 
 
 def test_rational_float_copy_rounds_like_fractions():

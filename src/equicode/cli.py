@@ -6,8 +6,8 @@ reproduces identical bytes, so every certificate is reproducible from the
 file alone.  ``canonical_json`` is the one entry point for files; it hands
 every 1-D and 2-D float array to ``_format_floats``, the one float-array
 writer, which formats a whole row with one ``"%.17g"`` row template.  The
-``--gram-csv`` rows and the ``angles:`` line of ``construct`` use the same
-writer.
+``--gram-csv`` rows, the ``angles:`` line of ``construct`` and the tokens of
+``angle_set_spec`` use the same writer.
 """
 
 from __future__ import annotations
@@ -246,6 +246,17 @@ def parse_angle_set(spec: str, tol: float) -> AngleSet:
     return AngleSet(intervals=tuple(intervals), points=tuple(points), tol=tol)
 
 
+def angle_set_spec(aset: AngleSet) -> str:
+    """The ``--L`` text of an angle set, points first: ``parse_angle_set`` of it
+    gives back the same set bit for bit, since every token is ``_float_token``.
+
+    Elements lie in [-1, 1), so no token has an exponent with a '+' sign.
+    """
+    terms = [f"point:{_float_token(p)}" for p in aset.points]
+    terms += [f"interval:{_float_token(lo)},{_float_token(hi)}" for lo, hi in aset.intervals]
+    return "+".join(terms)
+
+
 def tolerance_from_env(base: Tolerance = DEFAULT_TOL) -> Tolerance:
     """Apply EQUICODE_TOL: either one float (sets angle_tol) or 'k=v' pairs."""
     raw = os.environ.get("EQUICODE_TOL")
@@ -286,29 +297,32 @@ def _with_rank(built) -> tuple:
     return code, {"gram_rank": rank}
 
 
-def _build_lines28(args) -> tuple:
+def _build_lines28(args, tol) -> tuple:
     return seven_dim_28_lines(), {"gram_rank": is_psd(lines28_gram()).witness["rank"]}
 
 
-def _build_concat(args) -> tuple:
+def _build_concat(args, tol) -> tuple:
     params = ConcatParams(args.n, args.k, args.r, args.alpha1,
                           args.seed if args.seed is not None else 0)
-    code, achieved_beta, report = concatenated_code(params)
+    code, achieved_beta, report = concatenated_code(params, tol=tol)
     return code, {"seed": params.seed, "achieved_beta": achieved_beta,
                   "beta_target": params.beta_target, "attempts": report.attempts,
                   "attempt_seed": report.attempt_seed,
-                  "copy_seeds": [list(s) for s in report.copy_seeds]}
+                  "copy_seeds": [list(s) for s in report.copy_seeds],
+                  "angles": params.angle_set(achieved_beta, tol.angle_tol)}
 
 
-# name -> (required parameters, builder returning (code, extra metadata))
+# name -> (required parameters, builder (args, tol) returning (code, extra
+# metadata)); a construction that declares its angle set returns it as
+# extra "angles", the others have theirs detected
 CONSTRUCTIONS = {
-    "lemmens-seidel": (("n",), lambda a: _with_rank(
+    "lemmens-seidel": (("n",), lambda a, tol: _with_rank(
         lemmens_seidel_code(a.n, return_rank=True))),
-    "odd-reciprocal": (("n", "r"), lambda a: _with_rank(
+    "odd-reciprocal": (("n", "r"), lambda a, tol: _with_rank(
         odd_reciprocal_code(a.n, a.r, return_rank=True))),
     "lines28": ((), _build_lines28),
-    "simplex": (("r",), lambda a: _with_rank(regular_simplex(a.r, return_rank=True))),
-    "binary-kcode": (("n", "k"), lambda a: (binary_kcode(a.n, a.k), {})),
+    "simplex": (("r",), lambda a, tol: _with_rank(regular_simplex(a.r, return_rank=True))),
+    "binary-kcode": (("n", "k"), lambda a, tol: (binary_kcode(a.n, a.k), {})),
     "concat": (("n", "k", "r", "alpha1"), _build_concat),
 }
 
@@ -322,19 +336,23 @@ def cmd_construct(args, tol: Tolerance) -> int:
     metadata = {"construction": name,
                 "parameters": {field: getattr(args, field) for field in fields},
                 "seed": args.seed}
-    code, extra = build(args)
-    code = Code(code.vectors, tol)  # angles are detected at the run's tolerance
+    code, extra = build(args, tol)
+    code = Code(code.vectors, tol)  # angles are checked at the run's tolerance
+    declared = extra.pop("angles", None)
     metadata.update(extra)
     metadata["size"] = len(code)
-    points = _detected_points(code)
-    metadata["angles"] = points
+    if declared is None:
+        metadata["angles"] = points = _detected_points(code)
+        angles = _format_floats(points, ", ", "", "")[0] or "n/a"
+    else:
+        metadata["angles"] = angles = angle_set_spec(declared)
     if args.gram_csv:
         write_gram_csv(args.gram_csv, code)
     dim, vectors = code.dim, code.vectors
     del code  # frees the code's Gram before serialization, where peak memory is set
     write_code_file(args.out, dim, vectors=vectors, metadata=metadata)
     print(f"{name}: {len(vectors)} vectors in R^{dim} -> {args.out}")
-    print("angles: " + (_format_floats(points, ", ", "", "")[0] or "n/a"))
+    print("angles: " + angles)
     return EXIT_OK
 
 

@@ -14,9 +14,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .codes import Code
+from .codes import AngleSet, Code
 from .errors import InternalError, InvalidParams, RandomizedFailure, TooLarge
-from .matcore import DEFAULT_TOL, SymMatrix, embed_from_gram
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram
 
 SIZE_CAP = 10 ** 5
 
@@ -216,7 +216,8 @@ class ConcatParams:
     the within-copy inner products (alpha1 is reproduced at i = 1);
     beta_target is the cross-copy separation the randomized rotations must
     achieve.  Each derived value is computed from the inputs on access, so
-    every formula sees the same float.
+    every formula sees the same float.  The code built from these
+    parameters is an L-code for L = alphas + [-1, -achieved_beta].
     """
 
     n: int
@@ -253,6 +254,14 @@ class ConcatParams:
 
     @property
     def beta_target(self) -> float:
+        """(1/r - lam^2 t) / (lam^2 + 1); the construction guarantees cross-copy
+        inner products <= -achieved_beta <= -beta_target.
+
+        At small n the threshold t exceeds 1/(r lam^2), so beta_target is
+        negative and that bound is positive: concat n=9 k=2 r=3 alpha1=0.5
+        has beta_target -0.555 and cross-copy inner products up to +0.294.
+        Such parameters are accepted; the bound is still what holds.
+        """
         lam_sq = self.lam_sq
         return (1.0 / self.r - lam_sq * self.t_threshold) / (lam_sq + 1.0)
 
@@ -261,6 +270,12 @@ class ConcatParams:
         lam_sq = self.lam_sq
         return tuple((lam_sq * (i - 1) / self.k + 1.0) / (lam_sq + 1.0)
                      for i in range(1, self.k + 1))
+
+    def angle_set(self, achieved_beta: float, angle_tol: float) -> AngleSet:
+        """The L a code built from these parameters is declared to lie in:
+        the alpha ladder as points plus the interval [-1, -achieved_beta]."""
+        return AngleSet(intervals=((-1.0, -achieved_beta),), points=self.alphas,
+                        tol=angle_tol)
 
 
 @dataclass(frozen=True)
@@ -274,16 +289,21 @@ class ConcatReport:
     max_within_deviation: float
 
 
-def concatenated_code(params: ConcatParams,
-                      max_attempts: int = 32) -> Tuple[Code, float, ConcatReport]:
+def concatenated_code(params: ConcatParams, max_attempts: int = 32,
+                      tol: Tolerance = DEFAULT_TOL) -> Tuple[Code, float, ConcatReport]:
     """Simplex-anchored concatenation of randomly rotated k-subset codes.
 
     Each simplex vector v carries a rotated copy C_v of the k-subset code;
     the output vectors are (lam*u, v)/sqrt(lam^2+1).  Within one copy the
-    inner products land on the alpha ladder exactly; cross-copy products
-    must all stay below -beta_target, which the rotations achieve with high
-    probability.  On failure the construction retries seeds seed+1, seed+2,
-    ... up to max_attempts before raising RandomizedFailure.
+    inner products land on the alpha ladder, checked to ``tol.angle_tol``;
+    every cross-copy product is at most -achieved_beta, and the rotations
+    are redrawn until achieved_beta >= beta_target.  That is a separation
+    only when beta_target > 0: with a negative beta_target the guaranteed
+    bound -achieved_beta may be positive (see ``ConcatParams.beta_target``).
+    The code is returned at ``tol`` and lies in
+    ``params.angle_set(achieved_beta, tol.angle_tol)``.  On failure the
+    construction retries seeds seed+1, seed+2, ... up to max_attempts
+    before raising RandomizedFailure.
     """
     base = binary_kcode(params.n, params.k).vectors
     simplex = regular_simplex(params.r).vectors
@@ -309,15 +329,16 @@ def concatenated_code(params: ConcatParams,
         achieved_beta = -max_cross
         worst_cross = max_cross if worst_cross is None else max(worst_cross, max_cross)
         if achieved_beta >= params.beta_target:
+            code = Code(vectors, tol)  # a tol below float rounding is InvalidParams here
             deviation = max(_within_deviation(blk, params.alphas) for blk in blocks)
-            if deviation > DEFAULT_TOL.angle_tol:
+            if deviation > tol.angle_tol:
                 raise InternalError(
                     f"within-copy inner products deviate by {deviation:g}")
             report = ConcatReport(
                 attempts=attempt + 1, attempt_seed=attempt_seed,
                 copy_seeds=tuple(copy_seeds), achieved_beta=achieved_beta,
                 max_within_deviation=deviation)
-            return Code(vectors), achieved_beta, report
+            return code, achieved_beta, report
     observed = "none observed" if worst_cross is None else format(worst_cross, "g")
     raise RandomizedFailure(
         f"no seed in [{params.seed}, {params.seed + max_attempts}) reached "

@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode.cli import (
     EXIT_FAIL,
@@ -14,6 +16,7 @@ from equicode.cli import (
     EXIT_USAGE,
     GRAM_CSV_HEADER,
     _format_floats,
+    angle_set_spec,
     canonical_json,
     load_code,
     parse_angle_set,
@@ -23,7 +26,7 @@ from equicode.cli import (
     tolerance_from_env,
     write_code_file,
 )
-from equicode import gram_of, lemmens_seidel_code, regular_simplex
+from equicode import AngleSet, gram_of, lemmens_seidel_code, regular_simplex
 from equicode.errors import InvalidParams
 
 
@@ -157,7 +160,7 @@ def test_randomized_failure_exits_3(tmp_path, capsys, monkeypatch):
     from equicode import cli
     from equicode.errors import RandomizedFailure
 
-    def fail(params):
+    def fail(params, tol):
         raise RandomizedFailure("no seed reached beta_target", worst_cross=None)
 
     monkeypatch.setattr(cli, "concatenated_code", fail)
@@ -473,6 +476,53 @@ def test_concat_seed_determinism(tmp_path):
     assert "achieved_beta" in doc["metadata"]
 
 
+CONCAT = ["construct", "concat", "--k", "2", "--r", "3", "--alpha1", "0.5", "--seed", "7"]
+
+
+@pytest.mark.parametrize("n", [9, 22, 30])
+def test_concat_verifies_against_its_declared_angle_set(n, tmp_path, capsys):
+    # the detected set of n = 30 left 68 pairs unmatched
+    out = tmp_path / "concat.json"
+    assert run([*CONCAT, "--n", str(n), "--out", str(out)]) == EXIT_OK
+    angles = read_code_file(str(out))["metadata"]["angles"]
+    assert capsys.readouterr().out.splitlines()[1] == "angles: " + angles
+    if n == 9:
+        assert angles == "point:0.5+point:0.75+interval:-1,0.29354373389500082"
+    assert run(["verify", str(out), "--L", angles]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
+def test_construct_concat_n30_within_budget(tmp_path):
+    out = tmp_path / "concat.json"
+    start = time.perf_counter()
+    assert run([*CONCAT, "--n", "30", "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert out.stat().st_size < 2_000_000
+
+
+def test_concat_checks_its_ladder_at_the_run_tolerance(tmp_path, monkeypatch, capsys):
+    # one k-subset row scaled by 1 + 1e-7 moves the ladder and the norms by
+    # about 5e-8: past the default angle_tol, inside EQUICODE_TOL=1e-6
+    from equicode import constructions
+
+    exact = constructions.binary_kcode
+
+    def scaled(n, k):
+        vectors = exact(n, k).vectors.copy()
+        vectors[0] *= 1 + 1e-7
+        return types.SimpleNamespace(vectors=vectors)
+
+    monkeypatch.setattr(constructions, "binary_kcode", scaled)
+    out = tmp_path / "concat.json"
+    args = [*CONCAT, "--n", "9", "--out", str(out)]
+    assert run(args) == EXIT_USAGE
+    assert "vectors must be unit length" in capsys.readouterr().err
+    monkeypatch.setenv("EQUICODE_TOL", "1e-6")
+    assert run(args) == EXIT_OK
+    angles = read_code_file(str(out))["metadata"]["angles"]
+    assert run(["verify", str(out), "--L", angles]) == EXIT_OK
+
+
 def test_construct_concat_desk_scale(tmp_path):
     out = tmp_path / "concat.json"
     assert run(["construct", "concat", "--n", "30", "--k", "2", "--r", "3",
@@ -594,6 +644,23 @@ def test_parse_angle_set_grammar():
     aset = parse_angle_set("interval:-1,-0.25+point:0.5", 1e-9)
     assert aset.intervals == ((-1.0, -0.25),)
     assert aset.points == (0.5,)
+
+
+_UNIT = st.floats(-1.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def _angle_sets(draw):
+    intervals = draw(st.lists(st.tuples(_UNIT, _UNIT).map(sorted), max_size=3))
+    points = draw(st.lists(_UNIT, min_size=0 if intervals else 1, max_size=5))
+    return AngleSet(intervals=intervals, points=points, tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_angle_sets())
+def test_angle_set_spec_round_trips_bit_for_bit(aset):
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert repr(parse_angle_set(angle_set_spec(aset), aset.tol)) == repr(aset)
 
 
 def test_tolerance_env_override(monkeypatch):

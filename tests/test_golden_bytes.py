@@ -3,7 +3,8 @@
 Each construct case records the sha256 of the written code file, of the
 `--gram-csv` export and of stdout (with the output directory replaced by
 `<out>`); reading a construct output and rewriting it reproduces its
-bytes.  The read-side cases pin `certify --suite all --report` and
+bytes.  The concat case's `angles` is the angle set the construction
+declares, not detected points.  The read-side cases pin `certify --suite all --report` and
 `reduce --t 6` on a lines28 file, on a Gram-only LS(12) file and on the
 reduced LS(12) code, the bytes `write_code_file` writes for that Gram-only
 file, and `project` and `verify --report` on it.  The digests pin the output
@@ -58,9 +59,9 @@ GOLDEN = {
         "40716de8a1bc414cb7e0414a04984f8890793eec3b26b363d41d7853e2a160c1"),
     "concat9": (["concat", "--n", "9", "--k", "2", "--r", "3", "--alpha1", "0.5",
                  "--seed", "7"],
-        "de493eb27b5a640210e289198b8f28a386da22eab6bd61f2416ff8314ae9dd36",
+        "5be2fe27b689e538620cbb1e28068172770cff5dcb98b022430af8ba68e0979c",
         "4758b18c4c9cd183f3c21e57cad064390af533739026064c616cde15840f7e69",
-        "7486063b50e836a26b72140be9295d4210a16240bea06561eadf2507bb4f76c2"),
+        "4d22ffdd7bcf0acd46ef5e11430e8021798a5db5dad1ee9d0f58f7e4c5ff261a"),
 }
 
 

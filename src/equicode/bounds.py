@@ -75,7 +75,7 @@ def gerzon_certificate(C: Code) -> Certificate:
             raise NotEquiangular("code is not equiangular with alpha in (0, 1)")
     else:
         alpha = None
-    r = rank_of(C.gram, tol)
+    r = C.rank
     g = C.gram.as_array()
     outer_rank = rank_of(SymMatrix(g * g), tol)
     rhs = math.comb(r + 1, 2)
@@ -116,7 +116,7 @@ def schnirelman_applied_certificate(C: Code,
     m = len(C)
     edges = int(neg.sum()) // 2
     d = 2.0 * edges / m
-    n = rank_of(C.gram, C.tol)
+    n = C.rank
     sigma = float(params.sigma)
     rhs = (1.0 + sigma * sigma * d) * (n + 1)
     return Certificate.check(
@@ -156,7 +156,7 @@ def matching_full_rank_certificate(C: Code,
             C.gram.as_array() - eps * np.ones((m, m)))
         backend = "float64"
     rank_n = rank_of(n_matrix, C.tol)
-    rank_m = rank_of(C.gram, C.tol)
+    rank_m = C.rank
     rhs = rank_m + 1
     passed = (rank_n == m) and (m <= rhs)
     return Certificate(
@@ -233,7 +233,7 @@ def dgs_bound_check(C: Code, L: AngleSet) -> Certificate:
         raise NotFinite("the bound needs a finite point set, no intervals")
     _require_validates(C, L)
     k = len(L.points)
-    r = rank_of(C.gram, C.tol)
+    r = C.rank
     rhs = math.comb(r + k, k)
     return Certificate.check(
         "dgs", "|C| <= C(rank + |L|, |L|)",

@@ -20,7 +20,7 @@ from .errors import (
     SingularGram,
     ZeroProjection,
 )
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, rank_of
 
 
 class Code:
@@ -30,7 +30,7 @@ class Code:
     reads it, and the codes derived from one are checked at it too.
     """
 
-    __slots__ = ("dim", "vectors", "tol", "_gram")
+    __slots__ = ("dim", "vectors", "tol", "_gram", "_rank")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL):
         arr = np.asarray(vectors, dtype=float)
@@ -48,6 +48,7 @@ class Code:
         self.dim = arr.shape[1]
         self.tol = tol
         self._gram = None
+        self._rank = None
 
     @property
     def gram(self) -> SymMatrix:
@@ -55,6 +56,19 @@ class Code:
         if self._gram is None:
             self._gram = gram_of(self)
         return self._gram
+
+    @property
+    def rank(self) -> int:
+        """Rank of the Gram at the code's tolerance, computed on first use and kept.
+
+        X X^T and X^T X have the same nonzero eigenvalues, so the rank is read
+        off the smaller: X^T X, of order dim, when dim < |C|, else the Gram.
+        """
+        if self._rank is None:
+            small = self.gram if len(self) <= self.dim else \
+                SymMatrix.from_array_symmetrized(self.vectors.T @ self.vectors)
+            self._rank = rank_of(small, self.tol)
+        return self._rank
 
     def __len__(self):
         return self.vectors.shape[0]

@@ -1,6 +1,9 @@
 """Symmetric-matrix numerics on a float64 or exact-rational backend.
 
-Float work (eigendecomposition, thresholded rank, PSD tests) runs on numpy.
+Float work (eigendecomposition, thresholded rank, PSD tests) runs on numpy,
+every spectrum through ``sym_eigen``: ``eigh`` where the eigenvectors are
+used or the eigenvalues reach a certificate, values-only ``eigvalsh`` for a
+float ``rank_of``.  A spectrum's residual is computed when first read.
 Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
 rational matrix, numerators over one common denominator: in int64 while no
 step can overflow, restarted on the primitive part of the remaining block
@@ -12,8 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from numbers import Integral, Rational
 from typing import Optional, Sequence
 
@@ -64,7 +68,8 @@ class SymMatrix:
     matrix over one common positive denominator, entry (i, j) being
     ``num[i, j] / den``, in int64 when the integers fit and Python ints
     otherwise.  Instances are immutable; a float matrix keeps the
-    eigenvalues of its first ``sym_eigen`` for ``rank_of`` and ``is_psd``.
+    eigenvalues of its first ``sym_eigen`` with vectors for ``rank_of`` and
+    ``is_psd``.
     """
 
     __slots__ = ("order", "_array", "_den", "_eigenvalues")
@@ -187,39 +192,53 @@ def _all_rational(data) -> bool:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition, eigenvalues sorted descending."""
+    """Eigenvalues sorted descending, with matching orthonormal eigenvector
+    columns unless the spectrum is values-only (``eigenvectors`` None)."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
-    residual: float
+    matrix: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         d = np.diff(self.eigenvalues)
         if d.size and d.max() > 0:
             raise InvalidMatrix("eigenvalues must be sorted descending")
 
+    @cached_property
+    def residual(self) -> Optional[float]:
+        """Worst per-pair residual max |Mv - lambda v|, computed on first read;
+        None for a values-only spectrum."""
+        vecs = self.eigenvectors
+        if vecs is None:
+            return None
+        return float(np.abs(self.matrix @ vecs - vecs * self.eigenvalues[np.newaxis, :]).max())
 
-def sym_eigen(M: SymMatrix) -> Spectrum:
-    """Eigendecomposition of a float64 symmetric matrix.
 
-    Returns eigenvalues in descending order with matching orthonormal
-    eigenvector columns and the worst per-pair residual max |Mv - lambda v|.
+def sym_eigen(M: SymMatrix, vectors: bool = True) -> Spectrum:
+    """Eigendecomposition of a float64 symmetric matrix, eigenvalues descending.
+
+    With ``vectors`` it runs ``eigh`` and keeps the eigenvector columns;
+    without, ``eigvalsh``, whose eigenvalues may differ from ``eigh``'s in
+    the last bits, so only rank thresholds read them.  A float M keeps the
+    eigenvalues of its first spectrum with vectors.
     """
     if M.backend != FLOAT64:
         raise InvalidMatrix("sym_eigen requires the float64 backend")
     a = M.as_array()
-    vals, vecs = np.linalg.eigh(a)
+    if vectors:
+        vals, vecs = np.linalg.eigh(a)
+        vecs = vecs[:, ::-1].copy()
+    else:
+        vals, vecs = np.linalg.eigvalsh(a), None
     vals = vals[::-1].copy()
     vals.flags.writeable = False
-    vecs = vecs[:, ::-1].copy()
-    residual = float(np.abs(a @ vecs - vecs * vals[np.newaxis, :]).max())
-    if M._eigenvalues is None:
+    if vectors and M._eigenvalues is None:
         M._eigenvalues = vals
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residual=residual)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, matrix=a)
 
 
 def _eigenvalues(M: SymMatrix) -> np.ndarray:
-    """Descending eigenvalues of a float M, from its first ``sym_eigen``."""
+    """Descending eigenvalues of a float M, from its first ``sym_eigen`` with vectors."""
     if M._eigenvalues is None:
         sym_eigen(M)
     return M._eigenvalues
@@ -229,12 +248,16 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of a symmetric matrix.
 
     Float backend: eigenvalues above ``eig_zero`` relative to the largest
-    magnitude.  Rational backend: exact rank by fraction-free elimination
-    with row pivoting, so indefinite input is fine.
+    magnitude, read off the kept eigenvalues or else a values-only spectrum.
+    Rational backend: exact rank by fraction-free elimination with row
+    pivoting, so indefinite input is fine.
     """
     if M.backend == RATIONAL:
         return _fraction_free(M._array)[0]
-    return _float_rank(_eigenvalues(M), tol)
+    vals = M._eigenvalues
+    if vals is None:
+        vals = sym_eigen(M, vectors=False).eigenvalues
+    return _float_rank(vals, tol)
 
 
 def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode import (
     AngleParams,
@@ -16,16 +17,18 @@ from equicode import (
     embed_from_gram,
     gram_of,
     lemmens_seidel_code,
+    lemmens_seidel_gram,
     predicted_projection_angle,
     project_onto_complement,
     regular_simplex,
     seven_dim_28_lines,
     span_inner_product,
     switch_vertices,
+    sym_eigen,
     validate_code,
     SymMatrix,
 )
-from equicode.matcore import Tolerance
+from equicode.matcore import DEFAULT_TOL, Tolerance, _float_rank
 from equicode.errors import (
     DimensionMismatch,
     InvalidIndex,
@@ -503,3 +506,73 @@ def test_validate_code_with_many_points_and_violations_within_budget():
     assert len(report.violations) > 40_000
     for i, j, value, dist in report.violations[::5000]:
         assert dist == _distance_by_loop(L, value) > L.tol
+
+
+# a code's rank: values only, off its small side -------------------------------
+
+
+@st.composite
+def _unit_rows_of_low_rank(draw):
+    """(m x dim unit rows of rank at most r, r) with m <= 40, dim < m or dim >= m."""
+    small_side = draw(st.booleans())
+    m = draw(st.integers(2 if small_side else 1, 40))
+    dim = draw(st.integers(1, m - 1) if small_side else st.integers(m, 40))
+    r = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.standard_normal((m, r))
+    q = np.linalg.qr(rng.standard_normal((dim, r)))[0]  # orthonormal columns
+    return (y / np.linalg.norm(y, axis=1)[:, None]) @ q.T, r
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_unit_rows_of_low_rank())
+def test_code_rank_from_its_small_side_equals_the_full_gram_rank(drawn):
+    x, r = drawn
+    code = Code(x)
+    rank = code.rank  # values only, off X^T X when dim < |C|
+    full = sym_eigen(gram_of(code))  # eigh of a fresh X X^T
+    assert full.eigenvectors is not None
+    assert rank == _float_rank(full.eigenvalues, DEFAULT_TOL) <= min(len(code), r)
+
+
+def _gap(vals):
+    """Smallest kept and largest dropped |eigenvalue|, each over the rank cutoff."""
+    vals = np.abs(vals)
+    cutoff = DEFAULT_TOL.eig_zero * max(1.0, float(vals.max()))
+    return (float(vals[vals > cutoff].min()) / cutoff,
+            float(vals[vals <= cutoff].max(initial=0.0)) / cutoff)
+
+
+def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
+    """On a seed-permuted Gram-only LS(300) file and its ``reduce --t 6``
+    output, every spectrum a certified rank is read off has its eigenvalues
+    at least 1e3 times the cutoff or at most 1e-3 times it, so neither a
+    values-only solve nor X^T X in place of X X^T can flip a rank."""
+    from equicode import matcore
+    from equicode.bounds import gerzon_certificate
+    from equicode.cli import EXIT_OK, load_code, run, write_code_file
+
+    perm = np.random.default_rng(2).permutation(598)
+    src, reduced = tmp_path / "ls300.json", tmp_path / "reduced.json"
+    write_code_file(str(src), 300, metadata={},
+                    gram=lemmens_seidel_gram(300).as_array()[np.ix_(perm, perm)])
+    assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
+    ls, projected = load_code(str(src))[0], load_code(str(reduced))[0]
+
+    spectra = []
+    decompose = matcore.sym_eigen
+
+    def recorded(M, vectors=True):
+        spectra.append(decompose(M, vectors))
+        return spectra[-1]
+
+    monkeypatch.setattr(matcore, "sym_eigen", recorded)
+    cert = gerzon_certificate(ls)  # the code's rank, then the outer Gram's
+    assert (ls.rank, projected.rank, cert.witness["outer_rank"]) == (300, 294, 598)
+    assert [s.eigenvectors for s in spectra] == [None] * 3
+    for code in (ls, projected):  # the rank a full eigh of X X^T gives
+        spectra.append(decompose(gram_of(code)))
+        assert _float_rank(spectra[-1].eigenvalues, DEFAULT_TOL) == code.rank
+    for spec in spectra:
+        kept, dropped = _gap(spec.eigenvalues)
+        assert kept >= 1e3 and dropped <= 1e-3, (len(spec.eigenvalues), kept, dropped)

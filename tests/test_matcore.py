@@ -532,12 +532,13 @@ def test_gerzon_takes_two_spectra(monkeypatch):
 
     calls = _count_calls(monkeypatch, matcore, "sym_eigen")
     cert = gerzon_certificate(seven_dim_28_lines())
-    assert len(calls) == 2  # the embedding, then the outer-product Gram
+    # the code's rank off X^T X (order 8), then the outer-product Gram: ranks only
+    assert [c.get("vectors", True) for c in calls] == [False, False]
     assert cert.passed and cert.witness["rank"] == 7 and cert.witness["outer_rank"] == 28
 
 
 def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
-    from equicode import codes, matcore
+    from equicode import codes, graphlab, matcore
     from equicode.cli import EXIT_OK, run, write_code_file
 
     src, reduced = tmp_path / "ls12.json", tmp_path / "reduced.json"
@@ -545,12 +546,15 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
     assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
     grams = _count_calls(monkeypatch, codes, "gram_of")
     spectra = _count_calls(monkeypatch, matcore, "sym_eigen")
-    # Gram-only file: the load embedding, the code's Gram, Gerzon's outer Gram
-    for path, want in ((src, (1, 3)), (reduced, (1, 1))):
+    monkeypatch.setattr(graphlab, "sym_eigen", matcore.sym_eigen)  # lambda's binding
+    # whether each spectrum takes vectors: a Gram-only file takes the load
+    # embedding, then the code's rank and Gerzon's outer Gram, values only; a
+    # reduced file takes the code's rank, then lambda's top eigenvector
+    for path, want in ((src, (1, [True, False, False])), (reduced, (1, [False, True]))):
         grams.clear()
         spectra.clear()
         assert run(["certify", str(path), "--suite", "all"]) == EXIT_OK
-        assert (len(grams), len(spectra)) == want, path.name
+        assert (len(grams), [c.get("vectors", True) for c in spectra]) == want, path.name
 
 
 def test_code_gram_and_eigenvalue_memo_are_read_only():

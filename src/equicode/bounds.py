@@ -20,7 +20,6 @@ from .codes import (
     AngleSet,
     Code,
     _pairs,
-    angle_set_after_projection,
     detect_equiangular,
     detect_projection_params,
     validate_code,
@@ -34,6 +33,7 @@ from .errors import (
     NotFinite,
     WrongStructure,
 )
+from .graphlab import _l_code_negatives
 from .matcore import SymMatrix, rank_of
 
 
@@ -87,21 +87,9 @@ def gerzon_certificate(C: Code) -> Certificate:
         witness={"rank": r, "outer_rank": outer_rank, "alpha": alpha})
 
 
-def _require_validates(C: Code, L: AngleSet, name: str = "L") -> None:
+def _require_validates(C: Code, L: AngleSet) -> None:
     if not validate_code(C, L).passed:
-        raise NotAnLCode(f"code does not validate against {name}")
-
-
-def _l_code_negatives(C: Code, params: Optional[AngleParams]):
-    """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
-    boolean mask of its negative edges; NotAnLCode if C does not validate."""
-    if params is None:
-        params = detect_projection_params(C)
-    angle_tol = C.tol.angle_tol
-    _require_validates(C, angle_set_after_projection(params, angle_tol), "L(alpha, t)")
-    mask = np.abs(C.gram.as_array() - float(params.negative_value)) <= angle_tol
-    np.fill_diagonal(mask, False)
-    return params, mask
+        raise NotAnLCode("code does not validate against L")
 
 
 def schnirelman_applied_certificate(C: Code,

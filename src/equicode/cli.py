@@ -36,7 +36,6 @@ from .codes import (
     AngleSet,
     Code,
     _pairs,
-    angle_set_of,
     project_onto_complement,
     validate_code,
 )
@@ -289,7 +288,7 @@ def _parsed(parse, text: str, term: str):
 def _detected_points(code: Code) -> np.ndarray:
     if len(code) < 2:
         return np.empty(0)
-    return np.array(angle_set_of(code).points)
+    return np.array(code.angles.points)
 
 
 def _with_rank(built) -> tuple:
@@ -442,7 +441,7 @@ def _certify_dgs(code, doc, args) -> Certificate:
     if args.L:
         aset = parse_angle_set(args.L, code.tol.angle_tol)
     elif len(code) > 1:
-        aset = angle_set_of(code)
+        aset = code.angles
     else:
         return Certificate.skip("dgs", "no angle set available")
     return _attempt("dgs", dgs_bound_check, code, aset)

@@ -27,10 +27,11 @@ class Code:
     """Ordered set of unit vectors in R^dim, checked at ``tol``.
 
     ``tol`` is the code's only tolerance: every function that takes a code
-    reads it, and the codes derived from one are checked at it too.
+    reads it, and the codes derived from one are checked at it too.  The
+    Gram, its rank and the observed angle set are each derived once and kept.
     """
 
-    __slots__ = ("dim", "vectors", "tol", "_gram", "_rank")
+    __slots__ = ("dim", "vectors", "tol", "_gram", "_rank", "_angles")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL):
         arr = np.asarray(vectors, dtype=float)
@@ -49,6 +50,7 @@ class Code:
         self.tol = tol
         self._gram = None
         self._rank = None
+        self._angles = None
 
     @property
     def gram(self) -> SymMatrix:
@@ -69,6 +71,13 @@ class Code:
                 SymMatrix.from_array_symmetrized(self.vectors.T @ self.vectors)
             self._rank = rank_of(small, self.tol)
         return self._rank
+
+    @property
+    def angles(self) -> "AngleSet":
+        """Observed angle set, built by ``angle_set_of`` on first use and kept."""
+        if self._angles is None:
+            self._angles = angle_set_of(self)
+        return self._angles
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -391,7 +400,7 @@ def detect_projection_params(C: Code) -> AngleParams:
     -sigma(1-epsilon)+epsilon; both determine alpha and t uniquely.  Raises
     NotAnLCode when the observed angles do not have that shape.
     """
-    aset = angle_set_of(C)
+    aset = C.angles
     if len(aset.points) != 2:
         raise NotAnLCode("expected exactly two distinct inner-product values")
     nu, eps = aset.points

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import _l_code_negatives
 from .certificate import Certificate
 from .codes import (
     AngleParams,
@@ -23,6 +22,7 @@ from .codes import (
     _pairs,
     angle_set_after_projection,
     detect_equiangular,
+    detect_projection_params,
     project_onto_complement,
     switch_vertices,
     validate_code,
@@ -95,6 +95,19 @@ def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
     graph = LabelledGraph.__new__(LabelledGraph)  # keeps this matrix, not a copy
     graph._keep(classes, L.class_count(), L)
     return graph
+
+
+def _l_code_negatives(C: Code, params: Optional[AngleParams]):
+    """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
+    adjacency of its negative edges, each pair matched once by ``build_graph``;
+    NotAnLCode if C does not validate."""
+    if params is None:
+        params = detect_projection_params(C)
+    try:
+        graph = build_graph(C, angle_set_after_projection(params, C.tol.angle_tol))
+    except NotAnLCode:
+        raise NotAnLCode("code does not validate against L(alpha, t)") from None
+    return params, graph.negative_adjacency()
 
 
 @dataclass(frozen=True)

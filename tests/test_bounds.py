@@ -26,6 +26,7 @@ from equicode import (
     embed_from_gram,
     gerzon_certificate,
     gram_of,
+    lambda_inequality_check,
     lemmens_seidel_code,
     matching_full_rank_certificate,
     multipartite_certificate,
@@ -272,6 +273,42 @@ def test_matching_full_rank_wrong_structure():
     assert is_psd(sym).passed
     with pytest.raises(WrongStructure):
         matching_full_rank_certificate(embed_from_gram(sym), params)
+
+
+L_CODE_CERTIFICATES = (schnirelman_applied_certificate, matching_full_rank_certificate,
+                       lambda_inequality_check)
+
+
+def test_l_code_certificates_refuse_a_chained_cluster():
+    # two pairs sit 1.5 angle_tol either side of eps: detection chains the
+    # eps cluster by gaps <= 2 angle_tol and finds (alpha, t), yet those two
+    # pairs match neither point of L(alpha, t)
+    params = AngleParams(0.25, 6)
+    eps, nu = float(params.epsilon), float(params.negative_value)
+    g = np.full((6, 6), eps)
+    np.fill_diagonal(g, 1.0)
+    g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = nu
+    g[0, 2] = g[2, 0] = eps - 1.5e-9
+    g[4, 5] = g[5, 4] = eps + 1.5e-9
+    code = embed_from_gram(SymMatrix.from_array_symmetrized(g))
+    assert angle_set_of(code).points == pytest.approx((nu, eps), abs=1e-12)
+    for certify in L_CODE_CERTIFICATES:
+        with pytest.raises(NotAnLCode,
+                           match=r"^code does not validate against L\(alpha, t\)$"):
+            certify(code)
+
+
+def test_l_code_certificates_on_a_one_point_angle_set():
+    # nu = -3/2 lies below -1, so L(3/5, 1) keeps eps = 3/8 alone
+    params = AngleParams(Fraction(3, 5), 1)
+    assert params.negative_value < -1
+    g = np.full((6, 6), float(params.epsilon))
+    np.fill_diagonal(g, 1.0)
+    code = embed_from_gram(SymMatrix.from_array_symmetrized(g))
+    for certify in L_CODE_CERTIFICATES:
+        cert = certify(code, params)
+        assert cert.passed, cert.name
+        assert cert.witness.get("negative_edges", cert.witness.get("matching_edges")) == 0
 
 
 def test_multipartite_simplex_equality():

@@ -547,14 +547,20 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
     grams = _count_calls(monkeypatch, codes, "gram_of")
     spectra = _count_calls(monkeypatch, matcore, "sym_eigen")
     monkeypatch.setattr(graphlab, "sym_eigen", matcore.sym_eigen)  # lambda's binding
+    detections = _count_calls(monkeypatch, codes, "angle_set_of")
+    matches = _count_calls(monkeypatch, codes.AngleSet, "classify_all")
     # whether each spectrum takes vectors: a Gram-only file takes the load
     # embedding, then the code's rank and Gerzon's outer Gram, values only; a
-    # reduced file takes the code's rank, then lambda's top eigenvector
-    for path, want in ((src, (1, [True, False, False])), (reduced, (1, [False, True]))):
-        grams.clear()
-        spectra.clear()
+    # reduced file takes the code's rank, then lambda's top eigenvector.
+    # One angle set per file; its pairs are matched by dgs alone on the Gram
+    # file, and by schnirelman, lambda and dgs on the reduced one
+    for path, want in ((src, (1, [True, False, False], 1, 1)),
+                       (reduced, (1, [False, True], 1, 3))):
+        for calls in (grams, spectra, detections, matches):
+            calls.clear()
         assert run(["certify", str(path), "--suite", "all"]) == EXIT_OK
-        assert (len(grams), [c.get("vectors", True) for c in spectra]) == want, path.name
+        assert (len(grams), [c.get("vectors", True) for c in spectra],
+                len(detections), len(matches)) == want, path.name
 
 
 def test_code_gram_and_eigenvalue_memo_are_read_only():

@@ -9,6 +9,11 @@ them all: it alone calls ``eigh``, and ``eigvalsh`` for values-only
 spectra.  A code keeps
 the tolerance it was checked with, so no function whose first parameter is
 a ``Code`` takes a second one.
+
+One angle set per code: only ``Code.angles`` calls the detector
+``angle_set_of``, so every consumer shares the set the code keeps.  An
+L(alpha, t)-code is matched once, by ``graphlab.build_graph``, so graphlab
+needs nothing from ``bounds``; ``bounds`` imports graphlab instead.
 """
 
 import ast
@@ -50,6 +55,17 @@ def test_only_the_pair_helper_extracts_pairs():
                  if (f, s) != ("codes.py", "_pairs")
                  and (len(call.args) != 1 or call.keywords)]
     assert offenders == []
+
+
+def test_only_code_angles_detects_an_angle_set():
+    assert [(f, s) for f, s, _ in _calls("angle_set_of")] == [("codes.py", "Code.angles")]
+
+
+def test_graphlab_imports_nothing_from_bounds():
+    tree = ast.parse((SOURCE / "graphlab.py").read_text(encoding="utf-8"))
+    modules = [node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert "codes" in modules and "bounds" not in modules
 
 
 def test_only_sym_eigen_decomposes():

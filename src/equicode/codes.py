@@ -28,10 +28,12 @@ class Code:
 
     ``tol`` is the code's only tolerance: every function that takes a code
     reads it, and the codes derived from one are checked at it too.  The
-    Gram, its rank and the observed angle set are each derived once and kept.
+    Gram, its rank and the observed angle set are each derived once and kept,
+    as is the negative adjacency of the last L(alpha, t) matched: boolean, an
+    eighth of the size of the int64 class matrix it is read from.
     """
 
-    __slots__ = ("dim", "vectors", "tol", "_gram", "_rank", "_angles")
+    __slots__ = ("dim", "vectors", "tol", "_gram", "_rank", "_angles", "_negatives")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL):
         arr = np.asarray(vectors, dtype=float)
@@ -51,6 +53,7 @@ class Code:
         self._gram = None
         self._rank = None
         self._angles = None
+        self._negatives = None
 
     @property
     def gram(self) -> SymMatrix:

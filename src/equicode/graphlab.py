@@ -99,15 +99,19 @@ def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
 
 def _l_code_negatives(C: Code, params: Optional[AngleParams]):
     """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
-    adjacency of its negative edges, each pair matched once by ``build_graph``;
-    NotAnLCode if C does not validate."""
+    read-only adjacency of its negative edges; NotAnLCode if C does not validate.
+    The code keeps the adjacency of the last L(alpha, t) it was matched against."""
     if params is None:
         params = detect_projection_params(C)
-    try:
-        graph = build_graph(C, angle_set_after_projection(params, C.tol.angle_tol))
-    except NotAnLCode:
-        raise NotAnLCode("code does not validate against L(alpha, t)") from None
-    return params, graph.negative_adjacency()
+    L = angle_set_after_projection(params, C.tol.angle_tol)
+    if C._negatives is None or C._negatives[0] != L:
+        try:
+            neg = build_graph(C, L).negative_adjacency()
+        except NotAnLCode:
+            raise NotAnLCode("code does not validate against L(alpha, t)") from None
+        neg.flags.writeable = False
+        C._negatives = (L, neg)
+    return params, C._negatives[1]
 
 
 @dataclass(frozen=True)
@@ -529,7 +533,7 @@ class ReductionOutcome:
 
 
 def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
-    """Find a positive t-clique, switch small attachments, bucket, project.
+    """Find the first positive t-clique, switch small attachments, bucket, project.
 
     Every vertex outside the clique Y lands in the bucket S_T of the subset
     T of Y it meets positively; vertices with |T| < t/2 are negated first,
@@ -547,7 +551,7 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     if t < 1 or t >= len(C):
         raise InvalidParams("clique size t must satisfy 1 <= t < |C|")
     graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=C.tol.angle_tol))
-    clique = _positive_clique(graph, t, alpha)
+    clique = find_clique(graph.adjacency(1), t)
     if clique is None:
         raise NoClique(f"no positive clique of size {t}")
     clique_set = set(clique)
@@ -598,16 +602,3 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
                             buckets=buckets, projected=projected, params=params,
                             accounting=accounting,
                             garbage_checks=tuple(garbage_checks))
-
-
-def _positive_clique(graph: LabelledGraph, t: int, alpha: float) -> Optional[Tuple[int, ...]]:
-    """Positive t-clique via the Ramsey route when the graph is large enough,
-    otherwise by direct backtracking search."""
-    t_forced = max(t, math.ceil(1.0 / alpha) + 2)
-    if graph.size > 4 ** t_forced:
-        pair = ramsey_pair(graph, k=2, t=t_forced, m=1)
-        if pair.color != 1:
-            raise InternalError(
-                "found a negative clique larger than the 1/alpha + 1 cap")
-        return tuple(sorted(pair.Y[:t]))
-    return find_clique(graph.adjacency(1), t)

@@ -246,6 +246,33 @@ def test_matching_full_rank_float_detection_path():
     assert cert.passed and cert.witness["rank_shifted"] == 7
 
 
+def test_matching_takes_its_callers_params_over_the_kept_match():
+    code, params = _matching_code(Fraction(1, 5), 10, matching_edges=3, singletons=1)
+    assert matching_full_rank_certificate(code).witness["backend"] == "float64"
+    cert = matching_full_rank_certificate(code, params)
+    assert cert.witness["backend"] == "rational"
+    assert cert == matching_full_rank_certificate(Code(code.vectors), params)
+
+
+def test_a_refused_match_leaves_the_kept_negatives_alone():
+    code, _ = _matching_code(Fraction(1, 5), 10, matching_edges=3, singletons=1)
+    want = matching_full_rank_certificate(code)
+    with pytest.raises(NotAnLCode):
+        matching_full_rank_certificate(code, AngleParams(0.25, 3))
+    assert matching_full_rank_certificate(code) == want
+    assert want == matching_full_rank_certificate(Code(code.vectors))
+
+
+def test_the_kept_negatives_are_read_only():
+    from equicode.graphlab import _l_code_negatives
+
+    code, _ = _matching_code(Fraction(1, 5), 10, matching_edges=3, singletons=1)
+    _, neg = _l_code_negatives(code, None)
+    assert _l_code_negatives(code, None)[1] is neg and not neg.flags.writeable
+    with pytest.raises(ValueError):
+        neg[0, 1] = False
+
+
 def test_matching_full_rank_no_edges():
     code, params = _matching_code(Fraction(1, 4), 9, matching_edges=0, singletons=5)
     cert = matching_full_rank_certificate(code, params)

@@ -9,7 +9,9 @@ declares, not detected points.  The read-side cases pin `certify --suite all --r
 reduced LS(12) code, the bytes `write_code_file` writes for that Gram-only
 file, and `project` and `verify --report` on it.  The digests pin the output
 across refactors: a change that moves a single byte of any of them fails
-here.
+here.  They are the digests of numpy on multithreaded OpenBLAS; with one
+OpenBLAS thread, ``eigh`` and ``vectors @ vectors.T`` round differently, and
+the oddrec100-3 and simplex100 construct digests do not hold.
 """
 
 import hashlib

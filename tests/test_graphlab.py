@@ -17,6 +17,7 @@ from equicode import (
     ball_subgraph_lambda,
     build_graph,
     catalog_lambda_checks,
+    detect_equiangular,
     embed_from_gram,
     find_clique,
     gamma_degree_stats,
@@ -535,9 +536,10 @@ def test_reduction_28_lines():
         assert validate_code(outcome.projected, aset).passed
 
 
-def test_reduction_uses_ramsey_route_on_large_codes():
-    # 1026 vectors exceed 4^max(t, ceil(1/alpha)+2) = 4^5, so the positive
-    # clique comes from the monochromatic-pair extraction, not backtracking
+def test_reduction_takes_the_first_clique_on_large_codes():
+    # past 4^5 vectors the clique is still find_clique's first one, so it
+    # does not hang on the last bits of the detected alpha (which move with
+    # the BLAS thread count)
     blocks = 513
     m = 2 * blocks
     g = np.full((m, m), 1 / 3)
@@ -545,7 +547,12 @@ def test_reduction_uses_ramsey_route_on_large_codes():
     for b in range(blocks):
         g[2 * b, 2 * b + 1] = g[2 * b + 1, 2 * b] = -1 / 3
     code = embed_from_gram(SymMatrix.from_array_symmetrized(g))
+    code = switch_vertices(code, np.flatnonzero(np.random.default_rng(1).random(m) < 0.5))
+    alpha = detect_equiangular(code)
+    first = find_clique(build_graph(code, AngleSet(points=(-alpha, alpha))).adjacency(1), 5)
     outcome = reduction_pipeline(code, t=5)
+    assert outcome.clique == first == (0, 3, 6, 8, 10)
+    assert len(outcome.switched) == 519
     acc = outcome.accounting
     assert acc["size"] == m
     assert acc["size"] == acc["s_y"] + acc["others"] + acc["clique"]

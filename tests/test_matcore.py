@@ -542,8 +542,12 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
     from equicode.cli import EXIT_OK, run, write_code_file
 
     src, reduced = tmp_path / "ls12.json", tmp_path / "reduced.json"
+    oddrec, oddrec_reduced = tmp_path / "oddrec.json", tmp_path / "oddrec_reduced.json"
     write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
     assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
+    assert run(["construct", "odd-reciprocal", "--n", "9", "--r", "3",
+                "--out", str(oddrec)]) == EXIT_OK
+    assert run(["reduce", str(oddrec), "--t", "2", "--out", str(oddrec_reduced)]) == EXIT_OK
     grams = _count_calls(monkeypatch, codes, "gram_of")
     spectra = _count_calls(monkeypatch, matcore, "sym_eigen")
     monkeypatch.setattr(graphlab, "sym_eigen", matcore.sym_eigen)  # lambda's binding
@@ -553,9 +557,12 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
     # embedding, then the code's rank and Gerzon's outer Gram, values only; a
     # reduced file takes the code's rank, then lambda's top eigenvector.
     # One angle set per file; its pairs are matched by dgs alone on the Gram
-    # file, and by schnirelman, lambda and dgs on the reduced one
+    # file.  A reduced file's pairs are matched once against L(alpha, t), whose
+    # negative edges the code keeps for schnirelman, matching (which gets past
+    # ExcludedAngle on odd-reciprocal, then SKIPs) and lambda, and once by dgs
     for path, want in ((src, (1, [True, False, False], 1, 1)),
-                       (reduced, (1, [False, True], 1, 3))):
+                       (reduced, (1, [False, True], 1, 2)),
+                       (oddrec_reduced, (1, [False, True], 1, 2))):
         for calls in (grams, spectra, detections, matches):
             calls.clear()
         assert run(["certify", str(path), "--suite", "all"]) == EXIT_OK

@@ -14,6 +14,11 @@ One angle set per code: only ``Code.angles`` calls the detector
 ``angle_set_of``, so every consumer shares the set the code keeps.  An
 L(alpha, t)-code is matched once, by ``graphlab.build_graph``, so graphlab
 needs nothing from ``bounds``; ``bounds`` imports graphlab instead.
+
+One match and one clique path per code: ``build_graph`` is called only by
+``graphlab._l_code_negatives``, whose negative edges the code keeps, and by
+``graphlab.reduction_pipeline``, which searches its positive graph with
+``find_clique`` alone.  No function calls ``ramsey_pair``.
 """
 
 import ast
@@ -66,6 +71,15 @@ def test_graphlab_imports_nothing_from_bounds():
     modules = [node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level == 1]
     assert "codes" in modules and "bounds" not in modules
+
+
+def test_only_the_l_code_match_and_the_reduction_build_a_graph():
+    assert sorted((f, s) for f, s, _ in _calls("build_graph")) == [
+        ("graphlab.py", "_l_code_negatives"), ("graphlab.py", "reduction_pipeline")]
+
+
+def test_no_function_takes_the_ramsey_route():
+    assert _calls("ramsey_pair") == []
 
 
 def test_only_sym_eigen_decomposes():

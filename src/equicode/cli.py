@@ -200,10 +200,12 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
         if doc["vectors"].shape[1] != doc["dim"]:
             raise InvalidParams("vector length disagrees with dim")
         return Code(doc["vectors"], tol), doc
-    if doc["gram"].shape[0] != doc["gram"].shape[1]:
+    gram = doc["gram"]
+    if gram.shape[0] != gram.shape[1]:
         raise InvalidParams("gram must be a square matrix")
-    gram = SymMatrix.from_array_symmetrized(doc["gram"])
-    return _pad_to_dim(embed_from_gram(gram, tol), doc["dim"], InvalidParams), doc
+    if not np.array_equal(gram, gram.T, equal_nan=True):  # SymMatrix refuses a NaN pair
+        raise InvalidParams("gram must be exactly symmetric")
+    return _pad_to_dim(embed_from_gram(SymMatrix(gram), tol), doc["dim"], InvalidParams), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:
@@ -256,12 +258,12 @@ def angle_set_spec(aset: AngleSet) -> str:
     return "+".join(terms)
 
 
-def tolerance_from_env(base: Tolerance = DEFAULT_TOL) -> Tolerance:
-    """Apply EQUICODE_TOL: either one float (sets angle_tol) or 'k=v' pairs."""
+def tolerance_from_env() -> Tolerance:
+    """DEFAULT_TOL with EQUICODE_TOL applied: one float (sets angle_tol) or 'k=v' pairs."""
     raw = os.environ.get("EQUICODE_TOL")
     if not raw:
-        return base
-    fields = asdict(base)
+        return DEFAULT_TOL
+    fields = asdict(DEFAULT_TOL)
     if "=" in raw:
         for piece in raw.split(","):
             key, _, value = piece.partition("=")
@@ -505,8 +507,7 @@ def cmd_reduce(args, tol: Tolerance) -> int:
     sidecar = args.sidecar or (args.out + ".reduction.json")
     bucket_doc = {}
     for key, members in sorted(outcome.buckets.items(), key=lambda kv: str(kv[0])):
-        label = ",".join(str(v) for v in key) if isinstance(key, tuple) else f"size:{key}"
-        bucket_doc[label or "(empty)"] = list(members)
+        bucket_doc[",".join(str(v) for v in key) or "(empty)"] = list(members)
     doc = {
         "alpha": outcome.alpha,
         "t": args.t,

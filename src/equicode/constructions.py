@@ -346,19 +346,21 @@ def concatenated_code(params: ConcatParams, max_attempts: int = 32,
         f"{observed}", worst_cross=worst_cross)
 
 
-def _blockwise_max(a: np.ndarray, b: np.ndarray, chunk: int = 2048) -> float:
+_CHUNK = 2048  # rows per block product in the two helpers below
+
+
+def _blockwise_max(a: np.ndarray, b: np.ndarray) -> float:
     out = -np.inf
-    for start in range(0, a.shape[0], chunk):
-        out = max(out, float((a[start:start + chunk] @ b.T).max()))
+    for start in range(0, a.shape[0], _CHUNK):
+        out = max(out, float((a[start:start + _CHUNK] @ b.T).max()))
     return out
 
 
-def _within_deviation(block: np.ndarray, alphas: Tuple[float, ...],
-                      chunk: int = 2048) -> float:
+def _within_deviation(block: np.ndarray, alphas: Tuple[float, ...]) -> float:
     worst = 0.0
-    for start in range(0, block.shape[0], chunk):
-        g = block[start:start + chunk] @ block.T
-        stop = min(start + chunk, block.shape[0])
+    for start in range(0, block.shape[0], _CHUNK):
+        g = block[start:start + _CHUNK] @ block.T
+        stop = min(start + _CHUNK, block.shape[0])
         g[np.arange(stop - start), np.arange(start, stop)] = alphas[0]
         dev = np.full(g.shape, np.inf)
         for a in alphas:

@@ -364,14 +364,14 @@ def tree_from_pruefer(seq: Sequence[int]) -> np.ndarray:
     return _adjacency_from_edges(n, edges)
 
 
-def catalog_lambda_checks(seed: int = 0) -> List[Certificate]:
+def catalog_lambda_checks() -> List[Certificate]:
     """Spectral-radius thresholds for the five catalog families.
 
     (i) connected trees on 11 vertices have lambda_1 >= 20/11 (average
     degree); (ii) connected graphs with as many edges as vertices have
     lambda_1 >= 2; (iii) the 5-leaf star reaches sqrt(5) > 2.2; (iv) the
     5-vertex, 5-edge graph with a degree-4 vertex reaches 2.25; (v) 8-edge
-    graphs with a degree-4 vertex reach 2.2.
+    graphs with a degree-4 vertex reach 2.2.  The trees come from seed 0.
     """
     from .constructions import RngStream
 
@@ -388,7 +388,7 @@ def catalog_lambda_checks(seed: int = 0) -> List[Certificate]:
             lhs=threshold, rhs=lam, tol=1e-9, witness=witness))
 
     emit("catalog-i-path11", path_graph(11), 20.0 / 11.0)
-    rng = RngStream(seed)
+    rng = RngStream(0)
     for j in range(5):
         seq = (rng.derive(j).uniforms(9) * 11).astype(int)
         emit(f"catalog-i-tree{j}", tree_from_pruefer(seq), 20.0 / 11.0)
@@ -525,7 +525,7 @@ class ReductionOutcome:
     alpha: float
     clique: Tuple[int, ...]
     switched: Tuple[int, ...]
-    buckets: Dict[object, Tuple[int, ...]]
+    buckets: Dict[Tuple[int, ...], Tuple[int, ...]]
     projected: Optional[Code]
     params: AngleParams
     accounting: Dict[str, int]
@@ -536,10 +536,11 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     """Find the first positive t-clique, switch small attachments, bucket, project.
 
     Every vertex outside the clique Y lands in the bucket S_T of the subset
-    T of Y it meets positively; vertices with |T| < t/2 are negated first,
-    which flips their bucket to the complement.  S_Y projects onto the
-    orthogonal complement of span(Y) as an L(alpha, t)-code, and
-    |C| = |S_Y| + sum of the other buckets + |Y| holds exactly.
+    T of Y it meets positively, at every t; vertices with |T| < t/2 are
+    negated first, which flips their bucket to the complement.  S_Y projects
+    onto the orthogonal complement of span(Y) as an L(alpha, t)-code, and
+    |C| = |S_Y| + sum of the other buckets + |Y| holds exactly.  Each S_T
+    with t/2 <= |T| < t gets a garbage check against 2/alpha^2.
 
     Negating a vector negates its inner products exactly in floating point,
     and no clique vertex is negated, so the switched code's classes follow
@@ -555,9 +556,8 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     if clique is None:
         raise NoClique(f"no positive clique of size {t}")
     clique_set = set(clique)
-    use_exact_keys = t <= 24
     switched: List[int] = []
-    buckets: Dict[object, List[int]] = {}
+    buckets: Dict[Tuple[int, ...], List[int]] = {}
     for v, row in enumerate((graph.classes[:, list(clique)] == 1).tolist()):  # 1 is +alpha
         if v in clique_set:
             continue
@@ -565,12 +565,11 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
         if flip:
             switched.append(v)
         T = tuple(y for y, positive in zip(clique, row) if positive != flip)
-        buckets.setdefault(T if use_exact_keys else len(T), []).append(v)
-    buckets = {key: tuple(vs) for key, vs in buckets.items()}
+        buckets.setdefault(T, []).append(v)
+    buckets = {T: tuple(vs) for T, vs in buckets.items()}
 
-    full_key = tuple(clique) if use_exact_keys else t
-    s_y = buckets.get(full_key, ())
-    others = sum(len(vs) for key, vs in buckets.items() if key != full_key)
+    s_y = buckets.get(clique, ())
+    others = sum(len(vs) for T, vs in buckets.items() if T != clique)
     accounting = {"size": len(C), "clique": t, "s_y": len(s_y),
                   "others": others}
     if len(C) != len(s_y) + others + t:
@@ -578,12 +577,11 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
 
     garbage_bound = 2.0 / (alpha * alpha)
     garbage_checks = []
-    for key, vs in buckets.items():
-        tsize = len(key) if use_exact_keys else key
-        if t <= 2 * tsize and tsize < t:
-            applicable = tsize > garbage_bound
+    for T, vs in buckets.items():
+        if t <= 2 * len(T) < 2 * t:
+            applicable = len(T) > garbage_bound
             garbage_checks.append({
-                "attachment_size": tsize,
+                "attachment_size": len(T),
                 "bucket_size": len(vs),
                 "bound": garbage_bound,
                 "applicable": applicable,

@@ -3,7 +3,8 @@
 Float work (eigendecomposition, thresholded rank, PSD tests) runs on numpy,
 every spectrum through ``sym_eigen``: ``eigh`` where the eigenvectors are
 used or the eigenvalues reach a certificate, values-only ``eigvalsh`` for a
-float ``rank_of``.  A spectrum's residual is computed when first read.
+float ``rank_of``; a matrix keeps no spectrum, so every call takes its own.
+A spectrum's residual is computed when first read.
 Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
 rational matrix, numerators over one common denominator: in int64 while no
 step can overflow, restarted on the primitive part of the remaining block
@@ -67,12 +68,10 @@ class SymMatrix:
     ``Fraction``) and ``from_integers`` give the rational backend: an integer
     matrix over one common positive denominator, entry (i, j) being
     ``num[i, j] / den``, in int64 when the integers fit and Python ints
-    otherwise.  Instances are immutable; a float matrix keeps the
-    eigenvalues of its first ``sym_eigen`` with vectors for ``rank_of`` and
-    ``is_psd``.
+    otherwise.  Instances are immutable and keep no derived values.
     """
 
-    __slots__ = ("order", "_array", "_den", "_eigenvalues")
+    __slots__ = ("order", "_array", "_den")
 
     def __init__(self, data):
         if isinstance(data, SymMatrix):
@@ -104,7 +103,6 @@ class SymMatrix:
         arr.flags.writeable = False
         self._array = arr
         self._den = den
-        self._eigenvalues = None
         self.order = arr.shape[0]
 
     # construction helpers -------------------------------------------------
@@ -219,8 +217,7 @@ def sym_eigen(M: SymMatrix, vectors: bool = True) -> Spectrum:
 
     With ``vectors`` it runs ``eigh`` and keeps the eigenvector columns;
     without, ``eigvalsh``, whose eigenvalues may differ from ``eigh``'s in
-    the last bits, so only rank thresholds read them.  A float M keeps the
-    eigenvalues of its first spectrum with vectors.
+    the last bits, so only rank thresholds read them.
     """
     if M.backend != FLOAT64:
         raise InvalidMatrix("sym_eigen requires the float64 backend")
@@ -232,32 +229,20 @@ def sym_eigen(M: SymMatrix, vectors: bool = True) -> Spectrum:
         vals, vecs = np.linalg.eigvalsh(a), None
     vals = vals[::-1].copy()
     vals.flags.writeable = False
-    if vectors and M._eigenvalues is None:
-        M._eigenvalues = vals
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, matrix=a)
-
-
-def _eigenvalues(M: SymMatrix) -> np.ndarray:
-    """Descending eigenvalues of a float M, from its first ``sym_eigen`` with vectors."""
-    if M._eigenvalues is None:
-        sym_eigen(M)
-    return M._eigenvalues
 
 
 def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of a symmetric matrix.
 
-    Float backend: eigenvalues above ``eig_zero`` relative to the largest
-    magnitude, read off the kept eigenvalues or else a values-only spectrum.
+    Float backend: eigenvalues of one values-only spectrum above
+    ``eig_zero`` relative to the largest magnitude.
     Rational backend: exact rank by fraction-free elimination with row
     pivoting, so indefinite input is fine.
     """
     if M.backend == RATIONAL:
         return _fraction_free(M._array)[0]
-    vals = M._eigenvalues
-    if vals is None:
-        vals = sym_eigen(M, vectors=False).eigenvalues
-    return _float_rank(vals, tol)
+    return _float_rank(sym_eigen(M, vectors=False).eigenvalues, tol)
 
 
 def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:
@@ -269,9 +254,9 @@ def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:
 def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Positive-semidefiniteness certificate.
 
-    Float backend passes iff the smallest eigenvalue clears
-    ``-psd_slack * max(1, |lambda|_max)``; the rational backend runs exact
-    symmetric elimination and reports the first failing pivot, if any.
+    Float backend passes iff the smallest eigenvalue of one ``sym_eigen``
+    clears ``-psd_slack * max(1, |lambda|_max)``; the rational backend runs
+    exact symmetric elimination and reports the first failing pivot, if any.
     """
     if M.backend == RATIONAL:
         rank, witness = _fraction_free(M._array, M._den, symmetric=True)
@@ -279,7 +264,7 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             name="psd", statement="all leading pivots of the symmetric elimination are >= 0",
             passed=witness is None, lhs=0, rhs=0 if witness is None else witness["pivot"],
             tol=0.0, witness=witness or {"rank": rank})
-    return _float_psd(_eigenvalues(M), tol)
+    return _float_psd(sym_eigen(M).eigenvalues, tol)
 
 
 def _float_psd(vals: np.ndarray, tol: Tolerance) -> Certificate:

@@ -404,6 +404,23 @@ def test_reduce_full_clique_writes_sidecar_only(tmp_path, capsys):
     assert side["projected_size"] == 0
 
 
+def test_reduce_past_t24_checks_each_attachment_bucket(tmp_path):
+    # each of the 25 vertices outside the clique and S_Y meets its own 24 of
+    # the 25 clique vertices, so each garbage check bounds a bucket of one
+    src, out = tmp_path / "ls30.json", tmp_path / "red.json"
+    assert run(["construct", "lemmens-seidel", "--n", "30", "--out", str(src)]) == EXIT_OK
+    assert run(["reduce", str(src), "--t", "25", "--out", str(out)]) == EXIT_OK
+    side = json.loads(Path(str(out) + ".reduction.json").read_text())
+    checks = side["garbage_checks"]
+    assert len(checks) == 25
+    assert all(g["attachment_size"] == 24 and g["bucket_size"] == 1 and g["ok"] is True
+               for g in checks)
+    clique = side["clique"]
+    subsets = [[int(v) for v in label.split(",")] for label in side["buckets"]]
+    assert sorted(map(len, subsets)) == [24] * 25 + [25]
+    assert all(set(T) <= set(clique) for T in subsets)
+
+
 def test_project_identity_on_orthonormal_input(tmp_path):
     src = tmp_path / "basis.json"
     write_code_file(str(src), 3, vectors=np.eye(3).tolist(), metadata={})
@@ -591,10 +608,12 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
     ({"format_version": "1", "dim": 3, "gram": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
       "metadata": {}},
      EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
+    ({"format_version": "1", "dim": 2, "gram": [[1.0, 0.5], [-0.5, 1.0]], "metadata": {}},
+     EXIT_USAGE, "InvalidParams: gram must be exactly symmetric"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
         "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list",
         "dim-fraction", "entry-object", "entry-string", "entry-bool", "gram-null",
-        "gram-one-row", "gram-not-square"])
+        "gram-one-row", "gram-not-square", "gram-not-symmetric"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"

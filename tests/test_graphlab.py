@@ -562,13 +562,18 @@ def test_reduction_takes_the_first_clique_on_large_codes():
 
 
 def test_reduction_size_class_buckets_above_24():
-    # attachment sets are summarized by size once the clique exceeds 24
+    # past t = 24 every bucket is still keyed by its attachment subset, so
+    # each garbage check bounds one S_T, not every S_T of one size
     outcome = reduction_pipeline(lemmens_seidel_code(27), t=25)
-    assert all(isinstance(key, int) for key in outcome.buckets)
+    assert all(isinstance(key, tuple) for key in outcome.buckets)
     acc = outcome.accounting
     assert acc["size"] == 52 and acc["s_y"] == 2 and acc["others"] == 25
-    assert outcome.buckets[24] and len(outcome.buckets[24]) == 25
-    assert len(outcome.buckets[25]) == 2
+    assert len(outcome.buckets[outcome.clique]) == 2
+    others = [key for key in outcome.buckets if key != outcome.clique]
+    assert len(others) == 25 and all(len(key) == 24 for key in others)
+    assert all(len(outcome.buckets[key]) == 1 for key in others)
+    assert [(g["attachment_size"], g["bucket_size"], g["ok"])
+            for g in outcome.garbage_checks] == [(24, 1, True)] * 25
 
 
 def test_reduction_accounting_identity_randomized():
@@ -608,8 +613,8 @@ def _reduction_oracle(C, t, alpha, clique):
     work = switch_vertices(C, switched)
     buckets = {}
     for v, T in attachments(work).items():
-        buckets.setdefault(T if t <= 24 else len(T), []).append(v)
-    s_y = buckets.get(tuple(clique) if t <= 24 else t, [])
+        buckets.setdefault(T, []).append(v)
+    s_y = buckets.get(tuple(clique), [])
     projected = project_onto_complement(work.subset(s_y), work.subset(clique)) \
         if s_y else None
     return switched, {key: tuple(vs) for key, vs in buckets.items()}, projected

@@ -575,9 +575,23 @@ def test_code_gram_and_eigenvalue_memo_are_read_only():
     gram = code.gram
     assert gram is code.gram and not gram.as_array().flags.writeable
     assert rank_of(gram) == 6 and is_psd(gram).passed
-    assert not gram._eigenvalues.flags.writeable
     with pytest.raises(ValueError):
-        gram._eigenvalues[0] = 0.0
+        gram.as_array()[0, 0] = 0.0
+
+
+def test_float_matrix_keeps_no_spectrum(monkeypatch):
+    # a spectrum with vectors leaves nothing behind: rank_of takes its own,
+    # values-only spectrum, and is_psd its own spectrum with vectors
+    from equicode import matcore
+
+    assert SymMatrix.__slots__ == ("order", "_array", "_den")
+    gram = gram_of(lemmens_seidel_code(6))
+    sym_eigen(gram)
+    calls = _count_calls(monkeypatch, matcore, "sym_eigen")
+    assert rank_of(gram) == 6
+    assert calls == [{"vectors": False}]
+    assert is_psd(gram).passed
+    assert calls == [{"vectors": False}, {}]
 
 
 def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):

@@ -151,6 +151,30 @@ def _json_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+_FLOAT_MEMO_CAP = 4096
+
+
+class _TooManyFloats(Exception):
+    """A file holds more distinct float tokens than the memo keeps.  Not a
+    ValueError: if it ever escaped the reader, ``run`` must not report it as
+    a refused file."""
+
+
+class _FloatMemo(dict):
+    """``float(token)`` keyed by token text: a few-distance Gram parses each
+    repeated token once, a C-level dict hit after the first, and ``-0.0``
+    never meets ``0.0``.  ``float`` is json's own float parser, so values keep
+    their bits.  Past _FLOAT_MEMO_CAP tokens it raises _TooManyFloats, and the
+    reader parses the text again plainly: the same scanner, so malformed text
+    fails alike, and a file of distinct floats costs only the aborted prefix."""
+
+    def __missing__(self, token: str) -> float:
+        if len(self) >= _FLOAT_MEMO_CAP:
+            raise _TooManyFloats
+        value = self[token] = float(token)
+        return value
+
+
 def _mentions(text: str, word: str) -> bool:
     """``word in text`` by a memchr scan for its first letter, t or f, which no
     JSON number holds: ~40x faster than ``in`` on rows of numbers."""
@@ -166,7 +190,10 @@ def read_code_file(path: str) -> dict:
     """The parsed code file, its vectors/gram rows as a float array."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    doc = json.loads(text, parse_int=_json_int)
+    try:
+        doc = json.loads(text, parse_int=_json_int, parse_float=_FloatMemo().__getitem__)
+    except _TooManyFloats:  # mostly distinct floats (vectors, reduced files)
+        doc = json.loads(text, parse_int=_json_int)
     if not isinstance(doc, dict):
         raise InvalidParams("a code file holds one JSON object")
     if doc.get("format_version") != "1":

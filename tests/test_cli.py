@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equicode import cli
 from equicode.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -26,7 +27,7 @@ from equicode.cli import (
     tolerance_from_env,
     write_code_file,
 )
-from equicode import AngleSet, gram_of, lemmens_seidel_code, regular_simplex
+from equicode import AngleSet, gram_of, lemmens_seidel_code, lemmens_seidel_gram, regular_simplex
 from equicode.errors import InvalidParams
 
 
@@ -569,6 +570,10 @@ def test_certify_multipartite_from_concat_metadata(tmp_path, capsys):
 
 _BASIS = [[1.0, 0.0], [0.0, 1.0]]
 _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r": 1}}
+# 4,800 distinct float tokens, more than the reader's float memo keeps
+_DISTINCT_ROWS = [[8 * i + j + 0.5 for j in range(8)] for i in range(600)]
+_DISTINCT_TEXT = json.dumps({"format_version": "1", "dim": 8, "vectors": _DISTINCT_ROWS,
+                             "metadata": {}})
 
 
 @pytest.mark.parametrize("doc, exit_code, expected", [
@@ -610,14 +615,20 @@ _CONCAT_META = {"construction": "concat", "parameters": {"n": None, "k": 1, "r":
      EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
     ({"format_version": "1", "dim": 2, "gram": [[1.0, 0.5], [-0.5, 1.0]], "metadata": {}},
      EXIT_USAGE, "InvalidParams: gram must be exactly symmetric"),
+    (_DISTINCT_TEXT[:_DISTINCT_TEXT.rindex("]]")],
+     EXIT_USAGE, "JSONDecodeError: Expecting ',' delimiter: line 1 column 38534 (char 38533)"),
+    ({"format_version": "1", "dim": 8, "vectors": _DISTINCT_ROWS + [[0.5] * 7 + ["0.5"]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
         "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list",
         "dim-fraction", "entry-object", "entry-string", "entry-bool", "gram-null",
-        "gram-one-row", "gram-not-square", "gram-not-symmetric"])
+        "gram-one-row", "gram-not-square", "gram-not-symmetric",
+        "truncated-after-distinct-floats", "entry-string-after-distinct-floats"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run(["certify", str(path), "--suite", "multipartite"]) == exit_code
     captured = capsys.readouterr()
     assert expected in captured.out + captured.err
@@ -652,6 +663,54 @@ def test_boolean_in_metadata_leaves_numeric_rows_accepted(tmp_path):
                                 "metadata": {"flag": True}}))
     doc = read_code_file(str(path))
     assert doc["vectors"].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1 / 3, -1 / 3, 1.0, -1.0]
+
+
+@st.composite
+def _mixed_rows(draw):
+    """Rows drawn from a few values and their neighbours one ulp nearer zero,
+    so tokens repeat, and some differ in the last digit only."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=6))
+    pool += [math.nextafter(x, 0.0) for x in pool]
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array([pool[i] for i in picks]).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_mixed_rows(), st.sampled_from(["vectors", "gram"]))
+def test_code_file_round_trips_bit_for_bit(tmp_path_factory, rows, key):
+    # tobytes() tells -0.0 from 0.0 and one ulp from the next
+    path = str(tmp_path_factory.mktemp("rt") / "rows.json")
+    write_code_file(path, rows.shape[1], **{key: rows})
+    back = read_code_file(path)[key]
+    assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("repeats", [0, 50_000], ids=["distinct-first", "distinct-after-repeats"])
+def test_reader_past_the_float_memo_parses_again(repeats, tmp_path, monkeypatch):
+    distinct = np.random.default_rng(1).standard_normal((5000, 1))
+    rows = np.concatenate([np.full((repeats, 1), 1 / 3), distinct])
+    rows[:repeats:2] *= -1
+    path = tmp_path / "distinct.json"
+    write_code_file(str(path), 1, vectors=rows)
+    expected = np.asarray(json.loads(path.read_text())["vectors"], dtype=float)
+    calls, loads = [], json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda *a, **k: calls.append(k) or loads(*a, **k))
+    assert read_code_file(str(path))["vectors"].tobytes() == expected.tobytes()
+    assert len(calls) == 2  # the memoised parse gave up; the plain one finished
+
+    write_code_file(str(path), 60, gram=lemmens_seidel_gram(60).as_array())
+    calls.clear()
+    gram = read_code_file(str(path))["gram"]
+    assert len(calls) == 1
+    assert gram.tobytes() == lemmens_seidel_gram(60).as_array().tobytes()
 
 
 def test_writer_refuses_boolean_entries(tmp_path):

@@ -19,10 +19,10 @@ from .codes import (
     AngleParams,
     AngleSet,
     Code,
+    _l_code_negatives,
     _pairs,
     detect_equiangular,
     detect_projection_params,
-    validate_code,
 )
 from .errors import (
     ExcludedAngle,
@@ -33,7 +33,6 @@ from .errors import (
     NotFinite,
     WrongStructure,
 )
-from .graphlab import _l_code_negatives
 from .matcore import SymMatrix, rank_of
 
 
@@ -46,8 +45,7 @@ def negative_clique_certificate(C: Code, alpha: float) -> Certificate:
     if not (0 < alpha <= 1):
         raise InvalidParams("alpha must lie in (0, 1]")
     aset = AngleSet(intervals=((-1.0, -alpha),), tol=C.tol.angle_tol)
-    report = validate_code(C, aset)
-    if not report.passed:
+    if (aset.classify_all(_pairs(C)[1]) < 0).any():
         raise NotAnLCode("code has inner products above -alpha")
     m = len(C)
     rhs = 1.0 / alpha + 1.0
@@ -88,7 +86,7 @@ def gerzon_certificate(C: Code) -> Certificate:
 
 
 def _require_validates(C: Code, L: AngleSet) -> None:
-    if not validate_code(C, L).passed:
+    if (L.classify_all(_pairs(C)[1]) < 0).any():
         raise NotAnLCode("code does not validate against L")
 
 

@@ -29,8 +29,7 @@ class Code:
     ``tol`` is the code's only tolerance: every function that takes a code
     reads it, and the codes derived from one are checked at it too.  The
     Gram, its rank and the observed angle set are each derived once and kept,
-    as is the negative adjacency of the last L(alpha, t) matched: boolean, an
-    eighth of the size of the int64 class matrix it is read from.
+    as is the boolean negative adjacency of the last L(alpha, t) matched.
     """
 
     __slots__ = ("dim", "vectors", "tol", "_gram", "_rank", "_angles", "_negatives")
@@ -91,6 +90,26 @@ class Code:
 
     def __repr__(self):
         return f"Code(size={len(self)}, dim={self.dim})"
+
+
+def _l_code_negatives(C: Code, params: Optional[AngleParams]):
+    """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
+    read-only adjacency of its negative edges; NotAnLCode if C does not validate.
+    Each pair is classified once; the code keeps the adjacency of the last
+    L(alpha, t) it was matched against."""
+    if params is None:
+        params = detect_projection_params(C)
+    L = angle_set_after_projection(params, C.tol.angle_tol)
+    if C._negatives is None or C._negatives[0] != L:
+        (rows, cols), values = _pairs(C)
+        ids = L.classify_all(values)
+        if (ids < 0).any():
+            raise NotAnLCode("code does not validate against L(alpha, t)")
+        neg = np.zeros((len(C), len(C)), dtype=bool)
+        neg[rows, cols] = neg[cols, rows] = (np.asarray(L.points) < 0)[ids]
+        neg.flags.writeable = False
+        C._negatives = (L, neg)
+    return params, C._negatives[1]
 
 
 def _checked_indices(indices, size):

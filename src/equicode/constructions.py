@@ -19,6 +19,7 @@ from .errors import InternalError, InvalidParams, RandomizedFailure, TooLarge
 from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram
 
 SIZE_CAP = 10 ** 5
+MAX_ATTEMPTS = 32  # seeds concatenated_code tries before RandomizedFailure
 
 
 class RngStream:
@@ -289,7 +290,7 @@ class ConcatReport:
     max_within_deviation: float
 
 
-def concatenated_code(params: ConcatParams, max_attempts: int = 32,
+def concatenated_code(params: ConcatParams,
                       tol: Tolerance = DEFAULT_TOL) -> Tuple[Code, float, ConcatReport]:
     """Simplex-anchored concatenation of randomly rotated k-subset codes.
 
@@ -302,14 +303,14 @@ def concatenated_code(params: ConcatParams, max_attempts: int = 32,
     bound -achieved_beta may be positive (see ``ConcatParams.beta_target``).
     The code is returned at ``tol`` and lies in
     ``params.angle_set(achieved_beta, tol.angle_tol)``.  On failure the
-    construction retries seeds seed+1, seed+2, ... up to max_attempts
+    construction retries seeds seed+1, seed+2, ... up to MAX_ATTEMPTS
     before raising RandomizedFailure.
     """
     base = binary_kcode(params.n, params.k).vectors
     simplex = regular_simplex(params.r).vectors
     scale = 1.0 / math.sqrt(params.lam_sq + 1.0)
-    worst_cross = None
-    for attempt in range(max_attempts):
+    worst_cross = -np.inf
+    for attempt in range(MAX_ATTEMPTS):
         attempt_seed = params.seed + attempt
         master = RngStream(attempt_seed)
         copies = []
@@ -327,7 +328,7 @@ def concatenated_code(params: ConcatParams, max_attempts: int = 32,
             for b in range(a + 1, len(blocks)):
                 max_cross = max(max_cross, _blockwise_max(blocks[a], blocks[b]))
         achieved_beta = -max_cross
-        worst_cross = max_cross if worst_cross is None else max(worst_cross, max_cross)
+        worst_cross = max(worst_cross, max_cross)
         if achieved_beta >= params.beta_target:
             code = Code(vectors, tol)  # a tol below float rounding is InvalidParams here
             deviation = max(_within_deviation(blk, params.alphas) for blk in blocks)
@@ -339,11 +340,10 @@ def concatenated_code(params: ConcatParams, max_attempts: int = 32,
                 copy_seeds=tuple(copy_seeds), achieved_beta=achieved_beta,
                 max_within_deviation=deviation)
             return code, achieved_beta, report
-    observed = "none observed" if worst_cross is None else format(worst_cross, "g")
     raise RandomizedFailure(
-        f"no seed in [{params.seed}, {params.seed + max_attempts}) reached "
+        f"no seed in [{params.seed}, {params.seed + MAX_ATTEMPTS}) reached "
         f"beta_target {params.beta_target:g}; worst cross inner product "
-        f"{observed}", worst_cross=worst_cross)
+        f"{worst_cross:g}", worst_cross=worst_cross)
 
 
 _CHUNK = 2048  # rows per block product in the two helpers below

@@ -19,13 +19,12 @@ from .codes import (
     AngleParams,
     AngleSet,
     Code,
+    _l_code_negatives,
     _pairs,
     angle_set_after_projection,
     detect_equiangular,
-    detect_projection_params,
     project_onto_complement,
     switch_vertices,
-    validate_code,
 )
 from .errors import (
     InternalError,
@@ -95,23 +94,6 @@ def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
     graph = LabelledGraph.__new__(LabelledGraph)  # keeps this matrix, not a copy
     graph._keep(classes, L.class_count(), L)
     return graph
-
-
-def _l_code_negatives(C: Code, params: Optional[AngleParams]):
-    """(alpha, t) of an L(alpha,t)-code, detected when not given, and the
-    read-only adjacency of its negative edges; NotAnLCode if C does not validate.
-    The code keeps the adjacency of the last L(alpha, t) it was matched against."""
-    if params is None:
-        params = detect_projection_params(C)
-    L = angle_set_after_projection(params, C.tol.angle_tol)
-    if C._negatives is None or C._negatives[0] != L:
-        try:
-            neg = build_graph(C, L).negative_adjacency()
-        except NotAnLCode:
-            raise NotAnLCode("code does not validate against L(alpha, t)") from None
-        neg.flags.writeable = False
-        C._negatives = (L, neg)
-    return params, C._negatives[1]
 
 
 @dataclass(frozen=True)
@@ -549,8 +531,9 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     alpha = detect_equiangular(C)
     if alpha is None or alpha <= C.tol.angle_tol:
         raise NotEquiangular("reduction needs a code with all pairs +/- alpha")
-    if t < 1 or t >= len(C):
+    if not 1 <= t < len(C) or int(t) != t:
         raise InvalidParams("clique size t must satisfy 1 <= t < |C|")
+    t = int(t)
     graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=C.tol.angle_tol))
     clique = find_clique(graph.adjacency(1), t)
     if clique is None:
@@ -593,8 +576,8 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     if s_y:
         work = switch_vertices(C, switched)  # the projection needs the vectors
         projected = project_onto_complement(work.subset(s_y), work.subset(clique))
-        rep = validate_code(projected, angle_set_after_projection(params, C.tol.angle_tol))
-        if not rep.passed:
+        L = angle_set_after_projection(params, C.tol.angle_tol)
+        if (L.classify_all(_pairs(projected)[1]) < 0).any():
             raise InternalError("projected bucket is not an L(alpha, t)-code")
     return ReductionOutcome(alpha=alpha, clique=tuple(clique), switched=tuple(switched),
                             buckets=buckets, projected=projected, params=params,

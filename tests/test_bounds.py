@@ -264,7 +264,7 @@ def test_a_refused_match_leaves_the_kept_negatives_alone():
 
 
 def test_the_kept_negatives_are_read_only():
-    from equicode.graphlab import _l_code_negatives
+    from equicode.codes import _l_code_negatives
 
     code, _ = _matching_code(Fraction(1, 5), 10, matching_edges=3, singletons=1)
     _, neg = _l_code_negatives(code, None)
@@ -457,3 +457,43 @@ def test_result_records_store_no_restated_fields():
                                    "achieved_beta", "max_within_deviation"}
     cert = Certificate.check("c", "lhs <= rhs", lhs=Fraction(1, 3), rhs=1)
     assert cert.margin == Fraction(2, 3) and cert.to_dict()["margin"] == "2/3"
+
+
+def test_yes_no_angle_set_checks_label_no_classes(tmp_path, capsys, monkeypatch):
+    # dgs, beta-energy and negative-clique need only whether every pair lies
+    # in L; labelling the classes of L is the verify report's job
+    from equicode.cli import run, write_code_file
+    from equicode.errors import EquicodeError
+    from equicode import lemmens_seidel_gram
+
+    c9, ls12 = str(tmp_path / "c9.json"), str(tmp_path / "ls12.json")
+    assert run(["construct", "concat", "--n", "9", "--k", "2", "--r", "3",
+                "--alpha1", "0.5", "--seed", "7", "--out", c9]) == 0
+    write_code_file(ls12, 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    code = lemmens_seidel_code(12)
+    cases = [lambda: run(["certify", c9, "--suite", "all"]),
+             lambda: run(["certify", ls12, "--suite", "all"]),
+             lambda: negative_clique_certificate(code, 0.5),
+             lambda: beta_energy_check(code, 0, AngleSet(intervals=((-1, -0.5),),
+                                                         points=(0.25,)))]
+
+    def outcomes():
+        seen = []
+        for case in cases:
+            capsys.readouterr()
+            try:
+                result = case()
+            except EquicodeError as exc:
+                result = (type(exc).__name__, str(exc))
+            seen.append((result, capsys.readouterr().out))
+        return seen
+
+    want = outcomes()
+    assert want[2][0] == ("NotAnLCode", "code has inner products above -alpha")
+    assert want[3][0] == ("NotAnLCode", "code does not validate against L")
+
+    def no_labels(self):
+        raise AssertionError("labelled the classes of an angle set")
+
+    monkeypatch.setattr(AngleSet, "class_labels", property(no_labels))
+    assert outcomes() == want

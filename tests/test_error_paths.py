@@ -84,11 +84,15 @@ def test_construction_parameter_errors():
         binary_kcode(4, 5)
 
 
-def test_concat_failure_without_attempts():
+def test_concat_failure_without_attempts(monkeypatch):
+    from equicode import constructions
+
+    # every cross-copy product reads 1.0, so no seed reaches beta_target
+    monkeypatch.setattr(constructions, "_blockwise_max", lambda a, b: 1.0)
     params = ConcatParams(16, 2, 2, 0.5, seed=0)
-    with pytest.raises(RandomizedFailure) as exc:
-        concatenated_code(params, max_attempts=0)
-    assert exc.value.worst_cross is None
+    with pytest.raises(RandomizedFailure, match=r"no seed in \[0, 32\) reached") as exc:
+        concatenated_code(params)
+    assert exc.value.worst_cross == 1.0
 
 
 def test_labelled_graph_shape_checks():

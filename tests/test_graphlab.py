@@ -83,19 +83,15 @@ def test_build_graph_counts_the_pairs_outside_the_angle_set():
 
 
 def test_build_graph_classifies_each_pair_once(monkeypatch):
-    from equicode import graphlab
-
     code = lemmens_seidel_code(9)
-    sizes, validations = [], []
+    sizes = []
     classify_all = AngleSet.classify_all
     monkeypatch.setattr(AngleSet, "classify_all",
                         lambda self, values: sizes.append(np.size(values))
                         or classify_all(self, values))
-    monkeypatch.setattr(graphlab, "validate_code",
-                        lambda *args: validations.append(args) or validate_code(*args))
     g = build_graph(code, TWO_POINT)
     m = len(code)
-    assert sizes == [m * (m - 1) // 2] and validations == []
+    assert sizes == [m * (m - 1) // 2]
     assert np.array_equal(g.classes, g.classes.T) and np.all(np.diag(g.classes) == -1)
 
 
@@ -516,6 +512,17 @@ def test_reduction_lemmens_seidel_full_clique_empty_bucket():
     assert outcome.accounting["others"] == n - 1
     non_full = [vs for key, vs in outcome.buckets.items() if len(vs)]
     assert all(len(vs) == 1 for vs in non_full)
+
+
+def test_reduction_refuses_a_fractional_t_before_searching(monkeypatch):
+    from equicode import graphlab
+
+    def no_search(*args):
+        raise AssertionError("searched for a clique of a refused size")
+
+    monkeypatch.setattr(graphlab, "find_clique", no_search)
+    with pytest.raises(InvalidParams, match=r"^clique size t must satisfy 1 <= t < \|C\|$"):
+        reduction_pipeline(lemmens_seidel_code(12), 2.5)
 
 
 def test_reduction_simplex_has_no_positive_clique():

@@ -12,13 +12,15 @@ a ``Code`` takes a second one.
 
 One angle set per code: only ``Code.angles`` calls the detector
 ``angle_set_of``, so every consumer shares the set the code keeps.  An
-L(alpha, t)-code is matched once, by ``graphlab.build_graph``, so graphlab
-needs nothing from ``bounds``; ``bounds`` imports graphlab instead.
+L(alpha, t)-code is matched once, by ``codes._l_code_negatives``, and only
+codes.py writes the negative edges a code keeps; neither bounds nor
+graphlab imports the other.
 
-One match and one clique path per code: ``build_graph`` is called only by
-``graphlab._l_code_negatives``, whose negative edges the code keeps, and by
-``graphlab.reduction_pipeline``, which searches its positive graph with
-``find_clique`` alone.  No function calls ``ramsey_pair``.
+One clique path per code: only ``graphlab.reduction_pipeline`` calls
+``build_graph``, and it searches the positive graph with ``find_clique``
+alone.  No function calls ``ramsey_pair``.  A yes/no angle-set check asks
+the classifier; only ``cli.cmd_verify`` builds the verify report with
+``validate_code``.
 """
 
 import ast
@@ -66,16 +68,40 @@ def test_only_code_angles_detects_an_angle_set():
     assert [(f, s) for f, s, _ in _calls("angle_set_of")] == [("codes.py", "Code.angles")]
 
 
+def _relative_imports(filename):
+    tree = ast.parse((SOURCE / filename).read_text(encoding="utf-8"))
+    return [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+
 def test_graphlab_imports_nothing_from_bounds():
-    tree = ast.parse((SOURCE / "graphlab.py").read_text(encoding="utf-8"))
-    modules = [node.module for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = _relative_imports("graphlab.py")
     assert "codes" in modules and "bounds" not in modules
 
 
-def test_only_the_l_code_match_and_the_reduction_build_a_graph():
-    assert sorted((f, s) for f, s, _ in _calls("build_graph")) == [
-        ("graphlab.py", "_l_code_negatives"), ("graphlab.py", "reduction_pipeline")]
+def test_bounds_imports_nothing_from_graphlab():
+    modules = _relative_imports("bounds.py")
+    assert "codes" in modules and "graphlab" not in modules
+
+
+def test_only_the_reduction_builds_a_graph():
+    assert [(f, s) for f, s, _ in _calls("build_graph")] == [
+        ("graphlab.py", "reduction_pipeline")]
+
+
+def test_only_codes_keeps_the_negative_edges():
+    writers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+            writers += [path.name for target in targets for sub in ast.walk(target)
+                        if isinstance(sub, ast.Attribute) and sub.attr == "_negatives"]
+    assert writers and set(writers) == {"codes.py"}
+
+
+def test_only_verify_builds_the_verify_report():
+    assert [(f, s) for f, s, _ in _calls("validate_code")] == [("cli.py", "cmd_verify")]
 
 
 def test_no_function_takes_the_ramsey_route():

@@ -138,8 +138,7 @@ def matching_full_rank_certificate(C: Code,
         backend = "rational"
     else:
         eps = float(params.epsilon)
-        n_matrix = SymMatrix.from_array_symmetrized(
-            C.gram.as_array() - eps * np.ones((m, m)))
+        n_matrix = SymMatrix(C.gram.as_array() - eps)
         backend = "float64"
     rank_n = rank_of(n_matrix, C.tol)
     rank_m = C.rank
@@ -182,13 +181,11 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
         raise InvalidParams("parts must be non-empty")
     sub = C.subset(members)
     g = sub.gram.as_array()
-    pos = {v: i for i, v in enumerate(members)}
     for part in parts:
-        for a_i in range(len(part)):
-            for b_i in range(a_i + 1, len(part)):
-                v = g[pos[part[a_i]], pos[part[b_i]]]
-                if abs(v - alpha) > C.tol.angle_tol:
-                    raise WrongStructure("every part must be an alpha-clique")
+        at = np.searchsorted(members, part)
+        off = ~np.eye(len(at), dtype=bool)
+        if (np.abs(g[np.ix_(at, at)] - alpha) > C.tol.angle_tol)[off].any():
+            raise WrongStructure("every part must be an alpha-clique")
     mm = len(members)
     values = _pairs(sub)[1]
     b_mask = values <= -beta + C.tol.angle_tol

@@ -50,7 +50,7 @@ from .constructions import (
     regular_simplex,
     seven_dim_28_lines,
 )
-from .errors import EquicodeError, InvalidParams, TooLarge
+from .errors import EquicodeError, InvalidIndex, InvalidParams, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
 from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, is_psd
 
@@ -622,7 +622,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "tol", None) is not None:
             tol = replace(tol, angle_tol=args.tol)
         return handlers[args.command](args, tol)
-    except (InvalidParams, TooLarge, ValueError) as exc:
+    except (InvalidIndex, InvalidParams, TooLarge, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EquicodeError as exc:

@@ -167,13 +167,6 @@ class AngleSet:
             reach = max(reach, hi)
         return reach >= 1.0
 
-    def class_is_negative(self, class_id: int) -> bool:
-        """True when every value of the class is negative."""
-        k = len(self.intervals)
-        if class_id < k:
-            return self.intervals[class_id][1] < 0
-        return self.points[class_id - k] < 0
-
     def classify(self, value: float) -> Optional[int]:
         """Class id of the first matching element, or None."""
         cid = int(self.classify_all(np.array([float(value)]))[0])

@@ -41,22 +41,19 @@ from .matcore import SymMatrix, sym_eigen
 class LabelledGraph:
     """Complete graph on a code, each edge carrying a class id (-1 on the diagonal)."""
 
-    __slots__ = ("size", "classes", "angle_set", "n_classes")
+    __slots__ = ("size", "classes", "n_classes")
 
-    def __init__(self, classes: np.ndarray, n_classes: int,
-                 angle_set: Optional[AngleSet] = None):
+    def __init__(self, classes: np.ndarray, n_classes: int):
         classes = np.array(classes, dtype=int)  # a copy: the caller's array cannot change it
-        if classes.ndim != 2 or classes.shape[0] != classes.shape[1]:
-            raise InvalidParams("classes must be a square matrix")
-        if not np.array_equal(classes, classes.T):
-            raise InvalidParams("classes must be symmetric")
-        self._keep(classes, n_classes, angle_set)
+        if not _square_symmetric(classes).size:
+            raise InvalidParams("a graph needs at least one vertex")
+        self._keep(classes, n_classes)
 
-    def _keep(self, classes: np.ndarray, n_classes: int, angle_set: Optional[AngleSet]):
+    def _keep(self, classes: np.ndarray, n_classes: int):
         """Hold ``classes`` itself, read-only; nothing else may reference it."""
         classes.flags.writeable = False
         self.size, self.classes = classes.shape[0], classes
-        self.n_classes, self.angle_set = int(n_classes), angle_set
+        self.n_classes = int(n_classes)
 
     def adjacency(self, class_ids) -> np.ndarray:
         """Boolean adjacency of the union of the given classes."""
@@ -68,14 +65,27 @@ class LabelledGraph:
         np.fill_diagonal(adj, False)
         return adj
 
-    def negative_class_ids(self) -> Tuple[int, ...]:
-        if self.angle_set is None:
-            raise InvalidParams("graph carries no angle set")
-        return tuple(cid for cid in range(self.angle_set.class_count())
-                     if self.angle_set.class_is_negative(cid))
 
-    def negative_adjacency(self) -> np.ndarray:
-        return self.adjacency(self.negative_class_ids())
+def _square_symmetric(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; InvalidParams unless it is a square, symmetric matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidParams("a graph needs a square matrix")
+    if not np.array_equal(a, a.T):
+        raise InvalidParams("a graph needs a symmetric matrix")
+    return a
+
+
+def _reach(adj: np.ndarray, v: int, steps: int) -> np.ndarray:
+    """Mask of the vertices at most ``steps`` edges from v, one frontier per step."""
+    reached = np.zeros(adj.shape[0], dtype=bool)
+    reached[v] = True
+    frontier = reached
+    for _ in range(steps):
+        frontier = adj[frontier].any(axis=0) & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+    return reached
 
 
 def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
@@ -92,7 +102,7 @@ def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
     classes[rows, cols] = ids
     classes[cols, rows] = ids
     graph = LabelledGraph.__new__(LabelledGraph)  # keeps this matrix, not a copy
-    graph._keep(classes, L.class_count(), L)
+    graph._keep(classes, L.class_count())
     return graph
 
 
@@ -231,27 +241,18 @@ class NegativeStructure:
     max_degree: int
 
 
-def negative_structure_report(G: LabelledGraph) -> NegativeStructure:
-    adj = G.negative_adjacency()
+def negative_structure_report(adj: np.ndarray) -> NegativeStructure:
+    """Components of the negative-edge graph, given as a boolean adjacency."""
+    adj = _square_symmetric(np.asarray(adj, dtype=bool))
     deg = adj.sum(axis=1)
-    seen = np.zeros(G.size, dtype=bool)
+    seen = np.zeros(adj.shape[0], dtype=bool)
     comps = []
-    for v in range(G.size):
-        if seen[v] or deg[v] == 0:
-            continue
-        stack = [v]
-        seen[v] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for w in np.nonzero(adj[u])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        nv = len(members)
-        ne = int(adj[np.ix_(members, members)].sum()) // 2
-        comps.append((nv, ne, ne == nv - 1))
+    for v in np.flatnonzero(deg):
+        if not seen[v]:
+            comp = _reach(adj, v, adj.shape[0])
+            seen |= comp
+            nv, ne = int(comp.sum()), int(deg[comp].sum()) // 2
+            comps.append((nv, ne, ne == nv - 1))
     is_matching = all(nv == 2 and ne == 1 for nv, ne, _ in comps)
     return NegativeStructure(is_matching=is_matching,
                              components=tuple(comps),
@@ -284,24 +285,10 @@ def ball_subgraph_lambda(adj: np.ndarray, v0: int, k: int) -> BallSubgraph:
     When the host graph has minimum degree delta >= 2, the spectral radius
     of the ball is at least 2(1 - 1/(k+1)) sqrt(delta - 1).
     """
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    if not (0 <= v0 < n):
+    adj = _square_symmetric(np.asarray(adj, dtype=bool))
+    if not (0 <= v0 < adj.shape[0]):
         raise InvalidIndex(f"vertex {v0} out of range")
-    dist = np.full(n, -1)
-    dist[v0] = 0
-    frontier = [v0]
-    d = 0
-    while frontier and d < k:
-        nxt = []
-        for u in frontier:
-            for w in np.nonzero(adj[u])[0]:
-                if dist[w] < 0:
-                    dist[w] = d + 1
-                    nxt.append(int(w))
-        frontier = nxt
-        d += 1
-    members = tuple(int(v) for v in np.nonzero(dist >= 0)[0])
+    members = tuple(int(v) for v in np.flatnonzero(_reach(adj, v0, k)))
     sub = adj[np.ix_(members, members)]
     return BallSubgraph(vertices=members, adjacency=sub, lambda1=lambda1(sub))
 
@@ -431,11 +418,7 @@ def find_clique(adj: np.ndarray, t: int) -> Optional[Tuple[int, ...]]:
     unchanged.  A complete multipartite graph with p parts colours with
     exactly p colours, so asking it for a (p+1)-clique ends at the root.
     """
-    adj = np.asarray(adj, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise InvalidParams("clique search needs a square adjacency matrix")
-    if not np.array_equal(adj, adj.T):
-        raise InvalidParams("clique search needs a symmetric adjacency matrix")
+    adj = _square_symmetric(np.asarray(adj, dtype=bool))
     if t <= 0:
         return ()
     n = adj.shape[0]

@@ -440,6 +440,17 @@ def test_project_non_clique_exit_code(tmp_path):
                 "--out", str(out)]) == EXIT_RUNTIME
 
 
+def test_project_out_of_range_clique_index_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "simplex.json"
+    assert run(["construct", "simplex", "--r", "3", "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    for clique, index in (["--clique", "0,99"], 99), (["--clique=-1"], -1):
+        assert run(["project", str(src), *clique, "--out", str(tmp_path / "p.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"InvalidIndex: index {index} out of range for code of size 4\n")
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_reduce_no_positive_clique(tmp_path):
     src = tmp_path / "simplex.json"
     run(["construct", "simplex", "--r", "4", "--out", str(src)])

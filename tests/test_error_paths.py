@@ -100,9 +100,8 @@ def test_labelled_graph_shape_checks():
         LabelledGraph(np.zeros((2, 3), dtype=int), 1)
     with pytest.raises(InvalidParams):
         LabelledGraph(np.array([[-1, 0], [1, -1]]), 2)
-    g = LabelledGraph(np.array([[-1, 0], [0, -1]]), 1)
     with pytest.raises(InvalidParams):
-        g.negative_class_ids()
+        LabelledGraph(np.zeros((0, 0), dtype=int), 1)
 
 
 def test_ramsey_requires_classified_edges():

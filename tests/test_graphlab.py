@@ -54,20 +54,19 @@ def test_build_graph_simplex_interval_class():
     assert g.n_classes == 1
     off = g.classes[np.triu_indices(4, k=1)]
     assert np.all(off == 0)
-    assert g.negative_class_ids() == (0,)
 
 
 def test_build_graph_lemmens_seidel_matching():
     code = lemmens_seidel_code(4)
     g = build_graph(code, TWO_POINT)
-    neg = g.negative_adjacency()
+    neg = g.adjacency(0)
     assert int(neg.sum()) // 2 == 3
     assert np.all(neg.sum(axis=1) == 1)
 
 
 def test_build_graph_28_lines_negative_degree():
     g = build_graph(seven_dim_28_lines(), TWO_POINT)
-    deg = g.negative_adjacency().sum(axis=1)
+    deg = g.adjacency(0).sum(axis=1)
     # a pair {i,j} is negative to the pairs disjoint from it: C(6,2) of them
     assert np.all(deg == math.comb(6, 2))
 
@@ -235,23 +234,60 @@ def test_ramsey_random_colorings_invariant():
 
 def test_negative_structure_reports():
     assert negative_structure_report(
-        build_graph(lemmens_seidel_code(8), TWO_POINT)).is_matching
+        build_graph(lemmens_seidel_code(8), TWO_POINT).adjacency(0)).is_matching
 
     simplex_graph = build_graph(regular_simplex(3), AngleSet(intervals=((-1, -1 / 3),)))
-    rep = negative_structure_report(simplex_graph)
+    rep = negative_structure_report(simplex_graph.adjacency(0))
     assert not rep.is_matching
     assert rep.components == ((4, 6, False),)
 
-    empty = build_graph(Code(np.eye(4)), AngleSet(points=(0.0,)))
-    # treat the single zero class as negative-free: no negative ids
-    assert negative_structure_report(
-        build_graph(binary_kcode_like(), AngleSet(points=(0.0, 0.5)))).components == ()
+    rep = negative_structure_report(np.zeros((6, 6), dtype=bool))
+    assert rep.components == () and rep.is_matching and rep.max_degree == 0
 
 
-def binary_kcode_like():
-    from equicode import binary_kcode
+def _reach_by_powers(adj, steps):
+    """(I + A)^steps as a boolean matrix: entry (u, v) says v is within steps of u."""
+    step = adj | np.eye(len(adj), dtype=bool)
+    reach = np.eye(len(adj), dtype=bool)
+    for _ in range(steps):
+        reach = (reach.astype(int) @ step.astype(int)) > 0
+    return reach
 
-    return binary_kcode(4, 2)
+
+def test_negative_structure_and_balls_match_reachability_by_matrix_powers():
+    rng = np.random.default_rng(20261019)
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.5), 1)
+        adj = upper | upper.T
+        deg = adj.sum(axis=1)
+        reach = _reach_by_powers(adj, n)
+        comps = []
+        for v in range(n):
+            if deg[v] and not reach[v, :v].any():  # v is its component's lowest vertex
+                comp = np.flatnonzero(reach[v])
+                ne = int(adj[np.ix_(comp, comp)].sum()) // 2
+                comps.append((len(comp), ne, ne == len(comp) - 1))
+        rep = negative_structure_report(adj)
+        assert rep.components == tuple(comps)
+        assert rep.max_degree == int(deg.max())
+        assert rep.is_matching == bool(np.all(deg <= 1))
+        v0, k = int(rng.integers(0, n)), int(rng.integers(0, 8))
+        ball = ball_subgraph_lambda(adj, v0, k)
+        assert ball.vertices == tuple(int(v) for v in np.flatnonzero(_reach_by_powers(adj, k)[v0]))
+        assert np.array_equal(ball.adjacency, adj[np.ix_(ball.vertices, ball.vertices)])
+
+
+@pytest.mark.parametrize("lemma", [
+    lambda adj: ball_subgraph_lambda(adj, 0, 2),
+    negative_structure_report,
+], ids=["ball_subgraph_lambda", "negative_structure_report"])
+def test_walks_refuse_non_square_or_asymmetric(lemma):
+    arrow = np.zeros((3, 3), dtype=bool)
+    arrow[0, 1] = True
+    for adj in (np.ones((3, 5), dtype=bool), np.ones(4, dtype=bool), arrow):
+        with pytest.raises(InvalidParams):
+            lemma(adj)
 
 
 def test_ball_subgraph_complete_graph():

@@ -151,27 +151,32 @@ def _json_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
-_FLOAT_MEMO_CAP = 4096
+_TOKEN_MEMO_CAP = 4096
 
 
-class _TooManyFloats(Exception):
-    """A file holds more distinct float tokens than the memo keeps.  Not a
+class _TooManyTokens(Exception):
+    """A file holds more distinct number tokens than a memo keeps.  Not a
     ValueError: if it ever escaped the reader, ``run`` must not report it as
     a refused file."""
 
 
-class _FloatMemo(dict):
-    """``float(token)`` keyed by token text: a few-distance Gram parses each
-    repeated token once, a C-level dict hit after the first, and ``-0.0``
-    never meets ``0.0``.  ``float`` is json's own float parser, so values keep
-    their bits.  Past _FLOAT_MEMO_CAP tokens it raises _TooManyFloats, and the
-    reader parses the text again plainly: the same scanner, so malformed text
-    fails alike, and a file of distinct floats costs only the aborted prefix."""
+class _TokenMemo(dict):
+    """``parse(token)`` keyed by token text, so a few-distance Gram or a
+    zero-heavy vectors file parses each repeated token once, a C-level dict
+    hit after the first.  The reader keeps one for integer tokens, parsed by
+    ``_json_int`` (so ``-0`` never meets ``0``), and one for float tokens,
+    parsed by json's own ``float``, so values keep their bits.  Past
+    _TOKEN_MEMO_CAP tokens it raises _TooManyTokens, and the reader parses
+    the text again plainly: the same scanner, so malformed text fails alike."""
 
-    def __missing__(self, token: str) -> float:
-        if len(self) >= _FLOAT_MEMO_CAP:
-            raise _TooManyFloats
-        value = self[token] = float(token)
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, token: str):
+        if len(self) >= _TOKEN_MEMO_CAP:
+            raise _TooManyTokens
+        value = self[token] = self.parse(token)
         return value
 
 
@@ -191,8 +196,9 @@ def read_code_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text, parse_int=_json_int, parse_float=_FloatMemo().__getitem__)
-    except _TooManyFloats:  # mostly distinct floats (vectors, reduced files)
+        doc = json.loads(text, parse_int=_TokenMemo(_json_int).__getitem__,
+                         parse_float=_TokenMemo(float).__getitem__)
+    except _TooManyTokens:  # mostly distinct numbers (vectors, reduced files)
         doc = json.loads(text, parse_int=_json_int)
     if not isinstance(doc, dict):
         raise InvalidParams("a code file holds one JSON object")
@@ -365,7 +371,7 @@ def cmd_construct(args, tol: Tolerance) -> int:
                 "parameters": {field: getattr(args, field) for field in fields},
                 "seed": args.seed}
     code, extra = build(args, tol)
-    code = Code(code.vectors, tol)  # angles are checked at the run's tolerance
+    code = Code(code.vectors, tol, gram=code._gram)  # checked at the run's tolerance
     declared = extra.pop("angles", None)
     metadata.update(extra)
     metadata["size"] = len(code)
@@ -514,6 +520,8 @@ def cmd_project(args, tol: Tolerance) -> int:
     code = load_code(args.file, tol)[0]
     clique = _parsed(lambda s: [int(x) for x in s.split(",") if x], args.clique,
                      f"clique {args.clique!r}")
+    if not clique:
+        raise InvalidParams(f"the clique {args.clique!r} is empty: name at least one index")
     rest = [i for i in range(len(code)) if i not in set(clique)]
     if not rest:
         raise InvalidParams("the clique covers the whole code")

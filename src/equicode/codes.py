@@ -30,11 +30,13 @@ class Code:
     reads it, and the codes derived from one are checked at it too.  The
     Gram, its rank and the observed angle set are each derived once and kept,
     as is the boolean negative adjacency of the last L(alpha, t) matched.
+    A ``gram`` the vectors were embedded from is kept in place of X X^T.
     """
 
     __slots__ = ("dim", "vectors", "tol", "_gram", "_rank", "_angles", "_negatives")
 
-    def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL,
+                 gram: Optional[SymMatrix] = None):
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidParams("a code is a non-empty list of non-empty vectors")
@@ -49,7 +51,7 @@ class Code:
         self.vectors = arr
         self.dim = arr.shape[1]
         self.tol = tol
-        self._gram = None
+        self._gram = gram
         self._rank = None
         self._angles = None
         self._negatives = None

@@ -129,7 +129,7 @@ def _pad_to_dim(code: Code, dim: int, error=InternalError) -> Code:
     if code.dim == dim:
         return code
     pad = np.zeros((len(code), dim - code.dim))
-    return Code(np.hstack([code.vectors, pad]), code.tol)
+    return Code(np.hstack([code.vectors, pad]), code.tol, gram=code._gram)
 
 
 # deterministic constructions -------------------------------------------

@@ -9,7 +9,9 @@ Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
 rational matrix, numerators over one common denominator: in int64 while no
 step can overflow, restarted on the primitive part of the remaining block
 when that fits, and on Python ints after.  Verdicts on rational matrices are
-therefore bit-exact rather than threshold-dependent.
+therefore bit-exact rather than threshold-dependent.  A PSD sweep also
+yields its LDL^T factor, and a rational Gram is embedded from that factor,
+each entry correctly rounded, with no spectrum and no BLAS call.
 """
 
 from __future__ import annotations
@@ -251,19 +253,22 @@ def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:
     return int(np.count_nonzero(vals > cutoff))
 
 
-def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL, return_factor: bool = False):
     """Positive-semidefiniteness certificate.
 
     Float backend passes iff the smallest eigenvalue of one ``sym_eigen``
     clears ``-psd_slack * max(1, |lambda|_max)``; the rational backend runs
     exact symmetric elimination and reports the first failing pivot, if any.
+    ``return_factor`` (rational only) also returns the sweep's float factor
+    X, X X^T = M up to rounding, or None if M is not PSD.
     """
     if M.backend == RATIONAL:
-        rank, witness = _fraction_free(M._array, M._den, symmetric=True)
-        return Certificate(
+        rank, witness, factor = _fraction_free(M._array, M._den, symmetric=True)
+        cert = Certificate(
             name="psd", statement="all leading pivots of the symmetric elimination are >= 0",
             passed=witness is None, lhs=0, rhs=0 if witness is None else witness["pivot"],
             tol=0.0, witness=witness or {"rank": rank})
+        return (cert, factor) if return_factor else cert
     return _float_psd(sym_eigen(M).eigenvalues, tol)
 
 
@@ -309,14 +314,15 @@ def quadratic_form(M: SymMatrix, v: Sequence):
 def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     """Unit vectors in R^rank(M) whose Gram matrix reproduces M.
 
-    Requires M to be PSD with a unit diagonal.  One float spectrum serves
-    the PSD verdict, the rank and the embedding; a rational M is instead
-    certified by one exact symmetric sweep, whose positive pivots give the
-    rank, and refused unless its float spectrum has that rank.  The
-    embedding scales the eigenvectors of the nonzero spectrum by
-    sqrt(lambda); rows are then renormalized so every output vector is unit
-    length.  The result is only canonical up to orthogonal transformation,
-    so callers should compare Gram matrices, never raw vectors.
+    Requires M to be PSD with a unit diagonal.  A rational M is certified
+    by one exact symmetric sweep, and its vectors are the rows of the
+    pivoted Cholesky factor read off that sweep (Higham 1990), every entry
+    correctly rounded; the code keeps M's float copy as its Gram.  A float
+    M takes one spectrum for the PSD verdict, the rank and the embedding:
+    the eigenvectors of the nonzero spectrum scaled by sqrt(lambda), rows
+    then renormalized to unit length.  Either result is canonical only up
+    to orthogonal transformation, so callers should compare Gram matrices,
+    never raw vectors.
     """
     from .codes import Code
 
@@ -325,18 +331,15 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
         if abs(M.entry(i, i) - 1) > tol.angle_tol:
             raise NotUnitDiagonal(f"diagonal entry {i} is {M.entry(i, i)}, not 1")
     if M.backend == RATIONAL:
-        cert = is_psd(M, tol)
+        cert, X = is_psd(M, tol, return_factor=True)
     else:
         spec = sym_eigen(M)
         cert = _float_psd(spec.eigenvalues, tol)
     if not cert.passed:
         raise NotRealizable(f"matrix is not PSD: {cert.witness}")
     if M.backend == RATIONAL:
-        spec = sym_eigen(M.to_float())
+        return Code(X, tol, gram=M.to_float())
     r = _float_rank(spec.eigenvalues, tol)
-    if M.backend == RATIONAL and r != cert.witness["rank"]:
-        raise NotRealizable(
-            f"float spectrum has rank {r}, exact rank is {cert.witness['rank']}")
     vals = np.clip(spec.eigenvalues[:r], 0.0, None)
     vecs = spec.eigenvectors[:, :r]
     X = vecs * np.sqrt(vals)[np.newaxis, :]
@@ -383,24 +386,29 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
     of the trailing block.  ``symmetric=False`` finds the rank of any
     matrix, indefinite ones included, with row pivoting.
 
-    Returns ``(rank, witness)``; the witness is None unless a symmetric
-    sweep found the matrix not PSD.  ``den`` only scales witness pivots.
+    Returns ``(rank, witness, factor)``; the witness is None unless a
+    symmetric sweep found the matrix not PSD.  A PSD sweep's factor is the
+    m x rank X = L sqrt(D) of the LDL^T factorization of ``num / den``: the
+    c-th positive pivot d, with pivot row a, gives column c, a / d scaled
+    by the square root of its witness pivot D; zero pivots give no column.
     """
     A = np.array(num)
     m = A.shape[0]
     prev, rank, scale = 1, 0, Fraction(1)
     upper = None
+    X = np.zeros((m, m), order="F") if symmetric else None  # untouched columns stay unpaged
     for col in range(m):
         if symmetric:
             row = col
             d = int(A[col, col])
             if d < 0:
-                return rank, {"pivot_index": col, "pivot": Fraction(d, prev * den) * scale}
+                pivot = Fraction(d, prev * den) * scale
+                return rank, {"pivot_index": col, "pivot": pivot}, None
             if d == 0:
                 nz = np.flatnonzero(A[col, col:])
                 if nz.size:
                     return rank, {"pivot_index": col, "pivot": Fraction(0),
-                                  "indefinite_pair": (col, col + int(nz[0]))}
+                                  "indefinite_pair": (col, col + int(nz[0]))}, None
                 continue
         else:
             row = rank
@@ -420,6 +428,10 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
                 prev = 1
             else:
                 A = A.astype(object)
+        if symmetric:  # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
+            q = scale / (d * prev * den)  # D / d^2
+            values, where = np.unique(A[col, col:], return_inverse=True)
+            X[col:, rank] = np.array([_scaled_root(a, q) for a in values.tolist()])[where]
         if symmetric and A.dtype == object:
             if upper is None:
                 upper = np.triu_indices(m)
@@ -432,4 +444,17 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
                                      - np.outer(lower, A[row, col + 1:])) // prev
         prev = d
         rank += 1
-    return rank, None
+    return rank, None, X[:, :rank] if symmetric else None
+
+
+def _scaled_root(a: int, q: Fraction) -> float:
+    """a sqrt(q) correctly rounded, for an integer a and a rational q >= 0: the
+    integer root r of a^2 q 4^e has at least 56 bits, so with its last bit set
+    when inexact, every tie between two floats lies on a multiple of 4 and
+    float(r) rounds as the true root would."""
+    p, den = a * a * q.numerator, q.denominator
+    e = max(0, (den.bit_length() - p.bit_length() + 113) // 2)
+    n, rem = divmod(p << 2 * e, den)
+    root = math.isqrt(n)
+    root |= bool(rem or root * root != n)
+    return math.ldexp(float(root) if a >= 0 else -float(root), -e)

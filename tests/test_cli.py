@@ -17,6 +17,7 @@ from equicode.cli import (
     EXIT_USAGE,
     GRAM_CSV_HEADER,
     _format_floats,
+    _json_int,
     angle_set_spec,
     canonical_json,
     load_code,
@@ -105,9 +106,10 @@ def test_construct_write_read_write_identical_bytes(tmp_path):
 
 
 def test_negative_zero_survives_write_read_rewrite(tmp_path):
-    # the simplex embedding writes -0.0, which canonical JSON spells "-0"
+    # negating the simplex embedding turns its zeros into -0.0, which
+    # canonical JSON spells "-0"
     out = tmp_path / "simplex100.json"
-    assert run(["construct", "simplex", "--r", "100", "--out", str(out)]) == EXIT_OK
+    write_code_file(str(out), 100, vectors=-regular_simplex(100).vectors, metadata={})
     first = out.read_bytes()
     assert b",-0," in first
     doc = read_code_file(str(out))
@@ -252,8 +254,8 @@ def test_construct_below_float_rounding_is_refused(tmp_path, monkeypatch, capsys
     # the built vectors are ~1e-16 off unit length, and construct checks
     # them at the run's tolerance, as reading the file back would
     monkeypatch.setenv("EQUICODE_TOL", "1e-20")
-    out = tmp_path / "s4.json"
-    assert run(["construct", "simplex", "--r", "4", "--out", str(out)]) == EXIT_USAGE
+    out = tmp_path / "s5.json"
+    assert run(["construct", "simplex", "--r", "5", "--out", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("InvalidParams: vectors must be unit length")
@@ -449,6 +451,17 @@ def test_project_out_of_range_clique_index_is_a_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"InvalidIndex: index {index} out of range for code of size 4\n")
     assert not (tmp_path / "p.json").exists()
+
+
+def test_project_empty_clique_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "ls6.json"
+    assert run(["construct", "lemmens-seidel", "--n", "6", "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "p.json"
+    assert run(["project", str(src), "--clique", "", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "InvalidParams: the clique '' is empty: name at least one index\n")
+    assert not out.exists()
 
 
 def test_reduce_no_positive_clique(tmp_path):
@@ -722,6 +735,37 @@ def test_reader_past_the_float_memo_parses_again(repeats, tmp_path, monkeypatch)
     gram = read_code_file(str(path))["gram"]
     assert len(calls) == 1
     assert gram.tobytes() == lemmens_seidel_gram(60).as_array().tobytes()
+
+
+def test_reader_memoises_integer_tokens(tmp_path, monkeypatch, capsys):
+    # each distinct integer token is parsed once; "-0" still reads as -0.0,
+    # "0" as 0.0, and true/false are still refused
+    path = tmp_path / "ints.json"
+    path.write_text('{"format_version":"1","dim":3,"vectors":['
+                    + ",".join(["[1,0,-0],[0,1,-0],[-0,0,1]"] * 500) + '],"metadata":{}}')
+    parsed = []
+    monkeypatch.setattr(cli, "_json_int", lambda t: parsed.append(t) or _json_int(t))
+    vectors = read_code_file(str(path))["vectors"]
+    assert sorted(parsed) == ["-0", "0", "1", "3"]  # "3" is the dim
+    assert vectors.tobytes() == np.array([[1.0, 0.0, -0.0], [0.0, 1.0, -0.0],
+                                          [-0.0, 0.0, 1.0]] * 500).tobytes()
+    for bad in ("true", "false"):
+        path.write_text('{"format_version":"1","dim":2,"vectors":[[1,0],[%s,1]],'
+                        '"metadata":{}}' % bad)
+        assert run(["certify", str(path), "--suite", "gerzon"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "InvalidParams: vectors/gram entries must be JSON numbers")
+
+
+def test_reader_past_the_integer_memo_parses_again(tmp_path, monkeypatch):
+    rows = [[i] for i in range(5000)]
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"format_version": "1", "dim": 1, "vectors": rows,
+                                "metadata": {}}))
+    calls, loads = [], json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda *a, **k: calls.append(k) or loads(*a, **k))
+    assert read_code_file(str(path))["vectors"].tolist() == rows
+    assert len(calls) == 2  # the memoised parse gave up; the plain one finished
 
 
 def test_writer_refuses_boolean_entries(tmp_path):

@@ -9,9 +9,11 @@ declares, not detected points.  The read-side cases pin `certify --suite all --r
 reduced LS(12) code, the bytes `write_code_file` writes for that Gram-only
 file, and `project` and `verify --report` on it.  The digests pin the output
 across refactors: a change that moves a single byte of any of them fails
-here.  They are the digests of numpy on multithreaded OpenBLAS; with one
-OpenBLAS thread, ``eigh`` and ``vectors @ vectors.T`` round differently, and
-the oddrec100-3 and simplex100 construct digests do not hold.
+here.  They hold at any OpenBLAS thread count: the exact constructions write
+the correctly rounded factor of their exact sweep and their exact Gram, and
+the other outputs go through no BLAS call whose rounding depends on the
+thread count at these sizes; a subprocess test compares the construct bytes
+at one and at two threads.
 """
 
 import hashlib
@@ -24,33 +26,33 @@ from equicode.constructions import lemmens_seidel_gram
 # case -> (construct arguments, sha256 of json, of csv, of stdout)
 GOLDEN = {
     "ls3": (["lemmens-seidel", "--n", "3"],
-        "b638055851303a13b3be7876e6675b764ee8b555b790143445c86c434b86bc57",
-        "b19aec470964cea96926a6c0dc3606f0d302f77f21f05ac05c3ffeea41c94781",
-        "5b498e3b24b853847cfda5ab9c4ccb93be354093b6c11e28ebed6ec0a3949f73"),
+        "af02ed659ab4b3a7bf13c089e0e93016fe1009330fefa25aaabe780d82753870",
+        "18160f42632d6323e9a0229041bafc6a916df86bfd1b2e3815dac85a645c2007",
+        "1bd7d35b80bd8bed9f4b24bc327080c852598178ef1fe7d38de52246b8394a3b"),
     "ls10": (["lemmens-seidel", "--n", "10"],
-        "b3a4e6d3c8a8ad0157d880ac43d875ed64a309ccb0e2a5a11f8eb188cf987698",
-        "5fbfb578224f7a9b764f60ea98286e76c0ea52434aa3a6f6f156fa31154e8a79",
-        "b83684ea974a3db78c1cc9159bec65f4aa22a0001f69f9cb3a4a93ed27f4583a"),
+        "97d4037796800935f45d3bffe4fd52a6eeda3c4122f455279972a759ec05e6a5",
+        "2f29dc8b46ae8a13792de98e2c3a4337c8f090eb4edb365ef088b09e424d55e9",
+        "1a5b92e3b8a05dcc7926758e45c48576fac04b217bd4d4fd74ba806b86405e9c"),
     "ls40": (["lemmens-seidel", "--n", "40"],
-        "9206a8bd448fdcbc341bbb80cea6c7a904f52f430f0736591a2810b6b48b1d26",
-        "a136ad6972f7ce2fd3d731f5f95aa8667c1fc4f4ded29cd6a7a17d9ca88bb83a",
-        "2cc405ba8cd6881b13f9fe41b1c93834aa206fd467ea30ec44deeeaa4b751d15"),
+        "076664d62eaf6fc5551b9f50e1fa40e336f839155a5a43b50970d7509de6a87e",
+        "d2ff41fd5dc5e0e9e7a1ddd599fe886d801b9492f410455138eb3b4912d0b979",
+        "38df7f6405e2fd07db1d2bb45d1bdf1d90287a0b42028ba29e8dfb7b6eb9b562"),
     "oddrec9-3": (["odd-reciprocal", "--n", "9", "--r", "3"],
-        "a82339f5f008c330e76f44f9ca3c122f1e61ba8e46736b908a8ee6fc506bde11",
-        "d8ee37427fe5545b03505ac4970a83a51429be4f073ca41bd0b6fddb13de4629",
-        "641002963df3d024d6edec9b648d9b5e6c0a66a3e7fab602b2e6cfca92c14272"),
+        "3e63b0119296e8fe63995a379adc1d8210496c590af664723b0a24a7a453c0b4",
+        "ed8ddc5bc0accc72c029d6ec795039eab405b9db1bf59eb70f3365bdb98ba769",
+        "20cf24fa9b263262e2b5a1aa8996a64578d31efa6e27f4d1ca5baca9b31048ed"),
     "oddrec100-3": (["odd-reciprocal", "--n", "100", "--r", "3"],
-        "531224c9571c094f6044a9c396e560278e1ab63f9fec643a53bec3f52a97516b",
-        "df5de4d53d0af5219a84b1bd720b319699d84d1ba4e481df6a9ecd9d56aed7cd",
-        "65082bee1ca9c24dfcff08a098fe38f285aaf4887b350e931f664de2404e87ec"),
+        "4038a59f9fa5ce39efef75f768c8a1ec8e441121add791df783e8de2ae314408",
+        "31f14eb350aca09646afca6589bc5680f86e28f7e79e380868519fbbdbf4093e",
+        "9bf0ac776ec0994e1ab4a338e523d1cd2f33adabbb7e816f4191162b63b4b92d"),
     "simplex4": (["simplex", "--r", "4"],
-        "1d6fd1c67f37a53bc0fb6f4b426271f5028d6b4ae6cbcfc75a6f3762aaff95a9",
-        "003018f5713fdd76e39cf1cd1348fdf83d9eaf06d3c13cc8decc7032375f93bc",
+        "7a36768947e8b610fa495d99760318e50f7dcd78684a735aa6b24f6c079c723e",
+        "5510f0d011a9439f6b3c38528a6257b5681922b8b1295dce8e1dbe20f6d66143",
         "9f87e912f35e7f80329fac62b35d5db71739da871d27f1c6e39f006ec1e19d53"),
     "simplex100": (["simplex", "--r", "100"],
-        "27f815ab40eda59e0445f5c7ada8a6dac9b4a550560b5ef0802322a3f6484fc5",
-        "36ed93d34a8e543c02ad524d794f5bf89a029a3aff22600633646db2514a012f",
-        "e61cb6e9a38258f8f38a53432b2414aeadb1de00883c306acaf15cf91155b0cc"),
+        "8d9e601bf82291964eceec7441c71cee80db25626d3af25c6d489796cc34898a",
+        "e818f7fe03752a0b406382fd8a1e2fdc61668512f82709c677b894bc187cb680",
+        "d41fd05f0d86f72e3898f1a010b924c23cf4792a83b1fcd1c531acf73e5f8c90"),
     "lines28": (["lines28"],
         "771afe7b9225e083a1cb6f6024663737523095566037ae54d24be75173b0d744",
         "5d60fb6e52038ad23088f90df18f90691e0fd8f442cac9f9047223c9ecb3f383",
@@ -61,8 +63,8 @@ GOLDEN = {
         "40716de8a1bc414cb7e0414a04984f8890793eec3b26b363d41d7853e2a160c1"),
     "concat9": (["concat", "--n", "9", "--k", "2", "--r", "3", "--alpha1", "0.5",
                  "--seed", "7"],
-        "5be2fe27b689e538620cbb1e28068172770cff5dcb98b022430af8ba68e0979c",
-        "4758b18c4c9cd183f3c21e57cad064390af533739026064c616cde15840f7e69",
+        "195e613eab06e9fa1bd3e30899ef0f003edf6abe05a834082a4cd5f237e2202a",
+        "a25cd695e054b99731d6486d6d4b9d8677283182efe2bdda4a6cdc9d0a10298d",
         "4d22ffdd7bcf0acd46ef5e11430e8021798a5db5dad1ee9d0f58f7e4c5ff261a"),
 }
 
@@ -83,6 +85,43 @@ def construct_digests(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_construct_golden_bytes(case, tmp_path, capsys):
     assert construct_digests(case, tmp_path, capsys) == GOLDEN[case][1:]
+
+
+# runs every construct case in one process and prints each output's digests
+_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from equicode.cli import run
+out_dir, cases = sys.argv[1], json.loads(sys.argv[2])
+digests = {}
+for case, args in cases.items():
+    out, csv, stdout = f"{out_dir}/{case}.json", f"{out_dir}/{case}.csv", io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run(["construct", *args, "--out", out, "--gram-csv", csv]) == 0
+    digests[case] = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (out, csv)]
+    text = stdout.getvalue().replace(out_dir, "<out>")
+    digests[case].append(hashlib.sha256(text.encode()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_construct_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # no construction's file, --gram-csv or stdout goes through a BLAS call
+    # whose rounding depends on the thread count
+    import json
+    import os
+    import subprocess
+    import sys
+
+    cases = json.dumps({case: GOLDEN[case][0] for case in GOLDEN})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, str(tmp_path), cases],
+                              env=env, capture_output=True, text=True, check=True)
+        digests.append(json.loads(done.stdout))
+    assert digests[0] == digests[1] == {case: list(GOLDEN[case][1:]) for case in GOLDEN}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

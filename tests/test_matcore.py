@@ -417,9 +417,9 @@ def test_exact_kernel_restarts_where_plain_bareiss_leaves_int64(build):
     m = build()
     rank, witness, largest = _fraction_sweep(m.rows())
     assert witness is None and 2 * largest ** 2 >= 2 ** 62
-    (psd_rank, _), psd_restarts, psd_promotions = _sweep_paths(
+    (psd_rank, _, _), psd_restarts, psd_promotions = _sweep_paths(
         matcore._fraction_free, m._array, m._den, True)
-    (row_rank, _), row_restarts, row_promotions = _sweep_paths(
+    (row_rank, _, _), row_restarts, row_promotions = _sweep_paths(
         matcore._fraction_free, m._array)
     assert psd_rank == row_rank == rank == _fraction_rank(m.rows())
     assert psd_restarts > 0 and row_restarts > 0 and psd_promotions == row_promotions == 0
@@ -469,6 +469,65 @@ def test_exact_kernel_matches_the_fraction_oracles(rows):
     assert cert.passed == (witness is None)
     assert repr(cert.witness) == repr({"rank": rank} if witness is None else witness)
     assert rank_of(m) == _fraction_rank(rows)
+
+
+def _assert_factor_reproduces(rows, X):
+    """Exact X X^T lies within 2^-52 sqrt(G_ii G_jj) of G at every entry: one
+    ulp of 1 on a unit diagonal.  Each entry of X is correctly rounded, so each
+    product is off by under 2^-52 of its size, and by Cauchy-Schwarz the sizes
+    of row i times row j sum to at most sqrt(G_ii G_jj)."""
+    F = [[Fraction(x) for x in row] for row in X.tolist()]
+    n = len(rows)
+    for i in range(n):
+        for j in range(i, n):
+            err = sum((a * b for a, b in zip(F[i], F[j])), Fraction(0)) - rows[i][j]
+            assert err * err * 2 ** 104 <= rows[i][i] * rows[j][j], (i, j, float(err))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_small_grams())
+def test_exact_factor_reproduces_the_gram(rows):
+    # rank-deficient Grams B^T B, some scaled past the int64 guard, and some
+    # perturbed to indefinite, which have no factor
+    m = SymMatrix(rows)
+    cert, X = is_psd(m, return_factor=True)
+    if not cert.passed:
+        assert X is None
+        return
+    assert X.shape == (m.order, cert.witness["rank"])
+    assert cert.witness["rank"] == _fraction_rank(rows)
+    _assert_factor_reproduces(m.rows(), X)
+
+
+@pytest.mark.parametrize("build, path", [
+    (lambda: odd_reciprocal_gram(25, 3), "restart"),
+    (lambda: _scaled(lemmens_seidel_gram(12), 3 ** 9), "restart"),
+    (lambda: _scaled(simplex_gram(9), 5 ** 19), "restart"),
+    (lambda: _dense_gram(24, seed=41), "promotion"),
+    (lambda: SymMatrix.from_integers(lemmens_seidel_gram(12)._array.astype(object) * 3 ** 40),
+     "python-ints"),
+], ids=["odd-reciprocal-25-3", "ls12-times-3^9", "simplex9-times-5^19", "dense24",
+        "ls12-times-3^40"])
+def test_exact_factor_on_every_kernel_path(build, path):
+    # the PSD Grams that the tests above drive into a restart on the
+    # primitive part, a promotion partway, and Python ints from the start
+    m = build()
+    (cert, X), restarts, promotions = _sweep_paths(
+        lambda: is_psd(m, return_factor=True))
+    assert (m._array.dtype == object, restarts > 0, promotions) == {
+        "restart": (False, True, 0), "promotion": (False, False, 1),
+        "python-ints": (True, False, 0)}[path]
+    assert cert.passed and X.shape == (m.order, cert.witness["rank"])
+    _assert_factor_reproduces(m.rows(), X)
+
+
+def test_exact_factor_is_the_pivoted_cholesky_factor():
+    # zero pivots give no column, and entries above each pivot are zero
+    m = SymMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 4]])
+    cert, X = is_psd(m, return_factor=True)
+    assert cert.witness == {"rank": 2}
+    assert X.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
+    assert is_psd(SymMatrix([[1, 2], [2, 1]]), return_factor=True)[1] is None
 
 
 def test_rational_float_copy_rounds_like_fractions():
@@ -603,13 +662,17 @@ def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):
     assert code.dim == 10
 
 
-def test_rational_embedding_refuses_a_float_rank_off_the_exact_rank(monkeypatch):
-    from equicode import matcore
+def test_rational_embedding_takes_no_spectrum(monkeypatch):
+    # the vectors are the exact sweep's factor and the Gram is the exact one
+    # rounded, so no eigendecomposition and no X X^T product is taken
+    from equicode import codes, matcore
 
-    float_rank = matcore._float_rank
-    monkeypatch.setattr(matcore, "_float_rank", lambda *args: float_rank(*args) - 1)
-    with pytest.raises(NotRealizable, match="float spectrum has rank 5, exact rank is 6"):
-        embed_from_gram(lemmens_seidel_gram(6))
+    spectra = _count_calls(monkeypatch, matcore, "sym_eigen")
+    grams = _count_calls(monkeypatch, codes, "gram_of")
+    gram = lemmens_seidel_gram(6)
+    code = embed_from_gram(gram)
+    assert code.dim == 6 and code.gram.as_array().tolist() == gram.as_array().tolist()
+    assert spectra == [] and grams == []
 
 
 # a rational matrix is stored once, as integers over one denominator --------

@@ -52,7 +52,7 @@ from .constructions import (
 )
 from .errors import EquicodeError, InvalidIndex, InvalidParams, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, is_psd
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, gram_rank, is_psd
 
 GRAM_CSV_HEADER = "# equicode gram v1"
 
@@ -226,8 +226,15 @@ def rewrite_code_file(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Code from a file and the parsed document; Gram-only files are embedded."""
+def load_code(path: str, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> tuple:
+    """Code from a file and the parsed document.
+
+    A Gram-only file's Gram is the code's one Gram, and the code takes one
+    spectrum of it.  With ``vectors`` that is ``embed_from_gram``'s ``eigh``;
+    without, the code has no vectors, and one values-only spectrum certifies
+    the Gram and gives its rank (``gram_rank``).  Either way the rank must not
+    exceed the file's ``dim``.
+    """
     doc = read_code_file(path)
     if "vectors" in doc:
         if doc["vectors"].shape[1] != doc["dim"]:
@@ -238,7 +245,13 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
         raise InvalidParams("gram must be a square matrix")
     if not np.array_equal(gram, gram.T, equal_nan=True):  # SymMatrix refuses a NaN pair
         raise InvalidParams("gram must be exactly symmetric")
-    return _pad_to_dim(embed_from_gram(SymMatrix(gram), tol), doc["dim"], InvalidParams), doc
+    M = SymMatrix(gram)
+    if vectors:
+        code = embed_from_gram(M, tol)
+    else:
+        rank = gram_rank(M, tol)
+        code = Code.from_gram(M, rank, tol, rank)
+    return _pad_to_dim(code, doc["dim"], InvalidParams), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:
@@ -391,7 +404,7 @@ def cmd_construct(args, tol: Tolerance) -> int:
 
 
 def cmd_verify(args, tol: Tolerance) -> int:
-    code = load_code(args.file, tol)[0]
+    code = load_code(args.file, tol, vectors=False)[0]
     aset = parse_angle_set(args.L, tol.angle_tol)
     if aset.covers_all():
         raise InvalidParams(f"the angle set widened by angle_tol {tol.angle_tol:g} "
@@ -499,7 +512,7 @@ SUITES = {
 
 
 def cmd_certify(args, tol: Tolerance) -> int:
-    code, doc = load_code(args.file, tol)
+    code, doc = load_code(args.file, tol, vectors=False)
     wanted = list(SUITES) if args.suite == "all" else [args.suite]
     certificates = [SUITES[suite](code, doc, args) for suite in wanted]
     write_report(args.report, certificates, tol)

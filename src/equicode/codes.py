@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InternalError,
     InvalidIndex,
     InvalidParams,
     NotAClique,
@@ -31,9 +32,11 @@ class Code:
     Gram, its rank and the observed angle set are each derived once and kept,
     as is the boolean negative adjacency of the last L(alpha, t) matched.
     A ``gram`` the vectors were embedded from is kept in place of X X^T.
+    A code built by ``from_gram`` is its Gram alone: it has no vectors, and
+    reading them is an InternalError, never a silent embedding.
     """
 
-    __slots__ = ("dim", "vectors", "tol", "_gram", "_rank", "_angles", "_negatives")
+    __slots__ = ("dim", "_vectors", "tol", "_gram", "_rank", "_angles", "_negatives")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL,
                  gram: Optional[SymMatrix] = None):
@@ -48,13 +51,33 @@ class Code:
             raise InvalidParams(f"vectors must be unit length (worst deviation {worst:g})")
         arr = arr.copy()
         arr.flags.writeable = False
-        self.vectors = arr
+        self._vectors = arr
         self.dim = arr.shape[1]
         self.tol = tol
         self._gram = gram
         self._rank = None
         self._angles = None
         self._negatives = None
+
+    @classmethod
+    def from_gram(cls, gram: SymMatrix, dim: int, tol: Tolerance = DEFAULT_TOL,
+                  rank: Optional[int] = None) -> "Code":
+        """The code in R^dim whose float Gram is ``gram``, with no vectors.
+
+        The caller vouches for the Gram (``matcore.gram_rank`` certifies a
+        file's and gives its ``rank``); a rank not given is computed on first use.
+        """
+        out = cls.__new__(cls)
+        out._vectors, out.dim, out.tol = None, dim, tol
+        out._gram, out._rank, out._angles, out._negatives = gram, rank, None, None
+        return out
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The read-only vectors; InternalError on a code built from its Gram alone."""
+        if self._vectors is None:
+            raise InternalError("a code built from its Gram alone has no vectors")
+        return self._vectors
 
     @property
     def gram(self) -> SymMatrix:
@@ -67,12 +90,13 @@ class Code:
     def rank(self) -> int:
         """Rank of the Gram at the code's tolerance, computed on first use and kept.
 
-        X X^T and X^T X have the same nonzero eigenvalues, so the rank is read
-        off the smaller: X^T X, of order dim, when dim < |C|, else the Gram.
+        X X^T and X^T X have the same nonzero eigenvalues, so the rank of a
+        code with vectors is read off the smaller: X^T X, of order dim, when
+        dim < |C|, else the Gram.
         """
         if self._rank is None:
-            small = self.gram if len(self) <= self.dim else \
-                SymMatrix.from_array_symmetrized(self.vectors.T @ self.vectors)
+            small = self.gram if self._vectors is None or len(self) <= self.dim else \
+                SymMatrix.from_array_symmetrized(self._vectors.T @ self._vectors)
             self._rank = rank_of(small, self.tol)
         return self._rank
 
@@ -84,11 +108,16 @@ class Code:
         return self._angles
 
     def __len__(self):
-        return self.vectors.shape[0]
+        return self._vectors.shape[0] if self._gram is None else self._gram.order
 
     def subset(self, indices) -> "Code":
+        """The code of the given members, in order: a kept Gram is sliced, not rebuilt."""
         idx = _checked_indices(indices, len(self))
-        return Code(self.vectors[idx], self.tol)
+        gram = None if self._gram is None else \
+            SymMatrix(self._gram.as_array()[np.ix_(idx, idx)])
+        if self._vectors is None:
+            return Code.from_gram(gram, self.dim, self.tol)
+        return Code(self._vectors[idx], self.tol, gram=gram)
 
     def __repr__(self):
         return f"Code(size={len(self)}, dim={self.dim})"

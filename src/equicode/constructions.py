@@ -128,6 +128,8 @@ def _pad_to_dim(code: Code, dim: int, error=InternalError) -> Code:
         raise error(f"embedding needs {code.dim} > {dim} dimensions")
     if code.dim == dim:
         return code
+    if code._vectors is None:
+        return Code.from_gram(code._gram, dim, code.tol, code._rank)
     pad = np.zeros((len(code), dim - code.dim))
     return Code(np.hstack([code.vectors, pad]), code.tol, gram=code._gram)
 

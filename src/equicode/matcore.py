@@ -2,8 +2,8 @@
 
 Float work (eigendecomposition, thresholded rank, PSD tests) runs on numpy,
 every spectrum through ``sym_eigen``: ``eigh`` where the eigenvectors are
-used or the eigenvalues reach a certificate, values-only ``eigvalsh`` for a
-float ``rank_of``; a matrix keeps no spectrum, so every call takes its own.
+used or the eigenvalues reach a certificate, values-only ``eigvalsh`` for the
+rank and PSD thresholds; a matrix keeps no spectrum, so every call takes its own.
 A spectrum's residual is computed when first read.
 Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
 rational matrix, numerators over one common denominator: in int64 while no
@@ -219,7 +219,7 @@ def sym_eigen(M: SymMatrix, vectors: bool = True) -> Spectrum:
 
     With ``vectors`` it runs ``eigh`` and keeps the eigenvector columns;
     without, ``eigvalsh``, whose eigenvalues may differ from ``eigh``'s in
-    the last bits, so only rank thresholds read them.
+    the last bits, so only the rank and PSD thresholds read them.
     """
     if M.backend != FLOAT64:
         raise InvalidMatrix("sym_eigen requires the float64 backend")
@@ -256,9 +256,10 @@ def _float_rank(eigenvalues: np.ndarray, tol: Tolerance) -> int:
 def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL, return_factor: bool = False):
     """Positive-semidefiniteness certificate.
 
-    Float backend passes iff the smallest eigenvalue of one ``sym_eigen``
-    clears ``-psd_slack * max(1, |lambda|_max)``; the rational backend runs
-    exact symmetric elimination and reports the first failing pivot, if any.
+    Float backend passes iff the smallest eigenvalue of one values-only
+    ``sym_eigen`` clears ``-psd_slack * max(1, |lambda|_max)``; the rational
+    backend runs exact symmetric elimination and reports the first failing
+    pivot, if any.
     ``return_factor`` (rational only) also returns the sweep's float factor
     X, X X^T = M up to rounding, or None if M is not PSD.
     """
@@ -269,7 +270,7 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL, return_factor: bool = Fal
             passed=witness is None, lhs=0, rhs=0 if witness is None else witness["pivot"],
             tol=0.0, witness=witness or {"rank": rank})
         return (cert, factor) if return_factor else cert
-    return _float_psd(sym_eigen(M).eigenvalues, tol)
+    return _float_psd(sym_eigen(M, vectors=False).eigenvalues, tol)
 
 
 def _float_psd(vals: np.ndarray, tol: Tolerance) -> Certificate:
@@ -312,33 +313,27 @@ def quadratic_form(M: SymMatrix, v: Sequence):
 
 
 def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
-    """Unit vectors in R^rank(M) whose Gram matrix reproduces M.
+    """Unit vectors in R^rank(M) whose Gram matrix reproduces M; the code
+    keeps M, or its float copy, as its Gram.
 
     Requires M to be PSD with a unit diagonal.  A rational M is certified
     by one exact symmetric sweep, and its vectors are the rows of the
     pivoted Cholesky factor read off that sweep (Higham 1990), every entry
-    correctly rounded; the code keeps M's float copy as its Gram.  A float
-    M takes one spectrum for the PSD verdict, the rank and the embedding:
-    the eigenvectors of the nonzero spectrum scaled by sqrt(lambda), rows
-    then renormalized to unit length.  Either result is canonical only up
-    to orthogonal transformation, so callers should compare Gram matrices,
-    never raw vectors.
+    correctly rounded.  A float M takes one spectrum for the PSD verdict,
+    the rank and the embedding: the eigenvectors of the nonzero spectrum
+    scaled by sqrt(lambda), rows then renormalized to unit length.  Either
+    result is canonical only up to orthogonal transformation, so callers
+    should compare Gram matrices, never raw vectors.
     """
     from .codes import Code
 
-    n = M.order
-    for i in range(n):
-        if abs(M.entry(i, i) - 1) > tol.angle_tol:
-            raise NotUnitDiagonal(f"diagonal entry {i} is {M.entry(i, i)}, not 1")
+    _require_unit_diagonal(M, tol)
     if M.backend == RATIONAL:
         cert, X = is_psd(M, tol, return_factor=True)
-    else:
-        spec = sym_eigen(M)
-        cert = _float_psd(spec.eigenvalues, tol)
-    if not cert.passed:
-        raise NotRealizable(f"matrix is not PSD: {cert.witness}")
-    if M.backend == RATIONAL:
+        _require_psd(cert)
         return Code(X, tol, gram=M.to_float())
+    spec = sym_eigen(M)
+    _require_psd(_float_psd(spec.eigenvalues, tol))
     r = _float_rank(spec.eigenvalues, tol)
     vals = np.clip(spec.eigenvalues[:r], 0.0, None)
     vecs = spec.eigenvectors[:, :r]
@@ -347,7 +342,31 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     if np.any(norms < 1e-12):
         raise NotRealizable("degenerate embedding row")
     X = X / norms[:, np.newaxis]
-    return Code(X, tol)
+    return Code(X, tol, gram=M)
+
+
+def gram_rank(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank of a float Gram matrix that ``embed_from_gram`` would embed.
+
+    One values-only spectrum gives the PSD verdict and the rank, so M is
+    refused as ``embed_from_gram`` refuses it (NotUnitDiagonal,
+    NotRealizable) without paying for eigenvectors.
+    """
+    _require_unit_diagonal(M, tol)
+    vals = sym_eigen(M, vectors=False).eigenvalues
+    _require_psd(_float_psd(vals, tol))
+    return _float_rank(vals, tol)
+
+
+def _require_unit_diagonal(M: SymMatrix, tol: Tolerance) -> None:
+    for i in range(M.order):
+        if abs(M.entry(i, i) - 1) > tol.angle_tol:
+            raise NotUnitDiagonal(f"diagonal entry {i} is {M.entry(i, i)}, not 1")
+
+
+def _require_psd(cert: Certificate) -> None:
+    if not cert.passed:
+        raise NotRealizable(f"matrix is not PSD: {cert.witness}")
 
 
 # exact fraction-free elimination ------------------------------------------

@@ -580,6 +580,72 @@ def test_gram_file_padding_to_declared_dim(tmp_path):
     write_code_file(str(src), 3, gram=np.eye(2).tolist(), metadata={})
     code, _ = load_code(str(src))
     assert code.dim == 3 and len(code) == 2
+    code = load_code(str(src), vectors=False)[0]
+    assert (code.dim, len(code), code.rank) == (3, 2, 2)
+
+
+def test_a_gram_only_file_is_its_codes_gram(tmp_path):
+    # the file's values, bit for bit, with or without the embedded vectors
+    src = tmp_path / "ls12.json"
+    write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    for vectors in (False, True):
+        code, doc = load_code(str(src), vectors=vectors)
+        assert code.gram.as_array().tobytes() == doc["gram"].tobytes()
+    assert code.vectors.shape == (22, 12)
+
+
+LS_ANGLE_SET = "point:-0.33333333333333331+point:0.33333333333333331"
+
+
+def test_certify_and_verify_take_no_eigh_on_a_gram_only_file(tmp_path, capsys, monkeypatch):
+    src, report = tmp_path / "ls12.json", tmp_path / "report.json"
+    write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    jobs = (["certify", str(src), "--suite", "all"], ["verify", str(src), "--L", LS_ANGLE_SET])
+
+    def outputs():
+        got = []
+        for argv in jobs:
+            capsys.readouterr()
+            assert run([*argv, "--report", str(report)]) == EXIT_OK
+            got.append((capsys.readouterr().out, report.read_bytes()))
+        return got
+
+    want = outputs()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    assert outputs() == want
+
+
+# Gram-only file -> (dim, gram, the error every command refuses it with, exit code)
+REFUSED_GRAMS = {
+    "non-unit diagonal": (2, [[1.0, 0.0], [0.0, 2.0]], "NotUnitDiagonal", EXIT_RUNTIME),
+    "asymmetric": (2, [[1.0, 0.5], [-0.5, 1.0]], "InvalidParams", EXIT_USAGE),
+    "not PSD": (3, [[1.0, -0.9, -0.9], [-0.9, 1.0, -0.9], [-0.9, -0.9, 1.0]],
+                "NotRealizable", EXIT_RUNTIME),
+    "rank above dim": (2, np.eye(3).tolist(), "InvalidParams", EXIT_USAGE),
+}
+REFUSING_COMMANDS = {
+    "verify": ["--L", "point:0"],
+    "certify": ["--suite", "all"],
+    "reduce": ["--t", "1", "--out", "{out}"],
+    "project": ["--clique", "0", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSING_COMMANDS))
+@pytest.mark.parametrize("case", sorted(REFUSED_GRAMS))
+def test_gram_only_load_refusals(case, command, tmp_path, capsys):
+    # commands that read no vectors refuse a file as those that embed it do
+    dim, gram, error, status = REFUSED_GRAMS[case]
+    src, out = tmp_path / "gram.json", tmp_path / "out.json"
+    write_code_file(str(src), dim, gram=gram, metadata={})
+    argv = [command, str(src), *(arg.format(out=out) for arg in REFUSING_COMMANDS[command])]
+    assert run(argv) == status
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert not out.exists()
 
 
 def test_certify_multipartite_from_concat_metadata(tmp_path, capsys):

@@ -31,6 +31,7 @@ from equicode import (
 from equicode.matcore import DEFAULT_TOL, Tolerance, _float_rank
 from equicode.errors import (
     DimensionMismatch,
+    InternalError,
     InvalidIndex,
     InvalidParams,
     NotAClique,
@@ -576,3 +577,22 @@ def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
     for spec in spectra:
         kept, dropped = _gap(spec.eigenvalues)
         assert kept >= 1e3 and dropped <= 1e-3, (len(spec.eigenvalues), kept, dropped)
+
+
+def test_a_gram_only_code_has_no_vectors_and_its_subsets_slice_its_gram():
+    gram = lemmens_seidel_gram(6).to_float()
+    code = Code.from_gram(gram, 6)
+    assert (len(code), code.dim, code.rank) == (10, 6, 6)
+    members = [7, 0, 4, 4]
+    sub = code.subset(members)
+    assert sub.gram.as_array().tobytes() == gram.as_array()[np.ix_(members, members)].tobytes()
+    assert (len(sub), sub.dim) == (4, 6)
+    for gram_only in (code, sub):
+        with pytest.raises(InternalError):
+            gram_only.vectors
+    # a code with vectors and a kept Gram slices both
+    embedded = lemmens_seidel_code(6)
+    sub = embedded.subset(members)
+    assert sub.gram.as_array().tobytes() == \
+        embedded.gram.as_array()[np.ix_(members, members)].tobytes()
+    assert np.array_equal(sub.vectors, embedded.vectors[members])

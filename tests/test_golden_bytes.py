@@ -12,11 +12,16 @@ across refactors: a change that moves a single byte of any of them fails
 here.  They hold at any OpenBLAS thread count: the exact constructions write
 the correctly rounded factor of their exact sweep and their exact Gram, and
 the other outputs go through no BLAS call whose rounding depends on the
-thread count at these sizes; a subprocess test compares the construct bytes
-at one and at two threads.
+thread count at these sizes.  Subprocess tests compare the construct bytes,
+and the certify report and reduce sidecar of a Gram-only LS(150) file, at
+one and at two threads.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -87,41 +92,82 @@ def test_construct_golden_bytes(case, tmp_path, capsys):
     assert construct_digests(case, tmp_path, capsys) == GOLDEN[case][1:]
 
 
-# runs every construct case in one process and prints each output's digests
+# the benchmark's concat size -> sha256 of its file and of stdout; its
+# --gram-csv export, 924 x 924 values, is not written
+CONCAT22 = (["concat", "--n", "22", "--k", "2", "--r", "3", "--alpha1", "0.5", "--seed", "5"],
+            "8e8bb4d1dc65e75e6a4c1ebd6a3f6ca6dba8b3bfbbc3bae0f6a3348a21dc3d5e",
+            "f78e8d1b9371ea4b6035762241ba4549a84c37f138e9e5866761400f5551b493")
+
+# runs every construct case in one process and prints each output's digests;
+# a case given with csv false writes no --gram-csv
 _DIGEST_SCRIPT = """
 import contextlib, hashlib, io, json, sys
 from equicode.cli import run
 out_dir, cases = sys.argv[1], json.loads(sys.argv[2])
 digests = {}
-for case, args in cases.items():
-    out, csv, stdout = f"{out_dir}/{case}.json", f"{out_dir}/{case}.csv", io.StringIO()
+for case, (args, csv) in cases.items():
+    out, stdout = f"{out_dir}/{case}.json", io.StringIO()
+    files = [out, f"{out_dir}/{case}.csv"] if csv else [out]
+    export = ["--gram-csv", files[1]] if csv else []
     with contextlib.redirect_stdout(stdout):
-        assert run(["construct", *args, "--out", out, "--gram-csv", csv]) == 0
-    digests[case] = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (out, csv)]
+        assert run(["construct", *args, "--out", out, *export]) == 0
+    digests[case] = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in files]
     text = stdout.getvalue().replace(out_dir, "<out>")
     digests[case].append(hashlib.sha256(text.encode()).hexdigest())
 print(json.dumps(digests))
 """
 
 
-def test_construct_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # no construction's file, --gram-csv or stdout goes through a BLAS call
-    # whose rounding depends on the thread count
-    import json
-    import os
-    import subprocess
-    import sys
-
-    cases = json.dumps({case: GOLDEN[case][0] for case in GOLDEN})
+def _run_at_threads(threads: str, *argv) -> str:
+    """stdout of ``python argv`` with the package on the path and
+    OPENBLAS_NUM_THREADS set."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    digests = []
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_construct_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the exact constructions' files, --gram-csv and stdout go through no
+    # BLAS call whose rounding depends on the thread count; concat rotates
+    # its copies with BLAS matmul and LAPACK qr, and its files are pinned
+    # here at two sizes
+    cases = {case: (GOLDEN[case][0], True) for case in GOLDEN}
+    cases["concat22"] = (CONCAT22[0], False)
+    digests = [json.loads(_run_at_threads(threads, "-c", _DIGEST_SCRIPT, str(tmp_path),
+                                          json.dumps(cases)))
+               for threads in ("1", "2")]
+    want = {case: list(GOLDEN[case][1:]) for case in GOLDEN}
+    want["concat22"] = list(CONCAT22[1:])
+    assert digests[0] == digests[1] == want
+
+
+# writes a seed-permuted Gram-only LS(150) file, then certifies and reduces it
+_GRAM_ONLY_SCRIPT = """
+import sys
+import numpy as np
+from equicode.cli import run, write_code_file
+from equicode.constructions import lemmens_seidel_gram
+out = sys.argv[1]
+perm = np.random.default_rng(3).permutation(298)
+write_code_file(f"{out}/ls150.json", 150, metadata={},
+                gram=lemmens_seidel_gram(150).as_array()[np.ix_(perm, perm)])
+assert run(["certify", f"{out}/ls150.json", "--suite", "all",
+            "--report", f"{out}/report.json"]) == 0
+assert run(["reduce", f"{out}/ls150.json", "--t", "6", "--out", f"{out}/reduced.json"]) == 0
+"""
+
+
+def test_gram_only_certify_and_reduce_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # both read the file's own Gram, and certify takes one values-only
+    # spectrum, read only through thresholds; the reduced vectors still come
+    # from eigh, so their file is not compared
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, str(tmp_path), cases],
-                              env=env, capture_output=True, text=True, check=True)
-        digests.append(json.loads(done.stdout))
-    assert digests[0] == digests[1] == {case: list(GOLDEN[case][1:]) for case in GOLDEN}
+        (tmp_path / threads).mkdir()
+        _run_at_threads(threads, "-c", _GRAM_ONLY_SCRIPT, str(tmp_path / threads))
+    for name in ("report.json", "reduced.json.reduction.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -139,7 +185,7 @@ GOLDEN_CERTIFY = {
         "d4964e8cb5f6e52b42484a52b31bcc1b1f2617c590d505369ac39cef44118f82",
         "40d568c2dac9a1017e2e83893cfcd3571100e68ef582c39a683cb70b6ebbd4fc"),
     "ls12-gram": (
-        "e5d3c1e282a603ff6d5840dd120aa64c3f4919fed9c1e7d3c426f382949e4e2b",
+        "cf0465219532a56cd71062394f152ae8412d56460b837d6b92d7869bc6646b32",
         "40d568c2dac9a1017e2e83893cfcd3571100e68ef582c39a683cb70b6ebbd4fc"),
     "ls12-reduced": (
         "bb740cf3b8a6e34757923b4fac3b77824a84f4416b73591e1545db39c4f49ae8",
@@ -149,7 +195,7 @@ GOLDEN_CERTIFY = {
 # sha256 of the reduce --t 6 output, of its sidecar and of stdout, on ls12-gram
 GOLDEN_REDUCE = (
     "4e822034bf63bb7fffe1ed846624e6b68b1aacd08f85df93ba42848c4af72207",
-    "4ca49856d1123fe965c8dd1bf6269c7f80bfa3859da0be64bee298a0315f06aa",
+    "e5ad4932a4d6669448c51e69240377b79a896b4adbec82279ade0a93a2cb2058",
     "e16d7285ffd3685cf4ed57ae0e215947fce24767625d8fab0f5e319792007bdf")
 
 

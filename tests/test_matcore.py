@@ -612,14 +612,15 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
     monkeypatch.setattr(graphlab, "sym_eigen", matcore.sym_eigen)  # lambda's binding
     detections = _count_calls(monkeypatch, codes, "angle_set_of")
     matches = _count_calls(monkeypatch, codes.AngleSet, "classify_all")
-    # whether each spectrum takes vectors: a Gram-only file takes the load
-    # embedding, then the code's rank and Gerzon's outer Gram, values only; a
-    # reduced file takes the code's rank, then lambda's top eigenvector.
+    # whether each spectrum takes vectors: a Gram-only file is certified on
+    # its own Gram, with no X X^T, by one values-only load spectrum that also
+    # gives the code's rank, then Gerzon's outer Gram, values only; a reduced
+    # file takes the code's rank, then lambda's top eigenvector.
     # One angle set per file; its pairs are matched by dgs alone on the Gram
     # file.  A reduced file's pairs are matched once against L(alpha, t), whose
     # negative edges the code keeps for schnirelman, matching (which gets past
     # ExcludedAngle on odd-reciprocal, then SKIPs) and lambda, and once by dgs
-    for path, want in ((src, (1, [True, False, False], 1, 1)),
+    for path, want in ((src, (0, [False, False], 1, 1)),
                        (reduced, (1, [False, True], 1, 2)),
                        (oddrec_reduced, (1, [False, True], 1, 2))):
         for calls in (grams, spectra, detections, matches):
@@ -627,6 +628,39 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
         assert run(["certify", str(path), "--suite", "all"]) == EXIT_OK
         assert (len(grams), [c.get("vectors", True) for c in spectra],
                 len(detections), len(matches)) == want, path.name
+
+
+def test_reduce_and_project_embed_a_gram_only_file_once(tmp_path, monkeypatch):
+    # one eigh embeds the file, and the file's Gram serves the loaded code and
+    # the subsets sliced from it; gram_of builds only the switched clique's
+    # Gram (reduce) and the projected code's (both)
+    from equicode import cli, codes
+
+    src = tmp_path / "ls12.json"
+    cli.write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    loaded, grams = [], []
+    load, build = cli.load_code, codes.gram_of
+
+    def recorded_load(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    def recorded_gram(C):
+        grams.append(C)
+        return build(C)
+
+    monkeypatch.setattr(cli, "load_code", recorded_load)
+    monkeypatch.setattr(codes, "gram_of", recorded_gram)
+    embeds = _count_calls(monkeypatch, cli, "embed_from_gram")
+    for command, args, built in (("reduce", ["--t", "6"], 2),
+                                 ("project", ["--clique", "0,2,4,6,8,10"], 1)):
+        for calls in (loaded, grams, embeds):
+            calls.clear()
+        assert cli.run([command, str(src), *args, "--out", str(tmp_path / "out.json")]) == 0
+        (code, doc), = loaded
+        assert len(embeds) == 1 and len(grams) == built, command
+        assert all(C is not code for C in grams)
+        assert code.gram.as_array().tobytes() == doc["gram"].tobytes()
 
 
 def test_code_gram_and_eigenvalue_memo_are_read_only():
@@ -639,8 +673,8 @@ def test_code_gram_and_eigenvalue_memo_are_read_only():
 
 
 def test_float_matrix_keeps_no_spectrum(monkeypatch):
-    # a spectrum with vectors leaves nothing behind: rank_of takes its own,
-    # values-only spectrum, and is_psd its own spectrum with vectors
+    # a spectrum with vectors leaves nothing behind: rank_of and is_psd each
+    # take their own values-only spectrum
     from equicode import matcore
 
     assert SymMatrix.__slots__ == ("order", "_array", "_den")
@@ -650,7 +684,7 @@ def test_float_matrix_keeps_no_spectrum(monkeypatch):
     assert rank_of(gram) == 6
     assert calls == [{"vectors": False}]
     assert is_psd(gram).passed
-    assert calls == [{"vectors": False}, {}]
+    assert calls == [{"vectors": False}, {"vectors": False}]
 
 
 def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):

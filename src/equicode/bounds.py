@@ -176,9 +176,10 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
             if v in seen:
                 raise WrongStructure("parts must be disjoint")
             seen.add(v)
-    members = sorted(seen)
-    if not members:
+    t_min = min((len(p) for p in parts), default=0)
+    if t_min == 0:
         raise InvalidParams("parts must be non-empty")
+    members = sorted(seen)
     sub = C.subset(members)
     g = sub.gram.as_array()
     for part in parts:
@@ -195,9 +196,8 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
     lhs = 2.0 * B * (beta + 1.0) + 2.0 * A * (1.0 - alpha)
     rhs = float(mm) ** 2
     ell = len(parts)
-    t_min = min(len(p) for p in parts)
     witness = {"A": A, "B": B, "parts": ell, "t_min": t_min}
-    if ell >= 2 and t_min >= 1:
+    if ell >= 2:
         cross_pairs = math.comb(ell, 2) * t_min * t_min
         delta = max(0.0, 1.0 - B / cross_pairs)
         denom = beta - delta * (1.0 + beta)

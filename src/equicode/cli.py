@@ -227,7 +227,7 @@ def rewrite_code_file(path: str, doc: dict) -> None:
 
 
 def load_code(path: str, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> tuple:
-    """Code from a file and the parsed document.
+    """Code from a file and the parsed document, whose rows move into the code.
 
     A Gram-only file's Gram is the code's one Gram, and the code takes one
     spectrum of it.  With ``vectors`` that is ``embed_from_gram``'s ``eigh``;
@@ -239,8 +239,8 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> 
     if "vectors" in doc:
         if doc["vectors"].shape[1] != doc["dim"]:
             raise InvalidParams("vector length disagrees with dim")
-        return Code(doc["vectors"], tol), doc
-    gram = doc["gram"]
+        return Code(doc.pop("vectors"), tol), doc
+    gram = doc.pop("gram")
     if gram.shape[0] != gram.shape[1]:
         raise InvalidParams("gram must be a square matrix")
     if not np.array_equal(gram, gram.T, equal_nan=True):  # SymMatrix refuses a NaN pair

@@ -47,10 +47,6 @@ class LabelledGraph:
         classes = np.array(classes, dtype=int)  # a copy: the caller's array cannot change it
         if not _square_symmetric(classes).size:
             raise InvalidParams("a graph needs at least one vertex")
-        self._keep(classes, n_classes)
-
-    def _keep(self, classes: np.ndarray, n_classes: int):
-        """Hold ``classes`` itself, read-only; nothing else may reference it."""
         classes.flags.writeable = False
         self.size, self.classes = classes.shape[0], classes
         self.n_classes = int(n_classes)
@@ -89,7 +85,8 @@ def _reach(adj: np.ndarray, v: int, steps: int) -> np.ndarray:
 
 
 def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
-    """Labelled graph of a code; NotAnLCode unless every pair matches L.
+    """Labelled graph of a code, for the Ramsey, Turan and degree lemmas;
+    NotAnLCode unless every pair matches L.
 
     Each pair i < j is classified once and mirrored to (j, i).
     """
@@ -101,9 +98,7 @@ def build_graph(C: Code, L: AngleSet) -> LabelledGraph:
     classes = np.full((len(C), len(C)), -1, dtype=int)
     classes[rows, cols] = ids
     classes[cols, rows] = ids
-    graph = LabelledGraph.__new__(LabelledGraph)  # keeps this matrix, not a copy
-    graph._keep(classes, L.class_count())
-    return graph
+    return LabelledGraph(classes, L.class_count())
 
 
 @dataclass(frozen=True)
@@ -507,9 +502,11 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     |C| = |S_Y| + sum of the other buckets + |Y| holds exactly.  Each S_T
     with t/2 <= |T| < t gets a garbage check against 2/alpha^2.
 
-    Negating a vector negates its inner products exactly in floating point,
-    and no clique vertex is negated, so the switched code's classes follow
-    from the input's graph: one graph and one validation serve both.
+    ``detect_equiangular`` bounds the spread of |value| by 2 angle_tol and
+    refuses alpha <= angle_tol, so no value is 0 and its sign is its class:
+    the positive graph is the sign of the kept Gram.  No clique vertex is
+    switched, so the clique is sliced from the kept Gram, and only S_Y's
+    members are negated (exactly, in floating point) for the projection.
     """
     alpha = detect_equiangular(C)
     if alpha is None or alpha <= C.tol.angle_tol:
@@ -517,14 +514,14 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     if not 1 <= t < len(C) or int(t) != t:
         raise InvalidParams("clique size t must satisfy 1 <= t < |C|")
     t = int(t)
-    graph = build_graph(C, AngleSet(points=(-alpha, alpha), tol=C.tol.angle_tol))
-    clique = find_clique(graph.adjacency(1), t)
+    positive = C.gram.as_array() > 0
+    clique = find_clique(positive, t)
     if clique is None:
         raise NoClique(f"no positive clique of size {t}")
     clique_set = set(clique)
     switched: List[int] = []
     buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for v, row in enumerate((graph.classes[:, list(clique)] == 1).tolist()):  # 1 is +alpha
+    for v, row in enumerate(positive[:, list(clique)].tolist()):
         if v in clique_set:
             continue
         flip = 2 * sum(row) < t
@@ -557,8 +554,9 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     params = AngleParams(alpha, t)
     projected = None
     if s_y:
-        work = switch_vertices(C, switched)  # the projection needs the vectors
-        projected = project_onto_complement(work.subset(s_y), work.subset(clique))
+        flipped = set(switched)
+        work = switch_vertices(C.subset(s_y), [i for i, v in enumerate(s_y) if v in flipped])
+        projected = project_onto_complement(work, C.subset(clique))
         L = angle_set_after_projection(params, C.tol.angle_tol)
         if (L.classify_all(_pairs(projected)[1]) < 0).any():
             raise InternalError("projected bucket is not an L(alpha, t)-code")

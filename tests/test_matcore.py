@@ -632,8 +632,7 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
 
 def test_reduce_and_project_embed_a_gram_only_file_once(tmp_path, monkeypatch):
     # one eigh embeds the file, and the file's Gram serves the loaded code and
-    # the subsets sliced from it; gram_of builds only the switched clique's
-    # Gram (reduce) and the projected code's (both)
+    # the subsets sliced from it; gram_of builds only the projected code's
     from equicode import cli, codes
 
     src = tmp_path / "ls12.json"
@@ -652,15 +651,16 @@ def test_reduce_and_project_embed_a_gram_only_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_code", recorded_load)
     monkeypatch.setattr(codes, "gram_of", recorded_gram)
     embeds = _count_calls(monkeypatch, cli, "embed_from_gram")
-    for command, args, built in (("reduce", ["--t", "6"], 2),
-                                 ("project", ["--clique", "0,2,4,6,8,10"], 1)):
+    for command, args in (("reduce", ["--t", "6"]),
+                          ("project", ["--clique", "0,2,4,6,8,10"])):
         for calls in (loaded, grams, embeds):
             calls.clear()
         assert cli.run([command, str(src), *args, "--out", str(tmp_path / "out.json")]) == 0
-        (code, doc), = loaded
-        assert len(embeds) == 1 and len(grams) == built, command
+        (code, _), = loaded
+        assert len(embeds) == 1 and len(grams) == 1, command
         assert all(C is not code for C in grams)
-        assert code.gram.as_array().tobytes() == doc["gram"].tobytes()
+        assert code.gram.as_array().tobytes() == \
+            cli.read_code_file(str(src))["gram"].tobytes()
 
 
 def test_code_gram_and_eigenvalue_memo_are_read_only():

@@ -16,10 +16,11 @@ L(alpha, t)-code is matched once, by ``codes._l_code_negatives``, and only
 codes.py writes the negative edges a code keeps; neither bounds nor
 graphlab imports the other.
 
-One clique path per code: only ``graphlab.reduction_pipeline`` calls
-``build_graph``, and it searches the positive graph with ``find_clique``
-alone.  No function calls ``ramsey_pair``.  A yes/no angle-set check asks
-the classifier; only ``cli.cmd_verify`` builds the verify report with
+One clique path per code: ``graphlab.reduction_pipeline`` reads its
+positive graph off the sign of the kept Gram and searches it with
+``find_clique`` alone, so no function calls ``build_graph`` (which stays
+public for the graph lemmas) or ``ramsey_pair``.  A yes/no angle-set check
+asks the classifier; only ``cli.cmd_verify`` builds the verify report with
 ``validate_code``.
 """
 
@@ -84,9 +85,8 @@ def test_bounds_imports_nothing_from_graphlab():
     assert "codes" in modules and "graphlab" not in modules
 
 
-def test_only_the_reduction_builds_a_graph():
-    assert [(f, s) for f, s, _ in _calls("build_graph")] == [
-        ("graphlab.py", "reduction_pipeline")]
+def test_no_function_builds_a_graph():
+    assert _calls("build_graph") == []
 
 
 def test_only_codes_keeps_the_negative_edges():

@@ -45,14 +45,13 @@ from .constructions import (
     binary_kcode,
     concatenated_code,
     lemmens_seidel_code,
-    lines28_gram,
     odd_reciprocal_code,
     regular_simplex,
     seven_dim_28_lines,
 )
 from .errors import EquicodeError, InvalidIndex, InvalidParams, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, gram_rank, is_psd
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, gram_rank
 
 GRAM_CSV_HEADER = "# equicode gram v1"
 
@@ -216,6 +215,8 @@ def read_code_file(path: str) -> dict:
     doc[key] = _float_rows(doc[key], may_hold_bools=bools)
     if doc[key].size == 0:
         raise InvalidParams("vectors/gram must hold at least one number")
+    if not np.all(np.isfinite(doc[key])):  # json reads NaN and Infinity
+        raise InvalidParams("vectors/gram entries must be finite")
     return doc
 
 
@@ -243,7 +244,7 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> 
     gram = doc.pop("gram")
     if gram.shape[0] != gram.shape[1]:
         raise InvalidParams("gram must be a square matrix")
-    if not np.array_equal(gram, gram.T, equal_nan=True):  # SymMatrix refuses a NaN pair
+    if not np.array_equal(gram, gram.T):
         raise InvalidParams("gram must be exactly symmetric")
     M = SymMatrix(gram)
     if vectors:
@@ -339,13 +340,8 @@ def _detected_points(code: Code) -> np.ndarray:
     return np.array(code.angles.points)
 
 
-def _with_rank(built) -> tuple:
-    code, rank = built
-    return code, {"gram_rank": rank}
-
-
-def _build_lines28(args, tol) -> tuple:
-    return seven_dim_28_lines(), {"gram_rank": is_psd(lines28_gram()).witness["rank"]}
+def _with_rank(code: Code) -> tuple:
+    return code, {"gram_rank": code.rank}
 
 
 def _build_concat(args, tol) -> tuple:
@@ -363,12 +359,10 @@ def _build_concat(args, tol) -> tuple:
 # metadata)); a construction that declares its angle set returns it as
 # extra "angles", the others have theirs detected
 CONSTRUCTIONS = {
-    "lemmens-seidel": (("n",), lambda a, tol: _with_rank(
-        lemmens_seidel_code(a.n, return_rank=True))),
-    "odd-reciprocal": (("n", "r"), lambda a, tol: _with_rank(
-        odd_reciprocal_code(a.n, a.r, return_rank=True))),
-    "lines28": ((), _build_lines28),
-    "simplex": (("r",), lambda a, tol: _with_rank(regular_simplex(a.r, return_rank=True))),
+    "lemmens-seidel": (("n",), lambda a, tol: _with_rank(lemmens_seidel_code(a.n))),
+    "odd-reciprocal": (("n", "r"), lambda a, tol: _with_rank(odd_reciprocal_code(a.n, a.r))),
+    "lines28": ((), lambda a, tol: _with_rank(seven_dim_28_lines())),
+    "simplex": (("r",), lambda a, tol: _with_rank(regular_simplex(a.r))),
     "binary-kcode": (("n", "k"), lambda a, tol: (binary_kcode(a.n, a.k), {})),
     "concat": (("n", "k", "r", "alpha1"), _build_concat),
 }
@@ -550,9 +544,11 @@ def cmd_project(args, tol: Tolerance) -> int:
 
 
 def cmd_reduce(args, tol: Tolerance) -> int:
+    sidecar = args.sidecar or (args.out + ".reduction.json")
+    if os.path.realpath(sidecar) == os.path.realpath(args.out):
+        raise InvalidParams(f"--sidecar and --out name the same file {args.out!r}")
     code = load_code(args.file, tol)[0]
     outcome = reduction_pipeline(code, args.t)
-    sidecar = args.sidecar or (args.out + ".reduction.json")
     bucket_doc = {}
     for key, members in sorted(outcome.buckets.items(), key=lambda kv: str(kv[0])):
         bucket_doc[",".join(str(v) for v in key) or "(empty)"] = list(members)

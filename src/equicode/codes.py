@@ -31,7 +31,9 @@ class Code:
     reads it, and the codes derived from one are checked at it too.  The
     Gram, its rank and the observed angle set are each derived once and kept,
     as is the boolean negative adjacency of the last L(alpha, t) matched.
-    A ``gram`` the vectors were embedded from is kept in place of X X^T.
+    A ``gram`` the vectors were embedded from is kept in place of X X^T,
+    and a ``rank`` that embedding certified is kept as the code's rank: the
+    caller vouches for both, and a rank not given is computed on first use.
     A code built by ``from_gram`` is its Gram alone: it has no vectors, and
     reading them is an InternalError, never a silent embedding.
     """
@@ -39,7 +41,7 @@ class Code:
     __slots__ = ("dim", "_vectors", "tol", "_gram", "_rank", "_angles", "_negatives")
 
     def __init__(self, vectors, tol: Tolerance = DEFAULT_TOL,
-                 gram: Optional[SymMatrix] = None):
+                 gram: Optional[SymMatrix] = None, rank: Optional[int] = None):
         arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidParams("a code is a non-empty list of non-empty vectors")
@@ -55,7 +57,7 @@ class Code:
         self.dim = arr.shape[1]
         self.tol = tol
         self._gram = gram
-        self._rank = None
+        self._rank = rank
         self._angles = None
         self._negatives = None
 

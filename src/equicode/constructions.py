@@ -16,7 +16,7 @@ import numpy as np
 
 from .codes import AngleSet, Code
 from .errors import InternalError, InvalidParams, RandomizedFailure, TooLarge
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, is_psd
 
 SIZE_CAP = 10 ** 5
 MAX_ATTEMPTS = 32  # seeds concatenated_code tries before RandomizedFailure
@@ -111,15 +111,13 @@ def simplex_gram(r: int) -> SymMatrix:
     return SymMatrix.from_integers(num, r)
 
 
-def _certified_embed(gram: SymMatrix, expected_rank: int) -> Tuple[Code, int]:
-    """Embedding of a rational Gram by ``embed_from_gram``'s exact branch.
-
-    Returns the code and the certified rank of ``gram``, which is its dimension.
-    """
+def _certified_embed(gram: SymMatrix, expected_rank: int) -> Code:
+    """Embedding of a rational Gram by ``embed_from_gram``'s exact branch;
+    the code keeps the sweep's rank, which must be ``expected_rank``."""
     code = embed_from_gram(gram)
-    if code.dim != expected_rank:
-        raise InternalError(f"construction Gram rank {code.dim} != expected {expected_rank}")
-    return code, code.dim
+    if code.rank != expected_rank:
+        raise InternalError(f"construction Gram rank {code.rank} != expected {expected_rank}")
+    return code
 
 
 def _pad_to_dim(code: Code, dim: int, error=InternalError) -> Code:
@@ -131,49 +129,41 @@ def _pad_to_dim(code: Code, dim: int, error=InternalError) -> Code:
     if code._vectors is None:
         return Code.from_gram(code._gram, dim, code.tol, code._rank)
     pad = np.zeros((len(code), dim - code.dim))
-    return Code(np.hstack([code.vectors, pad]), code.tol, gram=code._gram)
+    return Code(np.hstack([code.vectors, pad]), code.tol, gram=code._gram, rank=code._rank)
 
 
 # deterministic constructions -------------------------------------------
 
 
-def lemmens_seidel_code(n: int, return_rank: bool = False):
-    """2n-2 unit vectors in R^n with all pairwise inner products +/- 1/3.
-
-    With ``return_rank`` also returns the exactly certified Gram rank.
-    """
-    code, rank = _certified_embed(lemmens_seidel_gram(n), expected_rank=n)
-    return (code, rank) if return_rank else code
+def lemmens_seidel_code(n: int) -> Code:
+    """2n-2 unit vectors in R^n with all pairwise inner products +/- 1/3;
+    the code's rank n is certified exactly."""
+    return _certified_embed(lemmens_seidel_gram(n), expected_rank=n)
 
 
-def odd_reciprocal_code(n: int, r: int, return_rank: bool = False):
+def odd_reciprocal_code(n: int, r: int) -> Code:
     """r * floor((n-1)/(r-1)) unit vectors in R^n at angle 1/(2r-1).
 
-    The Gram rank is 1 + blocks*(r-1) <= n, certified exactly per instance;
-    ``return_rank`` also returns it.
+    The code's rank, 1 + blocks*(r-1) <= n, is certified exactly per instance.
     """
     gram = odd_reciprocal_gram(n, r)
     blocks = (n - 1) // (r - 1)
-    code, rank = _certified_embed(gram, expected_rank=1 + blocks * (r - 1))
-    code = _pad_to_dim(code, n)
-    return (code, rank) if return_rank else code
+    return _pad_to_dim(_certified_embed(gram, expected_rank=1 + blocks * (r - 1)), n)
 
 
-def regular_simplex(r: int, return_rank: bool = False):
-    """r+1 unit vectors in R^r with all pairwise inner products -1/r.
-
-    With ``return_rank`` also returns the exactly certified Gram rank.
-    """
-    code, rank = _certified_embed(simplex_gram(r), expected_rank=r)
-    return (code, rank) if return_rank else code
+def regular_simplex(r: int) -> Code:
+    """r+1 unit vectors in R^r with all pairwise inner products -1/r;
+    the code's rank r is certified exactly."""
+    return _certified_embed(simplex_gram(r), expected_rank=r)
 
 
 def seven_dim_28_lines() -> Code:
     """All 28 placements of the two -3 entries in (1,...,1,-3,-3)/sqrt(24).
 
     The coordinates of every vector sum to zero, so the 28 vectors span a
-    7-dimensional subspace of R^8.  Enumeration is lexicographic over the
-    two -3 positions.
+    7-dimensional subspace of R^8; the code keeps the rank 7 that the exact
+    sweep of ``lines28_gram`` certifies.  Enumeration is lexicographic over
+    the two -3 positions.
     """
     rows = []
     for i, j in combinations(range(8), 2):
@@ -181,7 +171,7 @@ def seven_dim_28_lines() -> Code:
         v[i] = -3.0
         v[j] = -3.0
         rows.append(v / math.sqrt(24.0))
-    return Code(np.array(rows))
+    return Code(np.array(rows), rank=is_psd(lines28_gram()).witness["rank"])
 
 
 def lines28_gram() -> SymMatrix:

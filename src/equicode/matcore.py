@@ -314,16 +314,18 @@ def quadratic_form(M: SymMatrix, v: Sequence):
 
 def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     """Unit vectors in R^rank(M) whose Gram matrix reproduces M; the code
-    keeps M, or its float copy, as its Gram.
+    keeps M, or its float copy, as its Gram, and the rank certified here as
+    its rank.
 
     Requires M to be PSD with a unit diagonal.  A rational M is certified
     by one exact symmetric sweep, and its vectors are the rows of the
     pivoted Cholesky factor read off that sweep (Higham 1990), every entry
-    correctly rounded.  A float M takes one spectrum for the PSD verdict,
-    the rank and the embedding: the eigenvectors of the nonzero spectrum
-    scaled by sqrt(lambda), rows then renormalized to unit length.  Either
-    result is canonical only up to orthogonal transformation, so callers
-    should compare Gram matrices, never raw vectors.
+    correctly rounded; its rank is the sweep's count of positive pivots.
+    A float M takes one spectrum for the PSD verdict, the thresholded rank
+    and the embedding: the eigenvectors of the nonzero spectrum scaled by
+    sqrt(lambda), rows then renormalized to unit length.  Either result is
+    canonical only up to orthogonal transformation, so callers should
+    compare Gram matrices, never raw vectors.
     """
     from .codes import Code
 
@@ -331,7 +333,7 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     if M.backend == RATIONAL:
         cert, X = is_psd(M, tol, return_factor=True)
         _require_psd(cert)
-        return Code(X, tol, gram=M.to_float())
+        return Code(X, tol, gram=M.to_float(), rank=X.shape[1])
     spec = sym_eigen(M)
     _require_psd(_float_psd(spec.eigenvalues, tol))
     r = _float_rank(spec.eigenvalues, tol)
@@ -342,7 +344,7 @@ def embed_from_gram(M: SymMatrix, tol: Tolerance = DEFAULT_TOL):
     if np.any(norms < 1e-12):
         raise NotRealizable("degenerate embedding row")
     X = X / norms[:, np.newaxis]
-    return Code(X, tol, gram=M)
+    return Code(X, tol, gram=M, rank=r)
 
 
 def gram_rank(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:

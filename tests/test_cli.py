@@ -422,6 +422,34 @@ def test_reduce_full_clique_writes_sidecar_only(tmp_path, capsys):
     assert side["projected_size"] == 0
 
 
+@pytest.mark.parametrize("sidecar", ["red.json", "./sub/../red.json"])
+def test_reduce_refuses_a_sidecar_that_is_its_output(sidecar, tmp_path, capsys, monkeypatch):
+    src = tmp_path / "ls10.json"
+    run(["construct", "lemmens-seidel", "--n", "10", "--out", str(src)])
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run(["reduce", str(src), "--t", "6", "--out", "red.json",
+                "--sidecar", sidecar]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("InvalidParams: --sidecar and --out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ls10.json", "sub"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{src}", "--L", "point:0"],
+    ["reduce", "{src}", "--t", "2", "--out", "{out}"],
+    ["project", "{src}", "--clique", "0", "--out", "{out}"],
+], ids=["verify", "reduce", "project"])
+def test_non_finite_gram_file_is_a_usage_error_on_every_reader(argv, tmp_path, capsys):
+    # certify is test_malformed_code_file_is_refused_or_skipped[gram-nan]
+    src, out = tmp_path / "nan.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"format_version": "1", "dim": 2, "metadata": {},
+                               "gram": [[1.0, math.nan], [math.nan, 1.0]]}))
+    assert run([a.format(src=src, out=out) for a in argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == "InvalidParams: vectors/gram entries must be finite\n"
+    assert not out.exists()
+
+
 def test_reduce_past_t24_checks_each_attachment_bucket(tmp_path):
     # each of the 25 vertices outside the clique and S_Y meets its own 24 of
     # the 25 clique vertices, so each garbage check bounds a bucket of one
@@ -727,11 +755,21 @@ _DISTINCT_TEXT = json.dumps({"format_version": "1", "dim": 8, "vectors": _DISTIN
     ({"format_version": "1", "dim": 8, "vectors": _DISTINCT_ROWS + [[0.5] * 7 + ["0.5"]],
       "metadata": {}},
      EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
+    ({"format_version": "1", "dim": 2, "gram": [[1.0, math.nan], [math.nan, 1.0]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be finite"),
+    ({"format_version": "1", "dim": 2, "gram": [[1.0, math.inf], [math.inf, 1.0]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be finite"),
+    ({"format_version": "1", "dim": 2, "vectors": [[math.nan, 0.0], [0.0, 1.0]],
+      "metadata": {}},
+     EXIT_USAGE, "InvalidParams: vectors/gram entries must be finite"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
         "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list",
         "dim-fraction", "entry-object", "entry-string", "entry-bool", "gram-null",
         "gram-one-row", "gram-not-square", "gram-not-symmetric",
-        "truncated-after-distinct-floats", "entry-string-after-distinct-floats"])
+        "truncated-after-distinct-floats", "entry-string-after-distinct-floats",
+        "gram-nan", "gram-infinity", "vectors-nan"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"

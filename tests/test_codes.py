@@ -547,8 +547,9 @@ def _gap(vals):
 def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
     """On a seed-permuted Gram-only LS(300) file and its ``reduce --t 6``
     output, every spectrum a certified rank is read off has its eigenvalues
-    at least 1e3 times the cutoff or at most 1e-3 times it, so neither a
-    values-only solve nor X^T X in place of X X^T can flip a rank."""
+    at least 1e3 times the cutoff or at most 1e-3 times it, so neither the
+    embedding's ``eigh``, a values-only solve nor X^T X in place of X X^T
+    can flip a rank."""
     from equicode import matcore
     from equicode.bounds import gerzon_certificate
     from equicode.cli import EXIT_OK, load_code, run, write_code_file
@@ -558,7 +559,6 @@ def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
     write_code_file(str(src), 300, metadata={},
                     gram=lemmens_seidel_gram(300).as_array()[np.ix_(perm, perm)])
     assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
-    ls, projected = load_code(str(src))[0], load_code(str(reduced))[0]
 
     spectra = []
     decompose = matcore.sym_eigen
@@ -568,9 +568,12 @@ def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
         return spectra[-1]
 
     monkeypatch.setattr(matcore, "sym_eigen", recorded)
-    cert = gerzon_certificate(ls)  # the code's rank, then the outer Gram's
+    # the embedding's eigh gives ls.rank; then the outer Gram's rank and the
+    # projected code's, both values-only
+    ls, projected = load_code(str(src))[0], load_code(str(reduced))[0]
+    cert = gerzon_certificate(ls)
     assert (ls.rank, projected.rank, cert.witness["outer_rank"]) == (300, 294, 598)
-    assert [s.eigenvectors for s in spectra] == [None] * 3
+    assert [s.eigenvectors is None for s in spectra] == [False, True, True]
     for code in (ls, projected):  # the rank a full eigh of X X^T gives
         spectra.append(decompose(gram_of(code)))
         assert _float_rank(spectra[-1].eigenvalues, DEFAULT_TOL) == code.rank

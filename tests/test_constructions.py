@@ -89,6 +89,39 @@ def test_28_lines():
     assert np.abs(np.abs(off) - 1 / 3).max() <= 1e-12
 
 
+@pytest.fixture
+def no_spectrum(monkeypatch):
+    from equicode import matcore
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a constructed code's rank takes no spectrum")
+
+    monkeypatch.setattr(matcore, "sym_eigen", refused)
+
+
+@pytest.mark.parametrize("build, rank, dim", [
+    (lambda: lemmens_seidel_code(12), 12, 12),
+    (lambda: regular_simplex(5), 5, 5),
+    (seven_dim_28_lines, 7, 8),
+    (lambda: odd_reciprocal_code(9, 3), 9, 9),
+    (lambda: odd_reciprocal_code(10, 3), 9, 10),
+], ids=["ls12", "simplex5", "lines28", "odd-reciprocal-9-3", "odd-reciprocal-10-3-padded"])
+def test_a_constructed_code_keeps_its_certified_rank(build, rank, dim, no_spectrum):
+    code = build()
+    assert (code.rank, code.dim) == (rank, dim)
+
+
+def test_a_subset_recomputes_its_rank(monkeypatch):
+    from equicode import matcore
+
+    code = lemmens_seidel_code(6)
+    calls = []
+    decompose = matcore.sym_eigen
+    monkeypatch.setattr(matcore, "sym_eigen", lambda *a, **k: calls.append(a) or decompose(*a, **k))
+    assert code.subset([0, 1]).rank == 2 and len(calls) == 1
+    assert code.rank == 6 and len(calls) == 1
+
+
 def test_28_lines_rational_gram_matches_float():
     g = lines28_gram()
     f = gram_of(seven_dim_28_lines()).as_array()

@@ -543,8 +543,10 @@ def test_rational_float_copy_rounds_like_fractions():
 
 
 def test_one_exact_sweep_per_construction(tmp_path, monkeypatch):
+    """Each exact construction takes one sweep and no spectrum, and writes
+    the rank its code keeps from that sweep as ``gram_rank``."""
     from equicode import matcore
-    from equicode.cli import EXIT_OK, run
+    from equicode.cli import EXIT_OK, read_code_file, run
 
     calls = []
     kernel = matcore._fraction_free
@@ -553,12 +555,20 @@ def test_one_exact_sweep_per_construction(tmp_path, monkeypatch):
         calls.append(kwargs.get("symmetric", False))
         return kernel(*args, **kwargs)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("construct takes no spectrum")
+
     monkeypatch.setattr(matcore, "_fraction_free", counted)
-    for args in (["lemmens-seidel", "--n", "10"], ["odd-reciprocal", "--n", "9", "--r", "3"],
-                 ["simplex", "--r", "6"], ["lines28"]):
+    monkeypatch.setattr(matcore, "sym_eigen", refused)
+    out = tmp_path / "c.json"
+    for args, rank in ((["lemmens-seidel", "--n", "10"], 10),
+                       (["odd-reciprocal", "--n", "9", "--r", "3"], 9),
+                       (["odd-reciprocal", "--n", "10", "--r", "3"], 9),
+                       (["simplex", "--r", "6"], 6), (["lines28"], 7)):
         calls.clear()
-        assert run(["construct", *args, "--out", str(tmp_path / "c.json")]) == EXIT_OK
+        assert run(["construct", *args, "--out", str(out)]) == EXIT_OK
         assert calls == [True], args
+        assert read_code_file(str(out))["metadata"]["gram_rank"] == rank, args
 
 
 def _count_calls(monkeypatch, module, name):
@@ -585,14 +595,14 @@ def test_float_embedding_takes_one_spectrum(monkeypatch):
     assert code.dim == want_rank == 12 and want_psd.passed
 
 
-def test_gerzon_takes_two_spectra(monkeypatch):
+def test_gerzon_takes_one_spectrum(monkeypatch):
     from equicode import matcore
     from equicode.bounds import gerzon_certificate
 
     calls = _count_calls(monkeypatch, matcore, "sym_eigen")
     cert = gerzon_certificate(seven_dim_28_lines())
-    # the code's rank off X^T X (order 8), then the outer-product Gram: ranks only
-    assert [c.get("vectors", True) for c in calls] == [False, False]
+    # the code keeps its exact rank; only the outer-product Gram is decomposed, for its rank
+    assert [c.get("vectors", True) for c in calls] == [False]
     assert cert.passed and cert.witness["rank"] == 7 and cert.witness["outer_rank"] == 28
 
 

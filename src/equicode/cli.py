@@ -369,6 +369,8 @@ CONSTRUCTIONS = {
 
 
 def cmd_construct(args, tol: Tolerance) -> int:
+    if args.gram_csv and os.path.realpath(args.gram_csv) == os.path.realpath(args.out):
+        raise InvalidParams(f"--gram-csv and --out name the same file {args.out!r}")
     name = args.name
     fields, build = CONSTRUCTIONS[name]
     for field in fields:

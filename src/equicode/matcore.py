@@ -5,10 +5,11 @@ every spectrum through ``sym_eigen``: ``eigh`` where the eigenvectors are
 used or the eigenvalues reach a certificate, values-only ``eigvalsh`` for the
 rank and PSD thresholds; a matrix keeps no spectrum, so every call takes its own.
 A spectrum's residual is computed when first read.
-Exact work (rank, PSD pivots) runs fraction-free on the integer form of a
-rational matrix, numerators over one common denominator: in int64 while no
-step can overflow, restarted on the primitive part of the remaining block
-when that fits, and on Python ints after.  Verdicts on rational matrices are
+Exact work (rank, PSD pivots) runs one symmetric fraction-free sweep on the
+integer form of a rational matrix, numerators over one common denominator:
+in int64 while no step can overflow, restarted on the primitive part of the
+remaining block when that fits, and on Python ints after; a matrix it finds
+not PSD is ranked by sweeping M M.  Verdicts on rational matrices are
 therefore bit-exact rather than threshold-dependent.  A PSD sweep also
 yields its LDL^T factor, and a rational Gram is embedded from that factor,
 each entry correctly rounded, with no spectrum and no BLAS call.
@@ -239,11 +240,18 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
 
     Float backend: eigenvalues of one values-only spectrum above
     ``eig_zero`` relative to the largest magnitude.
-    Rational backend: exact rank by fraction-free elimination with row
-    pivoting, so indefinite input is fine.
+    Rational backend: the positive pivots of one exact sweep of M or, if
+    that finds M not PSD, of the PSD product M M, which has M's rank; the
+    product is int64 while ``order * max|entry|^2 < 2^63``, else Python ints.
     """
     if M.backend == RATIONAL:
-        return _fraction_free(M._array)[0]
+        num = M._array
+        rank, witness, _ = _fraction_free(num)
+        if witness is None:
+            return rank
+        if num.dtype != object and M.order * _max_abs(num) ** 2 >= 2 ** 63:
+            num = num.astype(object)
+        return _fraction_free(num @ num)[0]
     return _float_rank(sym_eigen(M, vectors=False).eigenvalues, tol)
 
 
@@ -264,7 +272,7 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL, return_factor: bool = Fal
     X, X X^T = M up to rounding, or None if M is not PSD.
     """
     if M.backend == RATIONAL:
-        rank, witness, factor = _fraction_free(M._array, M._den, symmetric=True)
+        rank, witness, factor = _fraction_free(M._array, M._den)
         cert = Certificate(
             name="psd", statement="all leading pivots of the symmetric elimination are >= 0",
             passed=witness is None, lhs=0, rhs=0 if witness is None else witness["pivot"],
@@ -382,8 +390,9 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def _fraction_free(num, den: int = 1, symmetric: bool = False):
-    """Bareiss (1968) fraction-free elimination of the integer matrix ``num``.
+def _fraction_free(num, den: int = 1):
+    """Symmetric Bareiss (1968) fraction-free elimination of the integer
+    matrix ``num``: diagonal pivots, no exchanges.
 
     After step k every live entry is a minor of order k + 1 of ``num``, so
     each division by the previous pivot is exact.  The sweep runs on an
@@ -396,76 +405,60 @@ def _fraction_free(num, den: int = 1, symmetric: bool = False):
     restarts on it with ``prev = 1`` and ``scale *= g / prev``, the
     matrix analogue of the primitive PRS (Collins 1967; Brown 1971);
     otherwise the working array is promoted to Python ints and the sweep
-    carries on from that step.  Witness pivots ``d / (prev * den) * scale``
-    are the pivots of ``num / den`` whether or not the sweep restarted.
+    carries on from that step, updating only the upper triangle of the
+    trailing block.  Witness pivots ``d / (prev * den) * scale`` are the
+    pivots of ``num / den`` whether or not the sweep restarted.
 
-    ``symmetric=True`` is the PSD sweep: diagonal pivots, no exchanges.  It
-    stops at a negative pivot, or at a zero pivot whose row is not all zero
-    (a negative 2x2 principal minor), and returns that witness with the
-    rank so far; otherwise the matrix is PSD and the number of positive
-    pivots is its rank.  Once promoted it updates only the upper triangle
-    of the trailing block.  ``symmetric=False`` finds the rank of any
-    matrix, indefinite ones included, with row pivoting.
-
-    Returns ``(rank, witness, factor)``; the witness is None unless a
-    symmetric sweep found the matrix not PSD.  A PSD sweep's factor is the
-    m x rank X = L sqrt(D) of the LDL^T factorization of ``num / den``: the
-    c-th positive pivot d, with pivot row a, gives column c, a / d scaled
-    by the square root of its witness pivot D; zero pivots give no column.
+    Returns ``(rank, witness, factor)``.  The sweep stops at a negative
+    pivot, or at a zero pivot whose row is not all zero (a negative 2x2
+    principal minor), and returns that witness with the rank so far and no
+    factor.  Otherwise the matrix is PSD, the witness is None, the number
+    of positive pivots is its rank and the factor is the m x rank
+    X = L sqrt(D) of the LDL^T factorization of ``num / den``: the c-th
+    positive pivot d, with pivot row a, gives column c, a / d scaled by the
+    square root of its witness pivot D; zero pivots give no column.
     """
     A = np.array(num)
     m = A.shape[0]
     prev, rank, scale = 1, 0, Fraction(1)
     upper = None
-    X = np.zeros((m, m), order="F") if symmetric else None  # untouched columns stay unpaged
+    X = np.zeros((m, m), order="F")  # untouched columns stay unpaged
     for col in range(m):
-        if symmetric:
-            row = col
-            d = int(A[col, col])
-            if d < 0:
-                pivot = Fraction(d, prev * den) * scale
-                return rank, {"pivot_index": col, "pivot": pivot}, None
-            if d == 0:
-                nz = np.flatnonzero(A[col, col:])
-                if nz.size:
-                    return rank, {"pivot_index": col, "pivot": Fraction(0),
-                                  "indefinite_pair": (col, col + int(nz[0]))}, None
-                continue
-        else:
-            row = rank
-            nz = np.flatnonzero(A[row:, col])
-            if nz.size == 0:
-                continue
-            if nz[0]:
-                piv = row + int(nz[0])
-                A[[row, piv], :] = A[[piv, row], :]
-            d = int(A[row, col])
-        if A.dtype != object and 2 * (top := _max_abs(A[row:, col:])) ** 2 >= _GUARD:
-            g = int(np.gcd.reduce(A[row:, col:], axis=None))
+        d = int(A[col, col])
+        if d < 0:
+            pivot = Fraction(d, prev * den) * scale
+            return rank, {"pivot_index": col, "pivot": pivot}, None
+        if d == 0:
+            nz = np.flatnonzero(A[col, col:])
+            if nz.size:
+                return rank, {"pivot_index": col, "pivot": Fraction(0),
+                              "indefinite_pair": (col, col + int(nz[0]))}, None
+            continue
+        if A.dtype != object and 2 * (top := _max_abs(A[col:, col:])) ** 2 >= _GUARD:
+            g = int(np.gcd.reduce(A[col:, col:], axis=None))
             if 2 * (top // g) ** 2 < _GUARD:
-                A[row:, col:] //= g
+                A[col:, col:] //= g
                 d //= g
                 scale *= Fraction(g, prev)
                 prev = 1
             else:
                 A = A.astype(object)
-        if symmetric:  # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
-            q = scale / (d * prev * den)  # D / d^2
-            values, where = np.unique(A[col, col:], return_inverse=True)
-            X[col:, rank] = np.array([_scaled_root(a, q) for a in values.tolist()])[where]
-        if symmetric and A.dtype == object:
+        # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
+        q = scale / (d * prev * den)  # D / d^2
+        values, where = np.unique(A[col, col:], return_inverse=True)
+        X[col:, rank] = np.array([_scaled_root(a, q) for a in values.tolist()])[where]
+        if A.dtype == object:
             if upper is None:
                 upper = np.triu_indices(m)
             start = (col + 1) * m - col * (col + 1) // 2  # first entry of row col+1
             i, j = upper[0][start:], upper[1][start:]
             A[i, j] = (d * A[i, j] - A[col, i] * A[col, j]) // prev
         else:
-            lower = A[row, col + 1:] if symmetric else A[row + 1:, col]
-            A[row + 1:, col + 1:] = (d * A[row + 1:, col + 1:]
-                                     - np.outer(lower, A[row, col + 1:])) // prev
+            a = A[col, col + 1:]
+            A[col + 1:, col + 1:] = (d * A[col + 1:, col + 1:] - np.outer(a, a)) // prev
         prev = d
         rank += 1
-    return rank, None, X[:, :rank] if symmetric else None
+    return rank, None, X[:, :rank]
 
 
 def _scaled_root(a: int, q: Fraction) -> float:

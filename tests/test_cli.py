@@ -435,6 +435,16 @@ def test_reduce_refuses_a_sidecar_that_is_its_output(sidecar, tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ls10.json", "sub"]
 
 
+@pytest.mark.parametrize("gram_csv", ["x.json", "./sub/../x.json"])
+def test_construct_refuses_a_gram_csv_that_is_its_output(gram_csv, tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "simplex", "--r", "3", "--out", "x.json",
+                "--gram-csv", gram_csv]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("InvalidParams: --gram-csv and --out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{src}", "--L", "point:0"],
     ["reduce", "{src}", "--t", "2", "--out", "{out}"],

@@ -417,12 +417,10 @@ def test_exact_kernel_restarts_where_plain_bareiss_leaves_int64(build):
     m = build()
     rank, witness, largest = _fraction_sweep(m.rows())
     assert witness is None and 2 * largest ** 2 >= 2 ** 62
-    (psd_rank, _, _), psd_restarts, psd_promotions = _sweep_paths(
-        matcore._fraction_free, m._array, m._den, True)
-    (row_rank, _, _), row_restarts, row_promotions = _sweep_paths(
-        matcore._fraction_free, m._array)
-    assert psd_rank == row_rank == rank == _fraction_rank(m.rows())
-    assert psd_restarts > 0 and row_restarts > 0 and psd_promotions == row_promotions == 0
+    (psd_rank, _, _), restarts, promotions = _sweep_paths(
+        matcore._fraction_free, m._array, m._den)
+    assert psd_rank == rank == rank_of(m) == _fraction_rank(m.rows())
+    assert restarts > 0 and promotions == 0
 
 
 @pytest.mark.parametrize("num", [
@@ -431,13 +429,45 @@ def test_exact_kernel_restarts_where_plain_bareiss_leaves_int64(build):
     [[0, -2 ** 63], [-2 ** 63, 0]],
     [[2 ** 62, -2 ** 63], [-2 ** 63, 2 ** 62]],
     [[2 ** 63 - 1, 2 ** 62], [2 ** 62, 2 ** 63 - 1]],
-], ids=["min-with-small", "min-diagonal", "min-off-diagonal", "indefinite", "max-psd"])
+    [[2 ** 31, 2 ** 31], [2 ** 31, -2 ** 31]],  # order max^2 = 2^63: M M wraps in int64
+], ids=["min-with-small", "min-diagonal", "min-off-diagonal", "indefinite", "max-psd",
+        "square-past-int64"])
 def test_exact_kernel_at_the_ends_of_int64(num):
     m = SymMatrix.from_integers(np.array(num, dtype=np.int64))
     rank, witness, _ = _fraction_sweep(m.rows())
     cert = is_psd(m)
     assert repr(cert.witness) == repr({"rank": rank} if witness is None else witness)
     assert rank_of(m) == _fraction_rank(m.rows())
+
+
+@pytest.mark.parametrize("build, sweeps", [
+    (lambda: lemmens_seidel_gram(12), 1),
+    (lambda: _matching_matrix(40, 3, 2), 2),   # 2 I - 3 A is not PSD
+], ids=["ls12-psd", "matching40-indefinite"])
+def test_rank_takes_one_sweep_and_one_more_on_the_square_if_not_psd(build, sweeps, monkeypatch):
+    from equicode import matcore
+
+    m = build()
+    calls = []
+    kernel = matcore._fraction_free
+
+    def counted(num, *args):
+        calls.append(num)
+        return kernel(num, *args)
+
+    monkeypatch.setattr(matcore, "_fraction_free", counted)
+    assert rank_of(m) == _fraction_rank(m.rows())
+    assert len(calls) == sweeps and calls[0] is m._array
+    if sweeps == 2:
+        square = m._array @ m._array
+        assert calls[1].dtype == square.dtype and np.array_equal(calls[1], square)
+
+
+def test_rank_of_indefinite_input_in_time():
+    m = _matching_matrix(600, 3, 2)  # 2 I - 3 A: eigenvalues 5 and -1
+    start = time.perf_counter()
+    assert rank_of(m) == 600
+    assert time.perf_counter() - start < 3.0
 
 
 @st.composite
@@ -552,7 +582,7 @@ def test_one_exact_sweep_per_construction(tmp_path, monkeypatch):
     kernel = matcore._fraction_free
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("symmetric", False))
+        calls.append(args[0])
         return kernel(*args, **kwargs)
 
     def refused(*args, **kwargs):
@@ -567,7 +597,7 @@ def test_one_exact_sweep_per_construction(tmp_path, monkeypatch):
                        (["simplex", "--r", "6"], 6), (["lines28"], 7)):
         calls.clear()
         assert run(["construct", *args, "--out", str(out)]) == EXIT_OK
-        assert calls == [True], args
+        assert len(calls) == 1, args
         assert read_code_file(str(out))["metadata"]["gram_rank"] == rank, args
 
 
@@ -702,7 +732,7 @@ def test_rational_embedding_takes_one_symmetric_sweep(monkeypatch):
 
     calls = _count_calls(monkeypatch, matcore, "_fraction_free")
     code = embed_from_gram(lemmens_seidel_gram(10))
-    assert calls == [{"symmetric": True}]
+    assert calls == [{}]
     assert code.dim == 10
 
 

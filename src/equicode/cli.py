@@ -36,12 +36,11 @@ from .codes import (
     AngleSet,
     Code,
     _pairs,
-    project_onto_complement,
+    project_off_clique,
     validate_code,
 )
 from .constructions import (
     ConcatParams,
-    _pad_to_dim,
     binary_kcode,
     concatenated_code,
     lemmens_seidel_code,
@@ -51,7 +50,7 @@ from .constructions import (
 )
 from .errors import EquicodeError, InvalidIndex, InvalidParams, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, gram_rank
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, gram_rank
 
 GRAM_CSV_HEADER = "# equicode gram v1"
 
@@ -227,14 +226,12 @@ def rewrite_code_file(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def load_code(path: str, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> tuple:
+def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Code from a file and the parsed document, whose rows move into the code.
 
-    A Gram-only file's Gram is the code's one Gram, and the code takes one
-    spectrum of it.  With ``vectors`` that is ``embed_from_gram``'s ``eigh``;
-    without, the code has no vectors, and one values-only spectrum certifies
-    the Gram and gives its rank (``gram_rank``).  Either way the rank must not
-    exceed the file's ``dim``.
+    A Gram-only file's Gram is the code's one Gram, and the code has no
+    vectors: one values-only spectrum certifies the Gram and gives its rank
+    (``gram_rank``), which must not exceed the file's ``dim``.
     """
     doc = read_code_file(path)
     if "vectors" in doc:
@@ -247,12 +244,8 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL, vectors: bool = True) -> 
     if not np.array_equal(gram, gram.T):
         raise InvalidParams("gram must be exactly symmetric")
     M = SymMatrix(gram)
-    if vectors:
-        code = embed_from_gram(M, tol)
-    else:
-        rank = gram_rank(M, tol)
-        code = Code.from_gram(M, rank, tol, rank)
-    return _pad_to_dim(code, doc["dim"], InvalidParams), doc
+    rank = gram_rank(M, tol)
+    return Code.from_gram(M, rank, tol, rank).padded(doc["dim"], InvalidParams), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:
@@ -368,9 +361,15 @@ CONSTRUCTIONS = {
 }
 
 
+def _refuse_same_file(flag: str, path: str, out: str) -> None:
+    """InvalidParams if ``path``, given by ``flag``, resolves to the --out file."""
+    if os.path.realpath(path) == os.path.realpath(out):
+        raise InvalidParams(f"{flag} and --out name the same file {out!r}")
+
+
 def cmd_construct(args, tol: Tolerance) -> int:
-    if args.gram_csv and os.path.realpath(args.gram_csv) == os.path.realpath(args.out):
-        raise InvalidParams(f"--gram-csv and --out name the same file {args.out!r}")
+    if args.gram_csv:
+        _refuse_same_file("--gram-csv", args.gram_csv, args.out)
     name = args.name
     fields, build = CONSTRUCTIONS[name]
     for field in fields:
@@ -400,7 +399,7 @@ def cmd_construct(args, tol: Tolerance) -> int:
 
 
 def cmd_verify(args, tol: Tolerance) -> int:
-    code = load_code(args.file, tol, vectors=False)[0]
+    code = load_code(args.file, tol)[0]
     aset = parse_angle_set(args.L, tol.angle_tol)
     if aset.covers_all():
         raise InvalidParams(f"the angle set widened by angle_tol {tol.angle_tol:g} "
@@ -508,7 +507,7 @@ SUITES = {
 
 
 def cmd_certify(args, tol: Tolerance) -> int:
-    code, doc = load_code(args.file, tol, vectors=False)
+    code, doc = load_code(args.file, tol)
     wanted = list(SUITES) if args.suite == "all" else [args.suite]
     certificates = [SUITES[suite](code, doc, args) for suite in wanted]
     write_report(args.report, certificates, tol)
@@ -534,7 +533,7 @@ def cmd_project(args, tol: Tolerance) -> int:
     rest = [i for i in range(len(code)) if i not in set(clique)]
     if not rest:
         raise InvalidParams("the clique covers the whole code")
-    projected = project_onto_complement(code.subset(rest), code.subset(clique))
+    projected = project_off_clique(code, rest, clique)
     metadata = {"construction": "projection",
                 "parameters": {"clique": clique, "source": os.path.basename(args.file)},
                 "seed": None, "size": len(projected),
@@ -547,8 +546,7 @@ def cmd_project(args, tol: Tolerance) -> int:
 
 def cmd_reduce(args, tol: Tolerance) -> int:
     sidecar = args.sidecar or (args.out + ".reduction.json")
-    if os.path.realpath(sidecar) == os.path.realpath(args.out):
-        raise InvalidParams(f"--sidecar and --out name the same file {args.out!r}")
+    _refuse_same_file("--sidecar", sidecar, args.out)
     code = load_code(args.file, tol)[0]
     outcome = reduction_pipeline(code, args.t)
     bucket_doc = {}

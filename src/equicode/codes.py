@@ -21,7 +21,7 @@ from .errors import (
     SingularGram,
     ZeroProjection,
 )
-from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, rank_of
+from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, embed_from_gram, rank_of
 
 
 class Code:
@@ -120,6 +120,18 @@ class Code:
         if self._vectors is None:
             return Code.from_gram(gram, self.dim, self.tol)
         return Code(self._vectors[idx], self.tol, gram=gram)
+
+    def padded(self, dim: int, error=InternalError) -> "Code":
+        """The code in R^dim by zero padding, keeping its Gram and rank;
+        ``error`` if it needs more dimensions."""
+        if self.dim > dim:
+            raise error(f"embedding needs {self.dim} > {dim} dimensions")
+        if self.dim == dim:
+            return self
+        if self._vectors is None:
+            return Code.from_gram(self._gram, dim, self.tol, self._rank)
+        pad = np.zeros((len(self), dim - self.dim))
+        return Code(np.hstack([self._vectors, pad]), self.tol, gram=self._gram, rank=self._rank)
 
     def __repr__(self):
         return f"Code(size={len(self)}, dim={self.dim})"
@@ -388,11 +400,13 @@ def angle_set_after_projection(params: AngleParams,
 
 
 def clique_angle(Y: Code) -> float:
-    """Common pairwise inner product of Y; NotAClique when values spread.
+    """Common pairwise inner product gamma of a clique Y.
 
     Uses the mean of the observed values, so exact cliques become float
-    cliques within angle_tol here.  A singleton Y has no pairs and returns
-    the sentinel 1.0, meaning no constraint.
+    cliques within angle_tol here.  NotAClique when the values spread by
+    angle_tol or more, when gamma is within angle_tol of 1 (duplicate
+    vectors), or when gamma < 0 with more than one vector.  A singleton Y has
+    no pairs and returns the sentinel 1.0, meaning no constraint.
     """
     if len(Y) == 1:
         return 1.0
@@ -400,19 +414,19 @@ def clique_angle(Y: Code) -> float:
     gamma = float(vals.mean())
     if float(np.abs(vals - gamma).max()) >= Y.tol.angle_tol:
         raise NotAClique("pairwise inner products are not a single value")
+    if gamma >= 1 - Y.tol.angle_tol:
+        raise NotAClique("clique contains duplicate vectors")
+    if gamma < 0:
+        raise NotAClique("a negative-angle clique must have size 1")
     return gamma
 
 
 def project_onto_complement(X: Code, Y: Code) -> Code:
-    """Normalized projection of X onto the orthogonal complement of span(Y)."""
+    """Normalized projection of X's vectors onto the orthogonal complement of
+    span(Y), through an SVD of Y: the vectors-level oracle of ``project_off_clique``."""
     if X.dim != Y.dim:
         raise DimensionMismatch("X and Y must share an ambient dimension")
-    gamma = clique_angle(Y)
-    if len(Y) > 1:
-        if gamma >= 1 - Y.tol.angle_tol:
-            raise NotAClique("clique contains duplicate vectors")
-        if gamma < 0:
-            raise NotAClique("a negative-angle clique must have size 1")
+    clique_angle(Y)
     u, s, _ = np.linalg.svd(Y.vectors.T, full_matrices=False)
     basis = u[:, s > s.max() * 1e-12]
     proj = X.vectors - (X.vectors @ basis) @ basis.T
@@ -420,6 +434,47 @@ def project_onto_complement(X: Code, Y: Code) -> Code:
     if np.any(norms < 1e-10):
         raise ZeroProjection("a vector lies in the span of the clique")
     return Code(proj / norms[:, np.newaxis], X.tol)
+
+
+def project_off_clique(C: Code, members: Sequence, clique: Sequence,
+                       switched: Sequence = ()) -> Code:
+    """Normalized projection of C's ``members`` off the span of its ``clique``,
+    from C's kept Gram alone, with the members listed in ``switched`` negated.
+
+    The projected Gram is R = G_XX - G_XY G_YY^-1 G_YX (X the members, Y the
+    clique), from one t x t solve on the clique's Gram, scaled to a unit
+    diagonal; negating switched rows and columns is exact.  The code keeps R
+    and is embedded by one ``eigh`` of R, then zero-padded to C's dim.
+
+    ``clique_angle`` refuses a non-clique.  The Gram route squares the
+    condition number: a squared residual d_i = R_ii carries about
+    eps / lambda_min absolute error (eps float64's machine epsilon,
+    lambda_min = 1 - gamma the clique Gram's smallest eigenvalue, 1 for one
+    vector), which scaling divides by d_i.  So a member with
+    d_i <= eps / (lambda_min * angle_tol) is not resolved to angle_tol:
+    ZeroProjection.
+    """
+    X, Yi = _checked_indices(members, len(C)), _checked_indices(clique, len(C))
+    G = C.gram.as_array()
+    Y = C.subset(Yi)  # slices the Gram read above
+    gamma = clique_angle(Y)
+    floor = np.finfo(float).eps / ((1.0 - gamma if len(Y) > 1 else 1.0) * C.tol.angle_tol)
+    cross = G[np.ix_(X, Yi)]
+    R = cross @ np.linalg.solve(Y.gram.as_array(), cross.T)
+    R += R.T  # in place, so that no m x m temporary outlives its step
+    R *= -0.5
+    R += G[np.ix_(X, X)]  # exactly symmetric
+    d = R.diagonal()
+    low = np.flatnonzero(d <= floor)
+    if low.size:
+        raise ZeroProjection(f"vector {X[low[0]]} lies in the span of the clique: its squared "
+                             f"residual {d[low[0]]:.3g} is at most {floor:.3g}, below which "
+                             "the Gram cannot resolve angle_tol")
+    scale = 1.0 / np.sqrt(d)
+    scale[np.isin(X, switched)] *= -1.0
+    R *= np.outer(scale, scale)
+    np.fill_diagonal(R, 1.0)
+    return embed_from_gram(SymMatrix(R), C.tol).padded(C.dim)
 
 
 def span_inner_product(s1: Sequence, s2: Sequence, gamma, t: int):

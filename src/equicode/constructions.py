@@ -120,18 +120,6 @@ def _certified_embed(gram: SymMatrix, expected_rank: int) -> Code:
     return code
 
 
-def _pad_to_dim(code: Code, dim: int, error=InternalError) -> Code:
-    """The code in R^dim by zero padding; ``error`` if it needs more dimensions."""
-    if code.dim > dim:
-        raise error(f"embedding needs {code.dim} > {dim} dimensions")
-    if code.dim == dim:
-        return code
-    if code._vectors is None:
-        return Code.from_gram(code._gram, dim, code.tol, code._rank)
-    pad = np.zeros((len(code), dim - code.dim))
-    return Code(np.hstack([code.vectors, pad]), code.tol, gram=code._gram, rank=code._rank)
-
-
 # deterministic constructions -------------------------------------------
 
 
@@ -148,7 +136,7 @@ def odd_reciprocal_code(n: int, r: int) -> Code:
     """
     gram = odd_reciprocal_gram(n, r)
     blocks = (n - 1) // (r - 1)
-    return _pad_to_dim(_certified_embed(gram, expected_rank=1 + blocks * (r - 1)), n)
+    return _certified_embed(gram, expected_rank=1 + blocks * (r - 1)).padded(n)
 
 
 def regular_simplex(r: int) -> Code:

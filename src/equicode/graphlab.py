@@ -23,8 +23,7 @@ from .codes import (
     _pairs,
     angle_set_after_projection,
     detect_equiangular,
-    project_onto_complement,
-    switch_vertices,
+    project_off_clique,
 )
 from .errors import (
     InternalError,
@@ -505,8 +504,8 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     ``detect_equiangular`` bounds the spread of |value| by 2 angle_tol and
     refuses alpha <= angle_tol, so no value is 0 and its sign is its class:
     the positive graph is the sign of the kept Gram.  No clique vertex is
-    switched, so the clique is sliced from the kept Gram, and only S_Y's
-    members are negated (exactly, in floating point) for the projection.
+    switched, and S_Y is projected by ``project_off_clique`` from the kept
+    Gram alone, its switched members' rows and columns negated.
     """
     alpha = detect_equiangular(C)
     if alpha is None or alpha <= C.tol.angle_tol:
@@ -554,9 +553,7 @@ def reduction_pipeline(C: Code, t: int) -> ReductionOutcome:
     params = AngleParams(alpha, t)
     projected = None
     if s_y:
-        flipped = set(switched)
-        work = switch_vertices(C.subset(s_y), [i for i, v in enumerate(s_y) if v in flipped])
-        projected = project_onto_complement(work, C.subset(clique))
+        projected = project_off_clique(C, s_y, clique, switched)
         L = angle_set_after_projection(params, C.tol.angle_tol)
         if (L.classify_all(_pairs(projected)[1]) < 0).any():
             raise InternalError("projected bucket is not an L(alpha, t)-code")

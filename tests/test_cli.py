@@ -28,8 +28,16 @@ from equicode.cli import (
     tolerance_from_env,
     write_code_file,
 )
-from equicode import AngleSet, gram_of, lemmens_seidel_code, lemmens_seidel_gram, regular_simplex
-from equicode.errors import InvalidParams
+from equicode import (
+    DEFAULT_TOL,
+    AngleSet,
+    gram_of,
+    lemmens_seidel_code,
+    lemmens_seidel_gram,
+    project_onto_complement,
+    regular_simplex,
+)
+from equicode.errors import InternalError, InvalidParams
 
 
 def test_canonical_json_floats_round_trip():
@@ -478,12 +486,64 @@ def test_reduce_past_t24_checks_each_attachment_bucket(tmp_path):
 
 
 def test_project_identity_on_orthonormal_input(tmp_path):
+    # the output is embedded from its Gram, so it is compared by Gram
     src = tmp_path / "basis.json"
     write_code_file(str(src), 3, vectors=np.eye(3).tolist(), metadata={})
     out = tmp_path / "projected.json"
     assert run(["project", str(src), "--clique", "0", "--out", str(out)]) == EXIT_OK
     doc = read_code_file(str(out))
-    assert np.allclose(np.array(doc["vectors"]), np.eye(3)[1:], atol=1e-12)
+    x = np.array(doc["vectors"])
+    assert doc["dim"] == 3 and np.abs(x @ x.T - np.eye(2)).max() <= 1e-12
+
+
+# the squared residual below which the Gram route cannot resolve a member to
+# the default angle_tol, off a clique at angle 1/3 (lambda_min = 2/3)
+RESOLVABLE = np.finfo(float).eps / ((2 / 3) * DEFAULT_TOL.angle_tol)
+
+
+def _near_span_code(path, d):
+    """A vectors file of the clique 0, 1 at angle 1/3 in the plane of e1 and
+    e2, then two members at squared distance d from that plane, which meet
+    at 1/2 once projected off it; the file's code, read back."""
+    s, c = math.sqrt(d), math.sqrt(1 - d)
+    rows = [[1.0, 0.0, 0.0, 0.0], [1 / 3, math.sqrt(8) / 3, 0.0, 0.0],
+            [c, 0.0, s, 0.0], [0.0, c, s / 2, s * math.sqrt(3) / 2]]
+    write_code_file(str(path), 4, vectors=rows, metadata={})
+    return load_code(str(path))[0]
+
+
+@pytest.mark.parametrize("d", [0.0, 0.5 * RESOLVABLE], ids=["in-span", "below-bound"])
+def test_project_refuses_a_member_the_gram_cannot_resolve(d, tmp_path, capsys):
+    src, out = tmp_path / "near.json", tmp_path / "p.json"
+    _near_span_code(src, d)
+    capsys.readouterr()
+    assert run(["project", str(src), "--clique", "0,1", "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(
+        "ZeroProjection: vector 2 lies in the span of the clique: its squared residual ")
+    assert not out.exists()
+
+
+def test_project_resolves_a_member_just_above_the_bound(tmp_path):
+    src, out = tmp_path / "near.json", tmp_path / "p.json"
+    code = _near_span_code(src, 1.5 * RESOLVABLE)
+    assert run(["project", str(src), "--clique", "0,1", "--out", str(out)]) == EXIT_OK
+    x = read_code_file(str(out))["vectors"]
+    oracle = project_onto_complement(code.subset([2, 3]), code.subset([0, 1])).vectors
+    assert np.abs(x @ x.T - oracle @ oracle.T).max() <= DEFAULT_TOL.angle_tol
+    assert abs(x[0] @ x[1] - 0.5) <= DEFAULT_TOL.angle_tol
+
+
+@pytest.mark.xfail(strict=True, reason="angle_set_of clamps the cluster of duplicate pairs "
+                   "at 1 to the point 1 - 2 angle_tol, which those pairs miss by 2 angle_tol")
+def test_a_projection_with_duplicates_validates_against_its_own_angles(tmp_path, capsys):
+    # off a positive clique of LS(12) every block partner v of a clique
+    # vector y projects to the same unit vector, since v + y is one vector w
+    src, out = tmp_path / "ls12.json", tmp_path / "p.json"
+    write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    assert run(["project", str(src), "--clique", "0,2,4,6,8,10", "--out", str(out)]) == EXIT_OK
+    angles = read_code_file(str(out))["metadata"]["angles"]
+    L = "+".join(f"point:{p!r}" for p in angles)
+    assert run(["verify", str(out), "--L", L]) == EXIT_OK, capsys.readouterr().out
 
 
 def test_project_non_clique_exit_code(tmp_path):
@@ -631,22 +691,20 @@ def test_construct_concat_desk_scale(tmp_path):
 def test_gram_file_padding_to_declared_dim(tmp_path):
     src = tmp_path / "gram.json"
     write_code_file(str(src), 3, gram=np.eye(2).tolist(), metadata={})
-    code, _ = load_code(str(src))
-    assert code.dim == 3 and len(code) == 2
-    code = load_code(str(src), vectors=False)[0]
+    code = load_code(str(src))[0]
     assert (code.dim, len(code), code.rank) == (3, 2, 2)
 
 
 def test_a_gram_only_file_is_its_codes_gram(tmp_path):
-    # the file's values, bit for bit, with or without the embedded vectors;
-    # the returned document no longer holds them
+    # the file's values, bit for bit, and no vectors; the returned document
+    # no longer holds them
     src = tmp_path / "ls12.json"
     write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
-    for vectors in (False, True):
-        code, doc = load_code(str(src), vectors=vectors)
-        assert code.gram.as_array().tobytes() == read_code_file(str(src))["gram"].tobytes()
-        assert "gram" not in doc and doc["dim"] == 12
-    assert code.vectors.shape == (22, 12)
+    code, doc = load_code(str(src))
+    assert code.gram.as_array().tobytes() == read_code_file(str(src))["gram"].tobytes()
+    assert "gram" not in doc and doc["dim"] == 12
+    with pytest.raises(InternalError):
+        code.vectors
 
 
 LS_ANGLE_SET = "point:-0.33333333333333331+point:0.33333333333333331"

@@ -19,6 +19,7 @@ from equicode import (
     lemmens_seidel_code,
     lemmens_seidel_gram,
     predicted_projection_angle,
+    project_off_clique,
     project_onto_complement,
     regular_simplex,
     seven_dim_28_lines,
@@ -248,6 +249,66 @@ def test_projection_zero_projection():
 def test_projection_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         project_onto_complement(basis(3), basis(4))
+
+
+def _through_vectors(C, members, clique):
+    return project_onto_complement(C.subset(members), C.subset(clique))
+
+
+# the two projections: through vectors (the oracle) and off the Gram alone
+PROJECTIONS = {"vectors": _through_vectors, "gram": project_off_clique}
+
+
+@pytest.mark.parametrize("project", sorted(PROJECTIONS))
+@pytest.mark.parametrize("code, members, clique, message", [
+    (Code(np.array([[1.0, 0, 0], [0, 1, 0], [0.6, 0.8, 0]])), [2], [0, 1, 2],
+     "pairwise inner products are not a single value"),
+    (regular_simplex(3), [3], [0, 1], "a negative-angle clique must have size 1"),
+    (basis(3), [1], [0, 0], "clique contains duplicate vectors"),
+], ids=["spread", "negative", "duplicate"])
+def test_both_projections_refuse_a_non_clique_alike(project, code, members, clique, message):
+    with pytest.raises(NotAClique, match=f"^{message}$"):
+        PROJECTIONS[project](code, members, clique)
+
+
+@pytest.mark.parametrize("gamma, t, p", [(1 / 3, 2, -1 / 3), (1 / 3, 1, -1 / 3), (0.2, 4, 0.5),
+                                         (0.5, 3, 0.1), (-0.4, 1, 0.3)],
+                         ids=["third-t2", "third-t1", "fifth-t4", "half-t3", "negative-t1"])
+def test_gram_projection_matches_the_vectors_oracle(gamma, t, p):
+    code = clique_with_pair(gamma, t, p)
+    members, clique = [t, t + 1], list(range(t))
+    projected = project_off_clique(code, members, clique)
+    oracle = gram_of(_through_vectors(code, members, clique)).as_array()
+    assert np.abs(projected.gram.as_array() - oracle).max() <= DEFAULT_TOL.angle_tol
+    assert abs(projected.gram.entry(0, 1) - predicted_projection_angle(gamma, t, p)) <= 1e-12
+    # it keeps the projected Gram, and is embedded from it and padded to the code's dim
+    assert projected.dim == code.dim and projected.vectors.shape == (2, code.dim)
+    x = projected.vectors
+    assert np.abs(x @ x.T - projected.gram.as_array()).max() <= 1e-12
+
+
+def test_gram_projection_negates_the_switched_members_exactly():
+    code = lemmens_seidel_code(8)
+    members, clique = [1, 3, 8, 9, 10, 11], [0, 2, 4]
+    plain = project_off_clique(code, members, clique).gram.as_array()
+    switched = project_off_clique(code, members, clique, switched=[3, 10, 5]).gram.as_array()
+    sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    assert switched.tobytes() == (plain * np.outer(sign, sign)).tobytes()
+
+
+def test_gram_projection_on_a_gram_only_code_builds_no_gram(monkeypatch):
+    from equicode import codes
+
+    code = Code.from_gram(lemmens_seidel_gram(6).to_float(), 6)
+    monkeypatch.setattr(codes, "gram_of", lambda C: pytest.fail("gram_of was called"))
+    projected = project_off_clique(code, [1, 3, 5, 6, 7, 8, 9], [0, 2, 4])
+    assert (len(projected), projected.dim, projected.rank) == (7, 6, 3)
+    with pytest.raises(InvalidIndex):
+        project_off_clique(code, [1], [0, 10])
+    r = np.sqrt(0.5)  # e1, e2 and (e1 + e2)/sqrt(2)
+    plane = Code.from_gram(SymMatrix(np.array([[1, 0, r], [0, 1, r], [r, r, 1]])), 2)
+    with pytest.raises(ZeroProjection, match="^vector 2 lies in the span of the clique"):
+        project_off_clique(plane, [2], [0, 1])
 
 
 def test_angle_set_after_projection_examples():
@@ -548,8 +609,8 @@ def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
     """On a seed-permuted Gram-only LS(300) file and its ``reduce --t 6``
     output, every spectrum a certified rank is read off has its eigenvalues
     at least 1e3 times the cutoff or at most 1e-3 times it, so neither the
-    embedding's ``eigh``, a values-only solve nor X^T X in place of X X^T
-    can flip a rank."""
+    embedding's ``eigh`` of the projected Gram, a values-only solve nor
+    X^T X in place of X X^T can flip a rank."""
     from equicode import matcore
     from equicode.bounds import gerzon_certificate
     from equicode.cli import EXIT_OK, load_code, run, write_code_file
@@ -558,8 +619,6 @@ def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
     src, reduced = tmp_path / "ls300.json", tmp_path / "reduced.json"
     write_code_file(str(src), 300, metadata={},
                     gram=lemmens_seidel_gram(300).as_array()[np.ix_(perm, perm)])
-    assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
-
     spectra = []
     decompose = matcore.sym_eigen
 
@@ -568,14 +627,17 @@ def test_rank_gap_on_ls300_and_its_reduction(tmp_path, monkeypatch):
         return spectra[-1]
 
     monkeypatch.setattr(matcore, "sym_eigen", recorded)
-    # the embedding's eigh gives ls.rank; then the outer Gram's rank and the
-    # projected code's, both values-only
+    # reduce: the load's values-only spectrum, then the eigh that embeds the
+    # projected Gram; then ls.rank from a load like reduce's, the projected
+    # code's rank from X^T X and the outer Gram's, all values-only
+    assert run(["reduce", str(src), "--t", "6", "--out", str(reduced)]) == EXIT_OK
     ls, projected = load_code(str(src))[0], load_code(str(reduced))[0]
     cert = gerzon_certificate(ls)
     assert (ls.rank, projected.rank, cert.witness["outer_rank"]) == (300, 294, 598)
-    assert [s.eigenvectors is None for s in spectra] == [False, True, True]
-    for code in (ls, projected):  # the rank a full eigh of X X^T gives
-        spectra.append(decompose(gram_of(code)))
+    assert [s.eigenvectors is None for s in spectra] == [True, False, True, True, True]
+    assert _float_rank(spectra[1].eigenvalues, DEFAULT_TOL) == 294
+    for code in (ls, projected):  # the rank a full eigh of the Gram gives
+        spectra.append(decompose(code.gram))
         assert _float_rank(spectra[-1].eigenvalues, DEFAULT_TOL) == code.rank
     for spec in spectra:
         kept, dropped = _gap(spec.eigenvalues)

@@ -188,13 +188,13 @@ GOLDEN_CERTIFY = {
         "cf0465219532a56cd71062394f152ae8412d56460b837d6b92d7869bc6646b32",
         "40d568c2dac9a1017e2e83893cfcd3571100e68ef582c39a683cb70b6ebbd4fc"),
     "ls12-reduced": (
-        "bb740cf3b8a6e34757923b4fac3b77824a84f4416b73591e1545db39c4f49ae8",
+        "56704c0c6351d8a7857aaac09aa5a255a627961e0e4006784cb27b2604ad5ba3",
         "339be8b45cdc5828de911f7815fb1de1827031f1fd35f169a06a5febde5ab777"),
 }
 
 # sha256 of the reduce --t 6 output, of its sidecar and of stdout, on ls12-gram
 GOLDEN_REDUCE = (
-    "4e822034bf63bb7fffe1ed846624e6b68b1aacd08f85df93ba42848c4af72207",
+    "d6e775ab7df39a691e1982b596eef7cc249cca4bdeb055fae1db3956a3dd90ec",
     "e5ad4932a4d6669448c51e69240377b79a896b4adbec82279ade0a93a2cb2058",
     "e16d7285ffd3685cf4ed57ae0e215947fce24767625d8fab0f5e319792007bdf")
 
@@ -239,7 +239,7 @@ GOLDEN_GRAM_FILE = "03b3bdf774175087a5c39b2cf14e7a9358d5040a7b3c1a1dea552741eab6
 # sha256 of the project output off the positive clique 0,2,...,10 of
 # ls12-gram and of its stdout
 GOLDEN_PROJECT = (
-    "bcac81e28c129077ad0b4ccf07ab525cc958e44669ec1df270c27a18f0cbfbe0",
+    "4dab3c4ae3afed3ba0dcffbcc317cbc9d6998a65a78d5fc94f24ca2a7a2d99c2",
     "f472fe97340979eb3c00f47ecbea948a2d7ae1ad5e0886f7fe4651fcdeca27d6")
 
 # sha256 of the verify --report file on ls12-gram against +-1/3 and of stdout

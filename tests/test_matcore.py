@@ -671,34 +671,35 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
 
 
 def test_reduce_and_project_embed_a_gram_only_file_once(tmp_path, monkeypatch):
-    # one eigh embeds the file, and the file's Gram serves the loaded code and
-    # the subsets sliced from it; gram_of builds only the projected code's
-    from equicode import cli, codes
+    # the file's Gram serves the loaded code and the clique sliced from it:
+    # one values-only spectrum certifies the file, and one eigh embeds the
+    # projected Gram, which the output keeps; gram_of builds no Gram
+    from equicode import cli, codes, matcore
 
     src = tmp_path / "ls12.json"
     cli.write_code_file(str(src), 12, gram=lemmens_seidel_gram(12).as_array(), metadata={})
-    loaded, grams = [], []
-    load, build = cli.load_code, codes.gram_of
+    loaded, spectra = [], []
+    load, decompose = cli.load_code, matcore.sym_eigen
 
     def recorded_load(*args, **kwargs):
         loaded.append(load(*args, **kwargs))
         return loaded[-1]
 
-    def recorded_gram(C):
-        grams.append(C)
-        return build(C)
+    def recorded_spectrum(M, vectors=True):
+        spectra.append((M.order, vectors))
+        return decompose(M, vectors)
 
     monkeypatch.setattr(cli, "load_code", recorded_load)
-    monkeypatch.setattr(codes, "gram_of", recorded_gram)
-    embeds = _count_calls(monkeypatch, cli, "embed_from_gram")
-    for command, args in (("reduce", ["--t", "6"]),
-                          ("project", ["--clique", "0,2,4,6,8,10"])):
-        for calls in (loaded, grams, embeds):
+    monkeypatch.setattr(matcore, "sym_eigen", recorded_spectrum)
+    monkeypatch.setattr(codes, "gram_of", lambda C: pytest.fail("gram_of was called"))
+    embeds = _count_calls(monkeypatch, codes, "embed_from_gram")
+    for command, args, size in (("reduce", ["--t", "6"], 10),
+                                ("project", ["--clique", "0,2,4,6,8,10"], 16)):
+        for calls in (loaded, spectra, embeds):
             calls.clear()
         assert cli.run([command, str(src), *args, "--out", str(tmp_path / "out.json")]) == 0
         (code, _), = loaded
-        assert len(embeds) == 1 and len(grams) == 1, command
-        assert all(C is not code for C in grams)
+        assert spectra == [(22, False), (size, True)] and len(embeds) == 1, command
         assert code.gram.as_array().tobytes() == \
             cli.read_code_file(str(src))["gram"].tobytes()
 

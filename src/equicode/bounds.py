@@ -8,7 +8,7 @@ from the given code, and records the margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
@@ -264,12 +264,7 @@ class BoundTable:
     theorem_targets: Dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "alpha": self.alpha, "beta": self.beta,
-            "gerzon": self.gerzon, "dgs": self.dgs,
-            "neg_clique": self.neg_clique,
-            "theorem_targets": dict(self.theorem_targets),
-        }
+        return asdict(self)
 
 
 def bound_table(n: int, k: int, alpha: float, beta: float) -> BoundTable:

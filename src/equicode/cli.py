@@ -231,7 +231,7 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
     A Gram-only file's Gram is the code's one Gram, and the code has no
     vectors: one values-only spectrum certifies the Gram and gives its rank
-    (``gram_rank``), which must not exceed the file's ``dim``.
+    (``gram_rank``), which must not exceed the file's ``dim``, the code's.
     """
     doc = read_code_file(path)
     if "vectors" in doc:
@@ -245,7 +245,9 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
         raise InvalidParams("gram must be exactly symmetric")
     M = SymMatrix(gram)
     rank = gram_rank(M, tol)
-    return Code.from_gram(M, rank, tol, rank).padded(doc["dim"], InvalidParams), doc
+    if rank > doc["dim"]:
+        raise InvalidParams(f"embedding needs {rank} > {doc['dim']} dimensions")
+    return Code.from_gram(M, doc["dim"], tol, rank), doc
 
 
 def write_gram_csv(path: str, code: Code) -> None:
@@ -327,10 +329,23 @@ def _parsed(parse, text: str, term: str):
 # subcommands ------------------------------------------------------------
 
 
-def _detected_points(code: Code) -> np.ndarray:
-    if len(code) < 2:
-        return np.empty(0)
-    return np.array(code.angles.points)
+def _write_code(path: str, code: Code, construction: str, parameters: dict,
+                seed=None, angles: Optional[AngleSet] = None, **extra) -> str:
+    """Write a produced code's vectors file; returns its angles as text.
+
+    The metadata is construction, parameters, seed, the ``extra`` keys, size
+    and angles.  A declared angle set is written in the ``--L`` grammar; else
+    the detected points are (none for a single vector).
+    """
+    if angles is not None:
+        written = text = angle_set_spec(angles)
+    else:
+        written = np.array(code.angles.points) if len(code) > 1 else np.empty(0)
+        text = _format_floats(written, ", ", "", "")[0] or "n/a"
+    metadata = {"construction": construction, "parameters": parameters, "seed": seed,
+                **extra, "size": len(code), "angles": written}
+    write_code_file(path, code.dim, vectors=code.vectors, metadata=metadata)
+    return text
 
 
 def _with_rank(code: Code) -> tuple:
@@ -375,25 +390,14 @@ def cmd_construct(args, tol: Tolerance) -> int:
     for field in fields:
         if getattr(args, field) is None:
             raise InvalidParams(f"construction requires --{field}")
-    metadata = {"construction": name,
-                "parameters": {field: getattr(args, field) for field in fields},
-                "seed": args.seed}
     code, extra = build(args, tol)
     code = Code(code.vectors, tol, gram=code._gram)  # checked at the run's tolerance
-    declared = extra.pop("angles", None)
-    metadata.update(extra)
-    metadata["size"] = len(code)
-    if declared is None:
-        metadata["angles"] = points = _detected_points(code)
-        angles = _format_floats(points, ", ", "", "")[0] or "n/a"
-    else:
-        metadata["angles"] = angles = angle_set_spec(declared)
     if args.gram_csv:
         write_gram_csv(args.gram_csv, code)
-    dim, vectors = code.dim, code.vectors
-    del code  # frees the code's Gram before serialization, where peak memory is set
-    write_code_file(args.out, dim, vectors=vectors, metadata=metadata)
-    print(f"{name}: {len(vectors)} vectors in R^{dim} -> {args.out}")
+    angles = _write_code(args.out, code, name,  # concat's extra holds the seed it ran at
+                         {field: getattr(args, field) for field in fields},
+                         **{"seed": args.seed, **extra})
+    print(f"{name}: {len(code)} vectors in R^{code.dim} -> {args.out}")
     print("angles: " + angles)
     return EXIT_OK
 
@@ -530,16 +534,17 @@ def cmd_project(args, tol: Tolerance) -> int:
                      f"clique {args.clique!r}")
     if not clique:
         raise InvalidParams(f"the clique {args.clique!r} is empty: name at least one index")
-    rest = [i for i in range(len(code)) if i not in set(clique)]
+    members = set()
+    for i in clique:
+        if i in members:
+            raise InvalidParams(f"the clique repeats index {i}")
+        members.add(i)
+    rest = [i for i in range(len(code)) if i not in members]
     if not rest:
         raise InvalidParams("the clique covers the whole code")
     projected = project_off_clique(code, rest, clique)
-    metadata = {"construction": "projection",
-                "parameters": {"clique": clique, "source": os.path.basename(args.file)},
-                "seed": None, "size": len(projected),
-                "angles": _detected_points(projected)}
-    write_code_file(args.out, projected.dim, vectors=projected.vectors,
-                    metadata=metadata)
+    _write_code(args.out, projected, "projection",
+                {"clique": clique, "source": os.path.basename(args.file)})
     print(f"projected {len(projected)} vectors -> {args.out}")
     return EXIT_OK
 
@@ -567,12 +572,8 @@ def cmd_reduce(args, tol: Tolerance) -> int:
     }
     rewrite_code_file(sidecar, doc)
     if outcome.projected is not None:
-        metadata = {"construction": "reduction",
-                    "parameters": {"t": args.t, "source": os.path.basename(args.file)},
-                    "seed": None, "size": len(outcome.projected),
-                    "angles": _detected_points(outcome.projected)}
-        write_code_file(args.out, outcome.projected.dim,
-                        vectors=outcome.projected.vectors, metadata=metadata)
+        _write_code(args.out, outcome.projected, "reduction",
+                    {"t": args.t, "source": os.path.basename(args.file)})
         print(f"reduced to {len(outcome.projected)} vectors -> {args.out}")
     else:
         print("reduction produced an empty projected bucket; sidecar only")

@@ -121,17 +121,15 @@ class Code:
             return Code.from_gram(gram, self.dim, self.tol)
         return Code(self._vectors[idx], self.tol, gram=gram)
 
-    def padded(self, dim: int, error=InternalError) -> "Code":
-        """The code in R^dim by zero padding, keeping its Gram and rank;
-        ``error`` if it needs more dimensions."""
+    def padded(self, dim: int) -> "Code":
+        """The embedded code in R^dim by zero padding, keeping its Gram and
+        rank; InternalError if it needs more dimensions."""
         if self.dim > dim:
-            raise error(f"embedding needs {self.dim} > {dim} dimensions")
+            raise InternalError(f"embedding needs {self.dim} > {dim} dimensions")
         if self.dim == dim:
             return self
-        if self._vectors is None:
-            return Code.from_gram(self._gram, dim, self.tol, self._rank)
         pad = np.zeros((len(self), dim - self.dim))
-        return Code(np.hstack([self._vectors, pad]), self.tol, gram=self._gram, rank=self._rank)
+        return Code(np.hstack([self.vectors, pad]), self.tol, gram=self._gram, rank=self._rank)
 
     def __repr__(self):
         return f"Code(size={len(self)}, dim={self.dim})"

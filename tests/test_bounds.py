@@ -439,6 +439,15 @@ def test_bound_table_values():
     assert abs(t.theorem_targets["multi_angle_leading"] - 4 * 1 * 2 * 49) <= 1e-12
 
 
+def test_bound_table_dict_keeps_field_order_and_copies_targets():
+    t = bound_table(7, 2, alpha=1 / 3, beta=1 / 3)
+    d = t.to_dict()
+    assert list(d) == ["n", "k", "alpha", "beta", "gerzon", "dgs", "neg_clique",
+                       "theorem_targets"]
+    assert d["theorem_targets"] == t.theorem_targets
+    assert d["theorem_targets"] is not t.theorem_targets
+
+
 def test_certificates_are_reproducible():
     code = seven_dim_28_lines()
     a = gerzon_certificate(code)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -577,6 +580,39 @@ def test_project_empty_clique_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("clique, index", [("0,0", 0), ("1,3,1", 1)])
+def test_project_refuses_a_repeated_clique_index(clique, index, tmp_path, capsys):
+    # the vectors are distinct: the argument, not the code, is at fault
+    src = tmp_path / "ls6.json"
+    assert run(["construct", "lemmens-seidel", "--n", "6", "--out", str(src)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "p.json"
+    assert run(["project", str(src), "--clique", clique, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"InvalidParams: the clique repeats index {index}\n"
+    assert not out.exists()
+
+
+def _src_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m equicode` runs the same `run` as the console script
+    simplex = tmp_path / "s.json"
+    done = subprocess.run([sys.executable, "-m", "equicode", "construct", "simplex", "--r", "3",
+                           "--out", str(simplex)], env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("simplex: 4 vectors in R^3 -> ")
+    out = tmp_path / "p.json"
+    done = subprocess.run([sys.executable, "-m", "equicode", "project", str(simplex),
+                           "--clique", "0,0", "--out", str(out)],
+                          env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == "InvalidParams: the clique repeats index 0\n"
+    assert not out.exists()
+
+
 def test_reduce_no_positive_clique(tmp_path):
     src = tmp_path / "simplex.json"
     run(["construct", "simplex", "--r", "4", "--out", str(src)])
@@ -759,6 +795,31 @@ def test_gram_only_load_refusals(case, command, tmp_path, capsys):
     assert run(argv) == status
     assert capsys.readouterr().err.startswith(f"{error}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(REFUSING_COMMANDS))
+def test_a_gram_of_rank_above_the_files_dim_is_refused_on_load(command, tmp_path, capsys):
+    # LS(12) has rank 12; the file declares dim 5
+    src, out = tmp_path / "ls12d5.json", tmp_path / "out.json"
+    write_code_file(str(src), 5, gram=lemmens_seidel_gram(12).as_array(), metadata={})
+    args = [arg.format(out=out) for arg in REFUSING_COMMANDS[command]]
+    if "--out" not in args:
+        args += ["--report", str(out)]
+    assert run([command, str(src), *args]) == EXIT_USAGE
+    assert capsys.readouterr().err == "InvalidParams: embedding needs 12 > 5 dimensions\n"
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["concat", "--n", "9", "--k", "2", "--r", "3", "--alpha1", "0.5"], 0),
+    (["lemmens-seidel", "--n", "6"], None),
+])
+def test_construct_writes_the_seed_it_ran_with(argv, seed, tmp_path):
+    # concat runs at seed 0 without --seed; an exact construction takes none
+    out = tmp_path / "c.json"
+    assert run(["construct", *argv, "--out", str(out)]) == EXIT_OK
+    assert read_code_file(str(out))["metadata"]["seed"] == seed
+    assert f'"seed":{canonical_json(seed)},' in out.read_text()
 
 
 def test_certify_multipartite_from_concat_metadata(tmp_path, capsys):

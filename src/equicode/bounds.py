@@ -157,6 +157,13 @@ def _require_positive_beta(beta) -> None:
         raise InvalidParams("beta must be positive and finite")
 
 
+def _spans(part) -> list:
+    """``part`` as spans [lo, hi): a unit-step range as one, never iterated."""
+    if isinstance(part, range) and part.step == 1:
+        return [(part.start, part.stop)] if part else []
+    return [(i, i + 1) for i in part]
+
+
 def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
                              alpha: float, beta: float) -> Certificate:
     """2B(beta+1) + 2A(1-alpha) <= |C|^2 over a union of alpha-cliques.
@@ -165,22 +172,22 @@ def multipartite_certificate(C: Code, parts: Sequence[Sequence[int]],
     >= alpha.  The witness reports the implied part-count bound with its
     finite-size corrections: (beta + alpha + (1-alpha)/t - delta(1+beta))
     / (beta - delta(1+beta)), where delta is the measured deficiency of
-    cross-part negative edges.
+    cross-part negative edges.  Parts are checked disjoint, non-empty and
+    inside the code by their spans, before a range part is iterated.
     """
     _require_positive_beta(beta)
     if not math.isfinite(alpha):
         raise InvalidParams("alpha must be finite")
-    seen = set()
-    for part in parts:
-        for v in part:
-            if v in seen:
-                raise WrongStructure("parts must be disjoint")
-            seen.add(v)
-    t_min = min((len(p) for p in parts), default=0)
-    if t_min == 0:
+    part_spans = [_spans(part) for part in parts]
+    spans = sorted(s for ps in part_spans for s in ps)
+    if any(hi > lo for (_, hi), (lo, _) in zip(spans, spans[1:])):
+        raise WrongStructure("parts must be disjoint")
+    if not part_spans or not all(part_spans):
         raise InvalidParams("parts must be non-empty")
-    members = sorted(seen)
+    # a span is cut after its least index outside the code, which C.subset refuses
+    members = [i for lo, hi in spans for i in range(lo, min(hi, max(lo, len(C)) + 1))]
     sub = C.subset(members)
+    t_min = min(len(p) for p in parts)
     g = sub.gram.as_array()
     for part in parts:
         at = np.searchsorted(members, part)

@@ -48,7 +48,7 @@ from .constructions import (
     regular_simplex,
     seven_dim_28_lines,
 )
-from .errors import EquicodeError, InvalidIndex, InvalidParams, TooLarge
+from .errors import EquicodeError, InvalidIndex, InvalidMatrix, InvalidParams, TooLarge
 from .graphlab import lambda_inequality_check, reduction_pipeline
 from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, gram_rank
 
@@ -230,20 +230,16 @@ def load_code(path: str, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Code from a file and the parsed document, whose rows move into the code.
 
     A Gram-only file's Gram is the code's one Gram, and the code has no
-    vectors: one values-only spectrum certifies the Gram and gives its rank
-    (``gram_rank``), which must not exceed the file's ``dim``, the code's.
+    vectors: ``SymMatrix`` checks it square and symmetric, and one
+    values-only spectrum certifies it and gives its rank (``gram_rank``),
+    which must not exceed the file's ``dim``, the code's.
     """
     doc = read_code_file(path)
     if "vectors" in doc:
         if doc["vectors"].shape[1] != doc["dim"]:
             raise InvalidParams("vector length disagrees with dim")
         return Code(doc.pop("vectors"), tol), doc
-    gram = doc.pop("gram")
-    if gram.shape[0] != gram.shape[1]:
-        raise InvalidParams("gram must be a square matrix")
-    if not np.array_equal(gram, gram.T):
-        raise InvalidParams("gram must be exactly symmetric")
-    M = SymMatrix(gram)
+    M = SymMatrix(doc.pop("gram"))
     rank = gram_rank(M, tol)
     if rank > doc["dim"]:
         raise InvalidParams(f"embedding needs {rank} > {doc['dim']} dimensions")
@@ -395,8 +391,7 @@ def cmd_construct(args, tol: Tolerance) -> int:
     if args.gram_csv:
         write_gram_csv(args.gram_csv, code)
     angles = _write_code(args.out, code, name,  # concat's extra holds the seed it ran at
-                         {field: getattr(args, field) for field in fields},
-                         **{"seed": args.seed, **extra})
+                         {field: getattr(args, field) for field in fields}, **extra)
     print(f"{name}: {len(code)} vectors in R^{code.dim} -> {args.out}")
     print("angles: " + angles)
     return EXIT_OK
@@ -430,25 +425,26 @@ def _parse_parts(raw: str) -> list:
     return [_parsed(_part, p.strip(), f"part {p.strip()!r}") for p in raw.split(";")]
 
 
-def _part(piece: str) -> list:
-    """Indices of one part: 'lo-hi' or comma-separated."""
+def _part(piece: str) -> Sequence[int]:
+    """Indices of one part: 'lo-hi' as a range, or comma-separated."""
     if "-" in piece:
         lo, hi = piece.split("-")
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(x) for x in piece.split(",") if x]
 
 
-def _concat_parts(doc: dict) -> Optional[list]:
-    meta = doc.get("metadata", {})
-    if meta.get("construction") != "concat":
-        return None
-    p = meta.get("parameters", {})
+def _concat_parts(p: dict, size: int) -> Optional[list]:
+    """The copies that a concat file's parameters ``p`` give, as at most size + 1
+    ranges of C(n, k) indices; None if ``p`` gives none.  Since C(n, k) >= n for
+    0 < k < n, an n above ``size`` gives copies of size + 1 indices instead:
+    more could not fit the code either."""
     try:
-        block = math.comb(int(p["n"]), int(p["k"]))
-        copies = int(p["r"]) + 1
-    except (KeyError, TypeError, ValueError):
+        n, k = int(p["n"]), int(p["k"])
+        block = size + 1 if n > size and 0 < k < n else math.comb(n, k)
+        copies = min(int(p["r"]) + 1, size + 1)
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    return [list(range(c * block, (c + 1) * block)) for c in range(copies)]
+    return [range(c * block, (c + 1) * block) for c in range(copies)]
 
 
 def _attempt(name: str, certify, *args) -> Certificate:
@@ -470,13 +466,10 @@ def _certify_negclique(code, doc, args) -> Certificate:
 
 def _certify_multipartite(code, doc, args) -> Certificate:
     meta = doc.get("metadata", {})
-    parts = _parse_parts(args.parts) if args.parts else _concat_parts(doc)
-    alpha = args.alpha
-    if alpha is None and meta.get("construction") == "concat":
-        alpha = meta.get("parameters", {}).get("alpha1")
-    beta = args.beta
-    if beta is None:
-        beta = meta.get("achieved_beta")
+    concat = meta.get("parameters", {}) if meta.get("construction") == "concat" else {}
+    parts = _parse_parts(args.parts) if args.parts else _concat_parts(concat, len(code))
+    alpha = concat.get("alpha1") if args.alpha is None else args.alpha
+    beta = meta.get("achieved_beta") if args.beta is None else args.beta
     if parts is None:
         return Certificate.skip("multipartite", "no --parts given and none derivable")
     if not isinstance(alpha, (int, float)) or not isinstance(beta, (int, float)):
@@ -640,7 +633,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "tol", None) is not None:
             tol = replace(tol, angle_tol=args.tol)
         return handlers[args.command](args, tol)
-    except (InvalidIndex, InvalidParams, TooLarge, ValueError) as exc:
+    except (InvalidIndex, InvalidMatrix, InvalidParams, TooLarge, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EquicodeError as exc:

@@ -31,8 +31,6 @@ class RngStream:
     scalar sequences on every platform.
     """
 
-    algorithm = "pcg64+box-muller"
-
     def __init__(self, seed: int, spawn_key: Tuple[int, ...] = ()):
         self.seed = int(seed)
         self.spawn_key = tuple(int(i) for i in spawn_key)
@@ -145,28 +143,26 @@ def regular_simplex(r: int) -> Code:
     return _certified_embed(simplex_gram(r), expected_rank=r)
 
 
-def seven_dim_28_lines() -> Code:
-    """All 28 placements of the two -3 entries in (1,...,1,-3,-3)/sqrt(24).
+def _lines28_integers() -> np.ndarray:
+    """Rows (1,...,1,-3,-3) of R^8, the two -3 entries placed in lexicographic order."""
+    vecs = np.ones((28, 8), dtype=np.int64)
+    for row, support in enumerate(combinations(range(8), 2)):
+        vecs[row, support] = -3
+    return vecs
 
-    The coordinates of every vector sum to zero, so the 28 vectors span a
+
+def seven_dim_28_lines() -> Code:
+    """All 28 placements of the two -3 entries in (1,...,1,-3,-3)/sqrt(24), in
+    lexicographic order.  Their coordinates sum to zero, so they span a
     7-dimensional subspace of R^8; the code keeps the rank 7 that the exact
-    sweep of ``lines28_gram`` certifies.  Enumeration is lexicographic over
-    the two -3 positions.
-    """
-    rows = []
-    for i, j in combinations(range(8), 2):
-        v = np.ones(8)
-        v[i] = -3.0
-        v[j] = -3.0
-        rows.append(v / math.sqrt(24.0))
-    return Code(np.array(rows), rank=is_psd(lines28_gram()).witness["rank"])
+    sweep of ``lines28_gram`` certifies."""
+    return Code(_lines28_integers() / math.sqrt(24.0),
+                rank=is_psd(lines28_gram()).witness["rank"])
 
 
 def lines28_gram() -> SymMatrix:
     """Exact rational Gram of the 28-line code (entries +/- 1/3)."""
-    vecs = np.ones((28, 8), dtype=np.int64)
-    for row, support in enumerate(combinations(range(8), 2)):
-        vecs[row, support] = -3
+    vecs = _lines28_integers()
     return SymMatrix.from_integers(vecs @ vecs.T, 24)
 
 

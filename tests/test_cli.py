@@ -771,7 +771,7 @@ def test_certify_and_verify_take_no_eigh_on_a_gram_only_file(tmp_path, capsys, m
 # Gram-only file -> (dim, gram, the error every command refuses it with, exit code)
 REFUSED_GRAMS = {
     "non-unit diagonal": (2, [[1.0, 0.0], [0.0, 2.0]], "NotUnitDiagonal", EXIT_RUNTIME),
-    "asymmetric": (2, [[1.0, 0.5], [-0.5, 1.0]], "InvalidParams", EXIT_USAGE),
+    "asymmetric": (2, [[1.0, 0.5], [-0.5, 1.0]], "InvalidMatrix", EXIT_USAGE),
     "not PSD": (3, [[1.0, -0.9, -0.9], [-0.9, 1.0, -0.9], [-0.9, -0.9, 1.0]],
                 "NotRealizable", EXIT_RUNTIME),
     "rank above dim": (2, np.eye(3).tolist(), "InvalidParams", EXIT_USAGE),
@@ -813,9 +813,13 @@ def test_a_gram_of_rank_above_the_files_dim_is_refused_on_load(command, tmp_path
 @pytest.mark.parametrize("argv, seed", [
     (["concat", "--n", "9", "--k", "2", "--r", "3", "--alpha1", "0.5"], 0),
     (["lemmens-seidel", "--n", "6"], None),
+    (["concat", "--n", "9", "--k", "2", "--r", "3", "--alpha1", "0.5", "--seed", "5"], 5),
+    (["lemmens-seidel", "--n", "6", "--seed", "5"], None),
+    (["binary-kcode", "--n", "4", "--k", "2", "--seed", "5"], None),
 ])
 def test_construct_writes_the_seed_it_ran_with(argv, seed, tmp_path):
-    # concat runs at seed 0 without --seed; an exact construction takes none
+    # concat runs at seed 0 without --seed; a deterministic construction
+    # uses no seed, so a given --seed is not recorded for it
     out = tmp_path / "c.json"
     assert run(["construct", *argv, "--out", str(out)]) == EXIT_OK
     assert read_code_file(str(out))["metadata"]["seed"] == seed
@@ -830,6 +834,31 @@ def test_certify_multipartite_from_concat_metadata(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == EXIT_OK
     assert "PASS multipartite" in captured
+
+
+@pytest.mark.parametrize("concat_nk, parts",
+                         [(None, "0-3000000"), ((200, 3), None), ((300000, 150000), None)],
+                         ids=["parts-flag-range", "concat-metadata", "concat-metadata-huge-n"])
+def test_multipartite_parts_are_bounded_by_the_code(concat_nk, parts, tmp_path, capsys):
+    # parts of millions of indices on a 4-vector code are refused by their
+    # ends, not listed: C(200, 3) = 1,313,400 indices per concat copy, and
+    # C(300000, 150000), a 90,307-digit number, is never computed
+    src = tmp_path / "simplex.json"
+    assert run(["construct", "simplex", "--r", "3", "--out", str(src)]) == EXIT_OK
+    argv = ["certify", str(src), "--suite", "multipartite", "--alpha", "0.5", "--beta", "0.1"]
+    if concat_nk is not None:
+        doc = json.loads(src.read_text())
+        n, k = concat_nk
+        doc["metadata"] = {"construction": "concat", "parameters": {"n": n, "k": k, "r": 1}}
+        src.write_text(json.dumps(doc))
+    else:
+        argv += ["--parts", parts]
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(argv) == EXIT_OK
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr().out == \
+        "SKIP multipartite: InvalidIndex: index 4 out of range for code of size 4\n"
 
 
 _BASIS = [[1.0, 0.0], [0.0, 1.0]]
@@ -873,12 +902,12 @@ _DISTINCT_TEXT = json.dumps({"format_version": "1", "dim": 8, "vectors": _DISTIN
     ({"format_version": "1", "dim": 2, "gram": [[1.0, None], [None, 1.0]], "metadata": {}},
      EXIT_USAGE, "InvalidParams: vectors/gram entries must be JSON numbers"),
     ({"format_version": "1", "dim": 3, "gram": [[1.0, 1.0, 1.0]], "metadata": {}},
-     EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
+     EXIT_USAGE, "InvalidMatrix: expected a square matrix of order >= 1"),
     ({"format_version": "1", "dim": 3, "gram": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
       "metadata": {}},
-     EXIT_USAGE, "InvalidParams: gram must be a square matrix"),
+     EXIT_USAGE, "InvalidMatrix: expected a square matrix of order >= 1"),
     ({"format_version": "1", "dim": 2, "gram": [[1.0, 0.5], [-0.5, 1.0]], "metadata": {}},
-     EXIT_USAGE, "InvalidParams: gram must be exactly symmetric"),
+     EXIT_USAGE, "InvalidMatrix: matrix entries must be exactly symmetric"),
     (_DISTINCT_TEXT[:_DISTINCT_TEXT.rindex("]]")],
      EXIT_USAGE, "JSONDecodeError: Expecting ',' delimiter: line 1 column 38534 (char 38533)"),
     ({"format_version": "1", "dim": 8, "vectors": _DISTINCT_ROWS + [[0.5] * 7 + ["0.5"]],
@@ -893,12 +922,15 @@ _DISTINCT_TEXT = json.dumps({"format_version": "1", "dim": 8, "vectors": _DISTIN
     ({"format_version": "1", "dim": 2, "vectors": [[math.nan, 0.0], [0.0, 1.0]],
       "metadata": {}},
      EXIT_USAGE, "InvalidParams: vectors/gram entries must be finite"),
+    ({"format_version": "1", "dim": 2, "vectors": _BASIS,
+      "metadata": {"construction": "concat", "parameters": {"n": math.inf, "k": 1, "r": 1}}},
+     EXIT_OK, "SKIP multipartite: no --parts given and none derivable"),
 ], ids=["top-level-list", "vectors-not-rows", "metadata-list", "concat-n-null",
         "concat-beta-string", "concat-beta-negative", "dim-null", "dim-list",
         "dim-fraction", "entry-object", "entry-string", "entry-bool", "gram-null",
         "gram-one-row", "gram-not-square", "gram-not-symmetric",
         "truncated-after-distinct-floats", "entry-string-after-distinct-floats",
-        "gram-nan", "gram-infinity", "vectors-nan"])
+        "gram-nan", "gram-infinity", "vectors-nan", "concat-n-infinity"])
 def test_malformed_code_file_is_refused_or_skipped(doc, exit_code, expected,
                                                    tmp_path, capsys):
     path = tmp_path / "bad.json"

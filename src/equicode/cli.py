@@ -472,7 +472,8 @@ def _certify_multipartite(code, doc, args) -> Certificate:
     beta = meta.get("achieved_beta") if args.beta is None else args.beta
     if parts is None:
         return Certificate.skip("multipartite", "no --parts given and none derivable")
-    if not isinstance(alpha, (int, float)) or not isinstance(beta, (int, float)):
+    # a JSON true would pass as the number 1
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (alpha, beta)):
         return Certificate.skip("multipartite", "needs --alpha and a positive --beta")
     return _attempt("multipartite", multipartite_certificate, code, parts, alpha, beta)
 

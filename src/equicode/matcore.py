@@ -7,12 +7,14 @@ rank and PSD thresholds; a matrix keeps no spectrum, so every call takes its own
 A spectrum's residual is computed when first read.
 Exact work (rank, PSD pivots) runs one symmetric fraction-free sweep on the
 integer form of a rational matrix, numerators over one common denominator:
-in int64 while no step can overflow, restarted on the primitive part of the
-remaining block when that fits, and on Python ints after; a matrix it finds
-not PSD is ranked by sweeping M M.  Verdicts on rational matrices are
-therefore bit-exact rather than threshold-dependent.  A PSD sweep also
-yields its LDL^T factor, and a rational Gram is embedded from that factor,
-each entry correctly rounded, with no spectrum and no BLAS call.
+in int64 while no step can overflow (two reused buffers, exact division by
+an inverse mod 2^64, a scan only where a carried bound fails the guard),
+restarted on the primitive part of the remaining block when that fits, and
+on Python ints after; a matrix it finds not PSD is ranked by sweeping M M.
+Verdicts on rational matrices are therefore bit-exact rather than
+threshold-dependent.  A PSD sweep also yields its LDL^T factor, and a
+rational Gram is embedded from that factor, each entry correctly rounded,
+with no spectrum and no BLAS call.
 """
 
 from __future__ import annotations
@@ -369,9 +371,17 @@ def gram_rank(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def _require_unit_diagonal(M: SymMatrix, tol: Tolerance) -> None:
-    for i in range(M.order):
-        if abs(M.entry(i, i) - 1) > tol.angle_tol:
-            raise NotUnitDiagonal(f"diagonal entry {i} is {M.entry(i, i)}, not 1")
+    """NotUnitDiagonal at the first entry off 1 by over ``angle_tol``; exact if rational."""
+    diag = np.diagonal(M._array)
+    if M.backend == FLOAT64:
+        bad = np.abs(diag - 1) > tol.angle_tol
+    else:
+        values, where = np.unique(diag, return_inverse=True)
+        bad = np.array([abs(Fraction(v, M._den) - 1) > tol.angle_tol
+                        for v in values.tolist()])[where]
+    if bad.any():
+        i = int(bad.argmax())
+        raise NotUnitDiagonal(f"diagonal entry {i} is {M.entry(i, i)}, not 1")
 
 
 def _require_psd(cert: Certificate) -> None:
@@ -387,7 +397,21 @@ _FLOAT_EXACT = 2 ** 53  # integers up to here convert to float64 exactly
 
 
 def _max_abs(a: np.ndarray) -> int:
-    return max(int(a.max()), -int(a.min()))
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _divide_exact(a: np.ndarray, divisor: int) -> None:
+    """``a //= divisor`` in place, for an int64 array whose entries are all
+    multiples of the positive ``divisor``: shift out its power of two, then
+    multiply by the inverse of its odd part mod 2^64 (Jebelean 1993).  The
+    product wraps silently, and its low 64 bits are the quotient, which
+    is an int64."""
+    shift = (divisor & -divisor).bit_length() - 1
+    if shift:
+        a >>= shift
+    if (odd := divisor >> shift) > 1:
+        inverse = pow(odd, -1, 2 ** 64)
+        a *= inverse - 2 ** 64 if inverse >= 2 ** 63 else inverse
 
 
 def _fraction_free(num, den: int = 1):
@@ -395,16 +419,20 @@ def _fraction_free(num, den: int = 1):
     matrix ``num``: diagonal pivots, no exchanges.
 
     After step k every live entry is a minor of order k + 1 of ``num``, so
-    each division by the previous pivot is exact.  The sweep runs on an
-    int64 copy while ``2 * max|entry|^2 < 2^62``.  The trailing block is
-    always ``prev / scale`` times the Schur complement of ``num`` that is
-    left to eliminate, so where the guard fails the block may be replaced
-    by its primitive part (the block over the gcd g of its entries): a
-    positive multiple has the same rank and the same pivot signs
-    (Sylvester's law of inertia).  If that part passes the guard the sweep
-    restarts on it with ``prev = 1`` and ``scale *= g / prev``, the
-    matrix analogue of the primitive PRS (Collins 1967; Brown 1971);
-    otherwise the working array is promoted to Python ints and the sweep
+    each division by the previous pivot is exact.  The sweep runs in int64
+    while ``2 * max|entry|^2 < 2^62``, where no product or quotient leaves
+    int64: a step writes ``(d T - a a^T) / prev`` into the other of two
+    reused buffers, divides with ``_divide_exact``, and carries the bound
+    ``(d top + max|a|^2) // prev`` on the new block, which it scans only
+    where that bound fails the guard, so every step takes the path a scan
+    would.  The trailing block is always ``prev / scale`` times the Schur
+    complement of ``num`` that is left to eliminate, so where the guard
+    fails the block may be replaced by its primitive part (the block over
+    the gcd g of its entries): a positive multiple has the same rank and the
+    same pivot signs (Sylvester's law of inertia).  If that part passes the
+    guard the sweep restarts on it with ``prev = 1`` and
+    ``scale *= g / prev``, the matrix analogue of the primitive PRS (Collins
+    1967; Brown 1971); otherwise the block is promoted to Python ints and the sweep
     carries on from that step, updating only the upper triangle of the
     trailing block.  Witness pivots ``d / (prev * den) * scale`` are the
     pivots of ``num / den`` whether or not the sweep restarted.
@@ -418,44 +446,55 @@ def _fraction_free(num, den: int = 1):
     positive pivot d, with pivot row a, gives column c, a / d scaled by the
     square root of its witness pivot D; zero pivots give no column.
     """
-    A = np.array(num)
-    m = A.shape[0]
+    m = num.shape[0]
     prev, rank, scale = 1, 0, Fraction(1)
-    upper = None
     X = np.zeros((m, m), order="F")  # untouched columns stay unpaged
+    if num.dtype == object:
+        T = np.array(num)  # the trailing block left to eliminate
+    else:
+        flat, spare, square = np.empty((3, m * m), dtype=np.int64)
+        T = flat.reshape(m, m)
+        T[...] = num
+        top = _max_abs(T)  # a bound on max|T|
     for col in range(m):
-        d = int(A[col, col])
+        d = int(T[0, 0])
         if d < 0:
             pivot = Fraction(d, prev * den) * scale
             return rank, {"pivot_index": col, "pivot": pivot}, None
         if d == 0:
-            nz = np.flatnonzero(A[col, col:])
+            nz = np.flatnonzero(T[0])
             if nz.size:
                 return rank, {"pivot_index": col, "pivot": Fraction(0),
                               "indefinite_pair": (col, col + int(nz[0]))}, None
+            T = T[1:, 1:]
             continue
-        if A.dtype != object and 2 * (top := _max_abs(A[col:, col:])) ** 2 >= _GUARD:
-            g = int(np.gcd.reduce(A[col:, col:], axis=None))
+        if (T.dtype != object and 2 * top ** 2 >= _GUARD
+                and 2 * (top := _max_abs(T)) ** 2 >= _GUARD):
+            g = int(np.gcd.reduce(T, axis=None))
             if 2 * (top // g) ** 2 < _GUARD:
-                A[col:, col:] //= g
+                _divide_exact(T, g)
                 d //= g
+                top //= g
                 scale *= Fraction(g, prev)
                 prev = 1
             else:
-                A = A.astype(object)
+                T = T.astype(object)
         # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
         q = scale / (d * prev * den)  # D / d^2
-        values, where = np.unique(A[col, col:], return_inverse=True)
+        values, where = np.unique(T[0], return_inverse=True)
         X[col:, rank] = np.array([_scaled_root(a, q) for a in values.tolist()])[where]
-        if A.dtype == object:
-            if upper is None:
-                upper = np.triu_indices(m)
-            start = (col + 1) * m - col * (col + 1) // 2  # first entry of row col+1
-            i, j = upper[0][start:], upper[1][start:]
-            A[i, j] = (d * A[i, j] - A[col, i] * A[col, j]) // prev
+        a, n = T[0, 1:], m - col - 1
+        if T.dtype == object:
+            i, j = np.triu_indices(n)
+            T = T[1:, 1:]
+            T[i, j] = (d * T[i, j] - a[i] * a[j]) // prev
         else:
-            a = A[col, col + 1:]
-            A[col + 1:, col + 1:] = (d * A[col + 1:, col + 1:] - np.outer(a, a)) // prev
+            nxt = spare[:n * n].reshape(n, n)
+            np.multiply(T[1:, 1:], d, out=nxt)
+            nxt -= np.multiply.outer(a, a, out=square[:n * n].reshape(n, n))
+            _divide_exact(nxt, prev)
+            top = (d * top + _max_abs(a) ** 2) // prev
+            flat, spare, T = spare, flat, nxt
         prev = d
         rank += 1
     return rank, None, X[:, :rank]

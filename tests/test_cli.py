@@ -836,6 +836,23 @@ def test_certify_multipartite_from_concat_metadata(tmp_path, capsys):
     assert "PASS multipartite" in captured
 
 
+@pytest.mark.parametrize("key, flags", [("achieved_beta", []), ("alpha1", ["--beta", "0.05"])],
+                         ids=["achieved_beta", "alpha1"])
+def test_multipartite_refuses_a_bool_parameter(key, flags, tmp_path, capsys):
+    # a JSON true in the concat file is not the number 1
+    src = tmp_path / "c9k1.json"
+    assert run(["construct", "concat", "--n", "9", "--k", "1", "--r", "3", "--alpha1", "0.5",
+                "--seed", "7", "--out", str(src)]) == EXIT_OK
+    doc = json.loads(src.read_text())
+    meta = doc["metadata"]
+    (meta if key == "achieved_beta" else meta["parameters"])[key] = True
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["certify", str(src), "--suite", "multipartite", *flags]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "SKIP multipartite: needs --alpha and a positive --beta\n"
+
+
 @pytest.mark.parametrize("concat_nk, parts",
                          [(None, "0-3000000"), ((200, 3), None), ((300000, 150000), None)],
                          ids=["parts-flag-range", "concat-metadata", "concat-metadata-huge-n"])

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,28 @@ def test_embed_rejects_indefinite():
 def test_embed_rejects_bad_diagonal():
     with pytest.raises(NotUnitDiagonal):
         embed_from_gram(SymMatrix(np.diag([1.0, 2.0])))
+
+
+@pytest.mark.parametrize("diagonal, message", [
+    ([1, Fraction(5, 3), 1, 3], "diagonal entry 1 is 5/3, not 1"),
+    ([1.0, 2.0, 1.0, 0.5], "diagonal entry 1 is 2.0, not 1"),
+], ids=["rational", "float"])
+def test_unit_diagonal_check_names_the_first_bad_entry(diagonal, message):
+    from equicode.matcore import _require_unit_diagonal
+
+    m = SymMatrix([[x if i == j else 0 * x for j, x in enumerate(diagonal)]
+                   for i in range(len(diagonal))])
+    with pytest.raises(NotUnitDiagonal, match=f"^{message}$"):
+        _require_unit_diagonal(m, DEFAULT_TOL)
+
+
+def test_rational_unit_diagonal_is_compared_exactly():
+    # |d - 1| = 10^-9 exactly, just below the float angle_tol 1e-9
+    from equicode.matcore import _require_unit_diagonal
+
+    m = SymMatrix([[Fraction(10 ** 9 + 1, 10 ** 9), 0], [0, Fraction(10 ** 9 - 1, 10 ** 9)]])
+    assert m.backend == "rational"
+    _require_unit_diagonal(m, DEFAULT_TOL)
 
 
 def test_embed_gram_round_trip_psd_inputs():
@@ -549,6 +572,130 @@ def test_exact_factor_on_every_kernel_path(build, path):
         "python-ints": (True, False, 0)}[path]
     assert cert.passed and X.shape == (m.order, cert.witness["rank"])
     _assert_factor_reproduces(m.rows(), X)
+
+
+def _pre_buffer_kernel(num, den=1):
+    """The int64 sweep as it was before it reused buffers, kept as a test
+    oracle: full-size temporaries per step, the guard scanned at every step
+    and floor division by the previous pivot."""
+    from equicode.matcore import _scaled_root
+
+    def max_abs(a):
+        return max(int(a.max()), -int(a.min()))
+
+    A = np.array(num)
+    m = A.shape[0]
+    prev, rank, scale = 1, 0, Fraction(1)
+    upper = None
+    X = np.zeros((m, m), order="F")
+    for col in range(m):
+        d = int(A[col, col])
+        if d < 0:
+            pivot = Fraction(d, prev * den) * scale
+            return rank, {"pivot_index": col, "pivot": pivot}, None
+        if d == 0:
+            nz = np.flatnonzero(A[col, col:])
+            if nz.size:
+                return rank, {"pivot_index": col, "pivot": Fraction(0),
+                              "indefinite_pair": (col, col + int(nz[0]))}, None
+            continue
+        if A.dtype != object and 2 * (top := max_abs(A[col:, col:])) ** 2 >= 2 ** 62:
+            g = int(np.gcd.reduce(A[col:, col:], axis=None))
+            if 2 * (top // g) ** 2 < 2 ** 62:
+                A[col:, col:] //= g
+                d //= g
+                scale *= Fraction(g, prev)
+                prev = 1
+            else:
+                A = A.astype(object)
+        q = scale / (d * prev * den)
+        values, where = np.unique(A[col, col:], return_inverse=True)
+        X[col:, rank] = np.array([_scaled_root(a, q) for a in values.tolist()])[where]
+        if A.dtype == object:
+            if upper is None:
+                upper = np.triu_indices(m)
+            start = (col + 1) * m - col * (col + 1) // 2
+            i, j = upper[0][start:], upper[1][start:]
+            A[i, j] = (d * A[i, j] - A[col, i] * A[col, j]) // prev
+        else:
+            a = A[col, col + 1:]
+            A[col + 1:, col + 1:] = (d * A[col + 1:, col + 1:] - np.outer(a, a)) // prev
+        prev = d
+        rank += 1
+    return rank, None, X[:, :rank]
+
+
+def _matches_pre_buffer_kernel(num, den):
+    """Assert the kernel's rank, witness and factor equal the oracle's bit for
+    bit; return the kernel's restart and promotion counts."""
+    from equicode import matcore
+
+    rank, witness, X = _pre_buffer_kernel(num, den)
+    (got_rank, got_witness, got_X), restarts, promotions = _sweep_paths(
+        matcore._fraction_free, num, den)
+    assert (got_rank, repr(got_witness)) == (rank, repr(witness))
+    assert (got_X is None) == (X is None)
+    if X is not None:
+        assert got_X.shape == X.shape and np.array_equal(got_X.view(np.int64), X.view(np.int64))
+    return restarts, promotions
+
+
+@pytest.mark.parametrize("build, paths", [
+    (lambda: lemmens_seidel_gram(40), (True, 0)),
+    (lambda: _perturbed(lemmens_seidel_gram(40), 77, 77, Fraction(-1, 3)), (True, 0)),
+    (lambda: _perturbed(lemmens_seidel_gram(40), 70, 77, Fraction(1, 3)), (True, 0)),
+    (lambda: _scaled(simplex_gram(9), 5 ** 19), (True, 0)),
+    (lambda: odd_reciprocal_gram(25, 3), (True, 0)),
+    (lambda: _dense_gram(24, seed=41), (False, 1)),
+    (lambda: lines28_gram(), (False, 0)),
+], ids=["ls40", "ls40-last-diagonal", "ls40-far-pair", "simplex9-times-5^19",
+        "odd-reciprocal-25-3", "dense24", "lines28"])
+def test_exact_kernel_matches_the_pre_buffer_kernel_on_every_path(build, paths):
+    m = build()
+    restarts, promotions = _matches_pre_buffer_kernel(m._array, m._den)
+    assert (restarts > 0, promotions) == paths
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(num, den) for num = c B^T B + delta (e_i e_j^T + e_j e_i^T): rank-deficient
+    Grams, some perturbed to a negative pivot; a large c takes the sweep past
+    the int64 guard, where it restarts, or promotes when delta leaves gcd 1."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(1, n))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    c = draw(st.sampled_from([1, 3 ** 9, 2 ** 20 + 7, 5 ** 19]))
+    g = [[c * sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    delta = draw(st.sampled_from([0, -1, 1, -3, 2 ** 20]))
+    g[i][j] += delta
+    if i != j:
+        g[j][i] += delta
+    return np.array(g, dtype=np.int64), draw(st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_kernel_inputs())
+def test_exact_kernel_matches_the_pre_buffer_kernel(case):
+    _matches_pre_buffer_kernel(*case)
+
+
+@pytest.mark.parametrize("divisor", [1, 2, 3, 7, 12, 2 ** 40, 3 * 2 ** 40, 2 ** 61 - 1,
+                                     2 ** 62, 2 ** 63 - 1],
+                         ids=["1", "2", "3", "7", "12", "2^40", "3*2^40", "2^61-1", "2^62",
+                              "2^63-1"])
+def test_divide_exact_by_an_inverse(divisor):
+    from equicode.matcore import _divide_exact
+
+    hi, lo = (2 ** 63 - 1) // divisor, -(2 ** 63 // divisor)
+    # near +-2^62 for divisors 1 and 2; the product of each with divisor is an int64
+    quotients = [0, 1, -1, min(hi, 12345), max(lo, -12345), hi, hi - 1, lo, lo + 1]
+    a = np.array([q * divisor for q in quotients], dtype=np.int64).reshape(3, 3).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _divide_exact(a, divisor)
+    assert a.T.ravel().tolist() == quotients
 
 
 def test_exact_factor_is_the_pivoted_cholesky_factor():

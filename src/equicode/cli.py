@@ -5,9 +5,11 @@ significant digits, no whitespace.  Writing, reading, and re-writing a file
 reproduces identical bytes, so every certificate is reproducible from the
 file alone.  ``canonical_json`` is the one entry point for files; it hands
 every 1-D and 2-D float array to ``_format_floats``, the one float-array
-writer, which formats a whole row with one ``"%.17g"`` row template.  The
-``--gram-csv`` rows, the ``angles:`` line of ``construct`` and the tokens of
-``angle_set_spec`` use the same writer.
+writer.  It formats each distinct value of a few-valued array once, through
+a token memo, and the rest of an array whose values stop repeating with one
+``"%.17g"`` row template; either way every token is ``format(x, ".17g")``.
+The ``--gram-csv`` rows, the ``angles:`` line of ``construct`` and the
+tokens of ``angle_set_spec`` use the same writer.
 """
 
 from __future__ import annotations
@@ -63,6 +65,38 @@ EXIT_RUNTIME = 3
 # canonical JSON ---------------------------------------------------------
 
 
+_TOKEN_MEMO_CAP = 4096
+
+
+class _TooManyTokens(Exception):
+    """An array or file holds more distinct numbers than a memo keeps.  Not a
+    ValueError: if it ever escaped, ``run`` must not report it as a refused
+    file."""
+
+
+class _TokenMemo(dict):
+    """``parse(key)`` keyed by ``key``, so a few-distance Gram or a zero-heavy
+    vectors file converts each repeated number once, a C-level dict hit after
+    the first.  The reader keeps one for integer tokens, parsed by
+    ``_json_int`` (so ``-0`` never meets ``0``), and one for float tokens,
+    parsed by json's own ``float``, so values keep their bits.  The writer
+    keeps one per array, keyed by value, whose ``parse`` is the ``"%.17g"``
+    formatter.  Past _TOKEN_MEMO_CAP keys it raises _TooManyTokens: the
+    reader parses the text again plainly (the same scanner, so malformed
+    text fails alike), and the writer formats the rest of its array by row
+    template."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, key):
+        if len(self) >= _TOKEN_MEMO_CAP:
+            raise _TooManyTokens
+        value = self[key] = self.parse(key)
+        return value
+
+
 def _float_token(x: float) -> str:
     return _format_floats(np.array([x], dtype=float), open_="", close="")[0]
 
@@ -71,14 +105,33 @@ def _format_floats(a: np.ndarray, sep: str = ",", open_: str = "[",
                    close: str = "]") -> list:
     """Each row of a finite 1-D or 2-D float array as text; 1-D is one row.
 
-    One template of ``"%.17g"`` fields per row width is applied to whole
-    rows, so every token is ``format(x, ".17g")``.
+    Every token is ``"%.17g" % x``, i.e. ``format(x, ".17g")``.  Rows are
+    first joined from a ``_TokenMemo`` keyed by value, so a few-valued array
+    (a few-distance Gram, zero-heavy vectors) formats each distinct value
+    once.  After the first row that leaves the memo holding more than half
+    the tokens seen so far, or once the memo is full, the rows built are
+    kept and the rest are formatted by one template of ``"%.17g"`` fields
+    per row: an all-distinct array pays for one memoised row.  A dict takes
+    -0.0 for 0.0, so an array holding -0.0 takes the template throughout.
     """
     if not np.isfinite(a).all():
         raise InvalidParams("cannot serialize non-finite numbers")
-    rows = a.reshape(1, -1) if a.ndim == 1 else a
-    template = open_ + sep.join(["%.17g"] * rows.shape[1]) + close
-    return [template % tuple(r) for r in rows.tolist()]
+    values = (a.reshape(1, -1) if a.ndim == 1 else a).tolist()
+    rows = []
+    if not np.signbit(a[a == 0]).any():
+        memo = _TokenMemo("%.17g".__mod__)
+        seen = 0
+        try:
+            for row in values:
+                rows.append(open_ + sep.join(map(memo.__getitem__, row)) + close)
+                seen += len(row)
+                if 2 * len(memo) > seen:
+                    break
+        except _TooManyTokens:
+            pass
+    template = open_ + sep.join(["%.17g"] * a.shape[-1]) + close
+    rows += [template % tuple(row) for row in values[len(rows):]]
+    return rows
 
 
 def canonical_json(obj) -> str:
@@ -147,35 +200,6 @@ def write_code_file(path: str, dim: int, vectors=None, gram=None,
 def _json_int(token: str):
     """Integer token of a code file; ``-0`` is how the writer spells -0.0."""
     return -0.0 if token == "-0" else int(token)
-
-
-_TOKEN_MEMO_CAP = 4096
-
-
-class _TooManyTokens(Exception):
-    """A file holds more distinct number tokens than a memo keeps.  Not a
-    ValueError: if it ever escaped the reader, ``run`` must not report it as
-    a refused file."""
-
-
-class _TokenMemo(dict):
-    """``parse(token)`` keyed by token text, so a few-distance Gram or a
-    zero-heavy vectors file parses each repeated token once, a C-level dict
-    hit after the first.  The reader keeps one for integer tokens, parsed by
-    ``_json_int`` (so ``-0`` never meets ``0``), and one for float tokens,
-    parsed by json's own ``float``, so values keep their bits.  Past
-    _TOKEN_MEMO_CAP tokens it raises _TooManyTokens, and the reader parses
-    the text again plainly: the same scanner, so malformed text fails alike."""
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, token: str):
-        if len(self) >= _TOKEN_MEMO_CAP:
-            raise _TooManyTokens
-        value = self[token] = self.parse(token)
-        return value
 
 
 def _mentions(text: str, word: str) -> bool:
@@ -372,15 +396,16 @@ CONSTRUCTIONS = {
 }
 
 
-def _refuse_same_file(flag: str, path: str, out: str) -> None:
-    """InvalidParams if ``path``, given by ``flag``, resolves to the --out file."""
-    if os.path.realpath(path) == os.path.realpath(out):
-        raise InvalidParams(f"{flag} and --out name the same file {out!r}")
+def _refuse_same_file(flag: str, path: Optional[str], other: str, other_path: str) -> None:
+    """InvalidParams if ``path``, given by ``flag``, resolves to ``other_path``,
+    the file ``other`` names: writing ``path`` would destroy that file.  Each
+    command calls it before it writes anything."""
+    if path and os.path.realpath(path) == os.path.realpath(other_path):
+        raise InvalidParams(f"{flag} and {other} name the same file {other_path!r}")
 
 
 def cmd_construct(args, tol: Tolerance) -> int:
-    if args.gram_csv:
-        _refuse_same_file("--gram-csv", args.gram_csv, args.out)
+    _refuse_same_file("--gram-csv", args.gram_csv, "--out", args.out)
     name = args.name
     fields, build = CONSTRUCTIONS[name]
     for field in fields:
@@ -398,6 +423,7 @@ def cmd_construct(args, tol: Tolerance) -> int:
 
 
 def cmd_verify(args, tol: Tolerance) -> int:
+    _refuse_same_file("--report", args.report, "the input", args.file)
     code = load_code(args.file, tol)[0]
     aset = parse_angle_set(args.L, tol.angle_tol)
     if aset.covers_all():
@@ -505,6 +531,7 @@ SUITES = {
 
 
 def cmd_certify(args, tol: Tolerance) -> int:
+    _refuse_same_file("--report", args.report, "the input", args.file)
     code, doc = load_code(args.file, tol)
     wanted = list(SUITES) if args.suite == "all" else [args.suite]
     certificates = [SUITES[suite](code, doc, args) for suite in wanted]
@@ -545,7 +572,8 @@ def cmd_project(args, tol: Tolerance) -> int:
 
 def cmd_reduce(args, tol: Tolerance) -> int:
     sidecar = args.sidecar or (args.out + ".reduction.json")
-    _refuse_same_file("--sidecar", sidecar, args.out)
+    _refuse_same_file("--sidecar", sidecar, "--out", args.out)
+    _refuse_same_file("--sidecar", sidecar, "the input", args.file)
     code = load_code(args.file, tol)[0]
     outcome = reduction_pipeline(code, args.t)
     bucket_doc = {}

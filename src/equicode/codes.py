@@ -182,8 +182,11 @@ class AngleSet:
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "points", pts)
         for lo, hi in ivs:
-            if not (-1.0 <= lo <= hi < 1.0):
+            if not (-1.0 <= lo < 1.0 and -1.0 <= hi < 1.0):
                 raise InvalidParams(f"interval [{lo}, {hi}] must lie within [-1, 1)")
+            if lo > hi:
+                raise InvalidParams(f"interval [{lo}, {hi}] is reversed: its lower end "
+                                    "exceeds its upper end")
         for p in pts:
             if not (-1.0 <= p < 1.0):
                 raise InvalidParams(f"point {p} must lie within [-1, 1)")

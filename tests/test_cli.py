@@ -85,6 +85,105 @@ def test_float_array_writer_refuses_non_finite(bad, tmp_path):
                         metadata={"angles": np.array([0.5, bad, -0.5])})
 
 
+# (sep, open_, close) of each use of the writer: canonical JSON, the
+# --gram-csv rows and the angles line of construct
+_WRITER_FORMS = [(",", "[", "]"), (",", "", "\n"), (", ", "", "")]
+
+
+def _rows_by_format(a, sep=",", open_="[", close="]"):
+    """The writer's rows, built one format(x, ".17g") at a time."""
+    rows = a.reshape(1, -1) if a.ndim == 1 else a
+    return [open_ + sep.join(format(x, ".17g") for x in row) + close
+            for row in rows.tolist()]
+
+
+@st.composite
+def _writer_arrays(draw):
+    """Few-valued rows, 0.0 and -0.0 among the values, that may turn
+    all-distinct at some row, as a 2-D or a 1-D array."""
+    shape = draw(st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    pool = np.array(draw(st.lists(st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.choice(pool, size=shape)
+    turn = draw(st.integers(0, shape[0]))
+    a[turn:] = (rng.standard_normal((shape[0] - turn, shape[1]))
+                * 10.0 ** rng.integers(-30, 30, (shape[0] - turn, shape[1])))
+    return a.reshape(-1) if draw(st.booleans()) else a
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_writer_arrays(), st.sampled_from(_WRITER_FORMS))
+def test_float_array_writer_rows_match_format(a, form):
+    assert _format_floats(a, *form) == _rows_by_format(a, *form)
+
+
+def _count_misses(monkeypatch) -> list:
+    """The values the writer's token memo formats, in the order it does."""
+    missed = []
+
+    class Counting(cli._TokenMemo):
+        def __missing__(self, key):
+            value = super().__missing__(key)
+            missed.append(key)
+            return value
+
+    monkeypatch.setattr(cli, "_TokenMemo", Counting)
+    return missed
+
+
+def test_float_array_writer_formats_each_distinct_value_once(monkeypatch):
+    missed = _count_misses(monkeypatch)
+    a = np.random.default_rng(5).choice([1.0, 1 / 3, -1 / 3], size=(600, 600))
+    assert _format_floats(a) == _rows_by_format(a)
+    assert sorted(missed) == [-1 / 3, 1 / 3, 1.0]
+
+
+def test_float_array_writer_all_distinct_memoises_one_row(monkeypatch):
+    missed = _count_misses(monkeypatch)
+    a = np.random.default_rng(6).standard_normal((586, 300))
+    assert _format_floats(a) == _rows_by_format(a)
+    assert missed == a[0].tolist()  # then every other row by its template
+
+
+@pytest.mark.parametrize("turn", [1, 5, 12])
+def test_float_array_writer_falls_back_when_rows_turn_distinct(turn, monkeypatch):
+    missed = _count_misses(monkeypatch)
+    rng = np.random.default_rng(turn)
+    a = rng.choice([0.0, 0.5, 1.0], size=(40, 10))
+    a[turn:] = rng.standard_normal((40 - turn, 10))
+    assert _format_floats(a) == _rows_by_format(a)
+    # the memo stops after the first row that leaves it more than half full
+    seen, distinct = 0, set()
+    for k, row in enumerate(a.tolist()):
+        seen += len(row)
+        distinct.update(row)
+        if 2 * len(distinct) > seen:
+            break
+    assert turn <= k < 40
+    assert len(missed) == len(set(missed)) and set(missed) == distinct
+
+
+@pytest.mark.parametrize("shape", [(5000,), (1, 5000), (3, 5000)])
+def test_float_array_writer_stops_memoising_at_the_cap(shape, monkeypatch):
+    missed = _count_misses(monkeypatch)
+    a = np.random.default_rng(7).standard_normal(shape)
+    assert _format_floats(a) == _rows_by_format(a)
+    assert len(missed) == cli._TOKEN_MEMO_CAP
+
+
+@pytest.mark.parametrize("form", _WRITER_FORMS)
+def test_float_array_writer_keeps_negative_zero_apart(form, monkeypatch):
+    # a dict takes -0.0 for 0.0, so the array is formatted by template alone
+    missed = _count_misses(monkeypatch)
+    a = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]] * 50)
+    assert _format_floats(a, *form) == _rows_by_format(a, *form)
+    assert _format_floats(a)[:2] == ["[0,-0,1]", "[-0,0,1]"]
+    assert missed == []
+    assert _format_floats(np.array([0.0, 1.0, 0.0]), *form) == \
+        _rows_by_format(np.array([0.0, 1.0, 0.0]), *form)
+    assert sorted(missed) == [0.0, 1.0]
+
+
 def test_write_code_file_refuses_ragged_rows(tmp_path):
     out = str(tmp_path / "ragged.json")
     with pytest.raises(InvalidParams):
@@ -104,6 +203,8 @@ def test_empty_arrays_write_the_same_bytes(tmp_path):
         assert out.read_text() == head + body + ',"metadata":{}}\n'
     assert canonical_json(np.empty(0)) == "[]"
     assert canonical_json({"angles": np.empty(0)}) == '{"angles":[]}'
+    for shape, rows in (((0,), ["[]"]), ((0, 4), []), ((1, 0), ["[]"]), ((2, 0), ["[]", "[]"])):
+        assert _format_floats(np.empty(shape)) == rows
 
 
 def test_construct_write_read_write_identical_bytes(tmp_path):
@@ -444,6 +545,40 @@ def test_reduce_refuses_a_sidecar_that_is_its_output(sidecar, tmp_path, capsys, 
                 "--sidecar", sidecar]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("InvalidParams: --sidecar and --out")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ls10.json", "sub"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "ls10.json", "--suite", "gerzon", "--report", "{same}"], "--report"),
+    (["verify", "ls10.json", "--L", "point:-0.33333333333333331+point:0.33333333333333331",
+      "--report", "{same}"], "--report"),
+    (["reduce", "ls10.json", "--t", "1", "--out", "red.json", "--sidecar", "{same}"],
+     "--sidecar"),
+])
+@pytest.mark.parametrize("same", ["ls10.json", "./sub/../ls10.json"])
+def test_a_report_or_sidecar_that_is_the_input_is_refused(argv, flag, same, tmp_path,
+                                                          capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    run(["construct", "lemmens-seidel", "--n", "10", "--out", "ls10.json"])
+    before = (tmp_path / "ls10.json").read_bytes()
+    capsys.readouterr()
+    assert run([a.format(same=same) for a in argv]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"InvalidParams: {flag} and the input name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ls10.json", "sub"]
+    assert (tmp_path / "ls10.json").read_bytes() == before
+    assert run(["certify", "ls10.json", "--suite", "gerzon"]) == EXIT_OK
+
+
+def test_a_reversed_interval_is_named_as_such(tmp_path, capsys):
+    src = tmp_path / "s.json"
+    run(["construct", "simplex", "--r", "3", "--out", str(src)])
+    capsys.readouterr()
+    assert run(["certify", str(src), "--suite", "dgs", "--L", "interval:0.5,0.2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("InvalidParams: interval [0.5, 0.2] is reversed: "
+                                       "its lower end exceeds its upper end\n")
+    for bad in ("interval:0.5,1", "interval:-1.5,0.2", "interval:nan,0.2"):
+        assert run(["certify", str(src), "--suite", "dgs", "--L", bad]) == EXIT_USAGE
+        assert "must lie within [-1, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gram_csv", ["x.json", "./sub/../x.json"])

@@ -6,20 +6,24 @@ reproduces identical bytes, so every certificate is reproducible from the
 file alone.  ``canonical_json`` is the one entry point for files; it hands
 every 1-D and 2-D float array to ``_format_floats``, the one float-array
 writer.  It formats each distinct value of a few-valued array once, through
-a token memo, and the rest of an array whose values stop repeating with one
-``"%.17g"`` row template; either way every token is ``format(x, ".17g")``.
-The ``--gram-csv`` rows, the ``angles:`` line of ``construct`` and the
-tokens of ``angle_set_spec`` use the same writer.
+a token memo, and the rest of an array whose values stop repeating with
+``_exact_rows``, a numpy kernel that lays out a few thousand tokens at a
+time; either way every token is ``format(x, ".17g")``.  The ``--gram-csv``
+rows and the ``angles:`` line of ``construct`` use the same writer; a
+scalar, such as a token of ``angle_set_spec``, is ``"%.17g" % x`` itself
+(``_float_token``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +54,14 @@ from .constructions import (
     regular_simplex,
     seven_dim_28_lines,
 )
-from .errors import EquicodeError, InvalidIndex, InvalidMatrix, InvalidParams, TooLarge
+from .errors import (
+    EquicodeError,
+    InternalError,
+    InvalidIndex,
+    InvalidMatrix,
+    InvalidParams,
+    TooLarge,
+)
 from .graphlab import lambda_inequality_check, reduction_pipeline
 from .matcore import DEFAULT_TOL, SymMatrix, Tolerance, gram_rank
 
@@ -98,7 +109,9 @@ class _TokenMemo(dict):
 
 
 def _float_token(x: float) -> str:
-    return _format_floats(np.array([x], dtype=float), open_="", close="")[0]
+    if not math.isfinite(x):
+        raise InvalidParams("cannot serialize non-finite numbers")
+    return "%.17g" % x
 
 
 def _format_floats(a: np.ndarray, sep: str = ",", open_: str = "[",
@@ -110,28 +123,208 @@ def _format_floats(a: np.ndarray, sep: str = ",", open_: str = "[",
     (a few-distance Gram, zero-heavy vectors) formats each distinct value
     once.  After the first row that leaves the memo holding more than half
     the tokens seen so far, or once the memo is full, the rows built are
-    kept and the rest are formatted by one template of ``"%.17g"`` fields
-    per row: an all-distinct array pays for one memoised row.  A dict takes
-    -0.0 for 0.0, so an array holding -0.0 takes the template throughout.
+    kept and the exact kernel ``_exact_rows`` formats the rest: an
+    all-distinct array (``reduce`` and ``project`` outputs) pays for one
+    memoised row.  A dict takes -0.0 for 0.0, so an array holding -0.0 goes
+    to the kernel whole.
     """
     if not np.isfinite(a).all():
         raise InvalidParams("cannot serialize non-finite numbers")
-    values = (a.reshape(1, -1) if a.ndim == 1 else a).tolist()
+    a = a.reshape(1, -1) if a.ndim == 1 else a
     rows = []
     if not np.signbit(a[a == 0]).any():
         memo = _TokenMemo("%.17g".__mod__)
         seen = 0
         try:
-            for row in values:
+            for row in map(np.ndarray.tolist, a):
                 rows.append(open_ + sep.join(map(memo.__getitem__, row)) + close)
                 seen += len(row)
                 if 2 * len(memo) > seen:
                     break
         except _TooManyTokens:
             pass
-    template = open_ + sep.join(["%.17g"] * a.shape[-1]) + close
-    rows += [template % tuple(row) for row in values[len(rows):]]
-    return rows
+    rest = a[len(rows):]  # empty once the memo has taken every row
+    return rows + _exact_rows(rest, sep, open_, close) if rest.size else rows
+
+
+# The exact "%.17g" kernel -----------------------------------------------
+#
+# For x != 0 with decimal exponent X, 10**X <= |x| < 10**(X + 1), "%.17g"
+# prints the 17-digit N = round(|x| * 10**(16 - X)), ties to even: in fixed
+# notation when -4 <= X <= 16, else in scientific notation, with trailing
+# zeros after the point dropped.  The kernel forms |x| * 10**(16 - X) as a
+# double-double: Dekker's exact TwoProduct p + err of |x| and the double h
+# nearest 10**(16 - X), split by Veltkamp, plus |x| * l, l the double
+# nearest 10**(16 - X) - h.  h, l and the least double >= 10**X (which
+# makes X exact where log10 rounds across a power of ten) come from Python
+# integers, each correctly rounded.  With X exact the product lies in
+# [1e16, 1e17], so p (above 2**53) is an integer, and the computed fraction
+# err + |x| * l is within 2**-47 of the exact one: the roundings of |x| * l
+# (below 12), of the sum (below 32) and of its fractional part, and the
+# 2**-106 relative error of h + l.  So a fraction farther than _TIE_BAND
+# = 2**-40 from 1/2 rounds N as the exact product would.  A value within
+# the band of a tie, one whose N reaches 10**17, and one whose X lies
+# outside the window where no step can overflow or underflow are formatted
+# by "%.17g" itself: every token is format(x, ".17g") by construction.
+
+_CHUNK = 4096  # values per pass; their 48-byte frames stay in cache
+_EXP_WINDOW = 290
+_TIE_BAND = 2.0 ** -40
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_TOKEN_WIDTH = 24  # the longest "%.17g" token of a double: -2.2250738585072014e-308
+
+
+def _words(texts) -> np.ndarray:
+    """ASCII strings of at most 8 characters, NUL-padded, as uint64 words."""
+    return np.frombuffer(b"".join(t.encode("ascii").ljust(8, b"\0") for t in texts),
+                         dtype=np.uint64)
+
+
+def _four_digit_tables() -> tuple:
+    """For v in 0..9999: its four digits, each followed by a point, as one
+    word, and the number of zeros those four digits end in."""
+    four = np.arange(10_000)
+    digits = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    for col, place in enumerate((1000, 100, 10, 1)):
+        digits[:, 2 * col] = four // place % 10 + ord("0")
+    return digits.view(np.uint64).ravel(), sum(four % d == 0 for d in (10, 100, 1000, 10_000))
+
+
+# A value's frame is six words.  Word 0 is "-0.000q.": the sign, the "0."
+# and three zeros of 0.000ddd, N's leading digit q and a point; words 1-4
+# are N's other 16 digits, each followed by a point; word 5 is the exponent
+# field "e+005" and three bytes for the separator, or for the text that ends
+# a row.  A table lookup gives the bytes a token keeps, one compaction of the
+# frames the text.
+_HEAD = _words([f"-0.000{q}." for q in range(10)])
+_DIGITS, _TRAILING_ZEROS = _four_digit_tables()
+_EXPONENTS = np.arange(-_EXP_WINDOW, _EXP_WINDOW + 1)
+_EXP_TEXT = _words([f"e{X:+04d}" for X in _EXPONENTS])
+# X's first row in _FRAME_KEEP: layouts 0-20 are fixed notation, X + 4; 21
+# and 22 scientific notation with a two- and a three-digit exponent
+_LAYOUT_ROW = np.where((_EXPONENTS >= -4) & (_EXPONENTS <= 16), _EXPONENTS + 4,
+                       np.where(np.abs(_EXPONENTS) < 100, 21, 22)) * 17
+
+
+def _frame_keep() -> np.ndarray:
+    """Row (sign * 23 + layout) * 17 + last: 1 in each byte of the frame
+    that the token keeps, 0 elsewhere; ``last`` indexes N's last nonzero
+    digit, 0 for the leading one."""
+    neg, layout, last, byte = np.ix_(range(2), range(23), range(17), range(48))
+    X = layout - 4
+    point = np.where(layout <= 20, np.clip(X, 0, 16), 0)  # digit the point follows
+    digit = (byte - 6) // 2
+    keep = np.zeros((2, 23, 17, 48), dtype=bool)
+    keep |= (byte == 0) & (neg == 1)
+    keep |= (X < 0) & ((byte == 1) | (byte == 2) | ((byte >= 3) & (byte < 2 - X)))
+    keep |= (byte >= 6) & (byte < 40) & (byte % 2 == 0) & (digit <= np.maximum(point, last))
+    keep |= (byte >= 7) & (byte < 40) & (byte % 2 == 1) & (digit == point) & (last > point) \
+        & (X >= 0)
+    keep |= (layout >= 21) & ((byte == 40) | (byte == 41) | (byte == 43) | (byte == 44)
+                              | ((byte == 42) & (layout == 22)))
+    return keep.astype(np.uint8).reshape(-1, 48).view(np.uint64)
+
+
+_FRAME_KEEP = _frame_keep()
+
+
+@functools.cache
+def _scale(X: int) -> tuple:
+    """(h, h1, h2, l, bound): h the double nearest 10**(16 - X), h1 + h2 its
+    Veltkamp split, l the double nearest 10**(16 - X) - h, bound the least
+    double not below 10**X."""
+    exact = Fraction(10) ** (16 - X)
+    h = float(exact)
+    m, e = math.frexp(h)
+    c = m * _SPLIT
+    m1 = c - (c - m)
+    power = Fraction(10) ** X
+    bound = float(power)
+    return (h, math.ldexp(m1, e), math.ldexp(m - m1, e), float(exact - Fraction(h)),
+            bound if bound >= power else math.nextafter(bound, math.inf))
+
+
+def _exact_rows(a: np.ndarray, sep: str, open_: str, close: str) -> list:
+    """The rows of a finite 2-D float array with at least one column, as
+    ``open_ + sep.join("%.17g" tokens) + close``.  ``sep`` and ``close +
+    open_`` have at most three and two ASCII characters: they share a frame
+    word with the exponent."""
+    if len(sep) > 3 or len(close + open_) > 2:
+        raise InternalError("separator or brackets too long for the float frame")
+    return b"".join(_exact_chunks(a, sep, open_, close)).decode("ascii").split("\0")[:-1]
+
+
+def _exact_chunks(a: np.ndarray, sep: str, open_: str, close: str):
+    """The text of ``_exact_rows``, _CHUNK values at a time, rows ended by NUL."""
+    cols = a.shape[1]
+    flat = a.reshape(-1)
+    magnitude = np.abs(flat)
+    nonzero = magnitude > 0
+    lo, hi = np.floor(np.log10([magnitude.min(where=nonzero, initial=1.0),
+                                magnitude.max(where=nonzero, initial=1.0)])).astype(int).tolist()
+    lo, hi = max(min(lo, 0) - 1, -_EXP_WINDOW), min(max(hi, 0) + 1, _EXP_WINDOW)
+    h, h1, h2, l, bound = np.array([_scale(X) for X in range(lo, hi + 2)]).T.copy()
+    tail = _EXP_TEXT | _words(["\0" * 5 + sep])
+    tail_end = _EXP_TEXT | _words(["\0" * 5 + close + "\0" + open_])
+    keep = _FRAME_KEEP.copy()
+    keep[:, 5] |= _words(["\0" * 5 + "\1" * len(sep)])
+    keep_end = _FRAME_KEEP.copy()
+    keep_end[:, 5] |= _words(["\0" * 5 + "\1" * len(close + "\0" + open_)])
+    frame = np.empty((min(_CHUNK, flat.size), 6), dtype=np.uint64)
+    kept = np.empty(frame.shape, dtype=np.uint64)
+    yield open_.encode("ascii")
+    for start in range(0, flat.size, _CHUNK):
+        x = flat[start:start + _CHUNK]
+        f, k = frame[:x.size], kept[:x.size]
+        ax = np.abs(x)
+        zero = ax == 0
+        ax[zero] = 1.0
+        X = np.floor(np.log10(ax))
+        inside = (X > lo) & (X < hi)
+        ax[~inside] = 1.0
+        i = np.where(inside, X, 0.0).astype(np.intp) - lo  # the row of X in the table
+        i += ax >= bound[i + 1]
+        i -= ax < bound[i]
+        p = ax * h[i]
+        c = ax * _SPLIT
+        x1 = c - (c - ax)
+        x2 = ax - x1
+        err = ((x1 * h1[i] - p) + x1 * h2[i] + x2 * h1[i]) + x2 * h2[i]
+        frac = err + ax * l[i]
+        below = np.floor(frac)
+        frac -= below
+        N = p.astype(np.int64) + below.astype(np.int64) + (frac > 0.5)
+        fallback = np.flatnonzero(~inside | (np.abs(frac - 0.5) < _TIE_BAND)
+                                  | (N < 10**16) | (N >= 10**17))
+        N[zero] = 0
+        N[fallback] = 0
+        upper = N // 10**8  # N's first 9 and last 8 digits; % is slower than //
+        lower = N - upper * 10**8
+        upper4, lower4 = upper // 10**4, lower // 10**4
+        q = upper4 // 10**4
+        groups = (upper4 - q * 10**4, upper - upper4 * 10**4, lower4, lower - lower4 * 10**4)
+        f[:, 0] = _HEAD[q]
+        for word, g in enumerate(groups, 1):
+            f[:, word] = _DIGITS[g]
+        zeros = _TRAILING_ZEROS[groups[3]]
+        for run, g in zip((4, 8, 12), groups[2::-1]):  # N ends in `run` zeros
+            more = np.flatnonzero(zeros == run)
+            zeros[more] += _TRAILING_ZEROS[g[more]]
+        e = i + (lo + _EXP_WINDOW)  # the row of X in _EXPONENTS
+        layout = _LAYOUT_ROW[e] + 16 - zeros + np.signbit(x) * (23 * 17)
+        k[:] = keep[layout]
+        f[:, 5] = tail[e]
+        ends = np.arange(cols - 1 - start % cols, x.size, cols)
+        f[ends, 5] = tail_end[e[ends]]
+        k[ends] = keep_end[layout[ends]]
+        if fallback.size:  # the token replaces the frame's 45 bytes before the separator
+            tokens = ["%.17g" % v for v in x[fallback].tolist()]
+            f.view(np.uint8)[fallback, :_TOKEN_WIDTH] = np.frombuffer(
+                "".join(t.ljust(_TOKEN_WIDTH) for t in tokens).encode("ascii"),
+                dtype=np.uint8).reshape(-1, _TOKEN_WIDTH)
+            lengths = np.array([len(t) for t in tokens])
+            k.view(bool)[fallback, :45] = np.arange(45) < lengths[:, None]
+        yield np.compress(k.view(bool).ravel(), f.view(np.uint8).ravel()).tobytes()
 
 
 def canonical_json(obj) -> str:

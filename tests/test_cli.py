@@ -184,6 +184,94 @@ def test_float_array_writer_keeps_negative_zero_apart(form, monkeypatch):
     assert sorted(missed) == [0.0, 1.0]
 
 
+def _golden_writer_array() -> np.ndarray:
+    """An all-distinct 40 x 25 array: seeded normals at decimal exponents
+    -30..30, then -0.0, +-1, values below 1e-4 (scientific notation), 1e16,
+    1e17, integers with trailing zeros, a decimal tie (1 + 2**-17 has 18
+    significant digits, the last a 5) and doubles just below a power of ten
+    whose 17 digits round up to it (1e-14, 1e98)."""
+    rng = np.random.default_rng(31)
+    scale = np.array([float(f"1e{e}") for e in rng.integers(-30, 31, 1000)])
+    a = rng.standard_normal(1000) * scale
+    a[:16] = [-0.0, 1.0, -1.0, 1e16, 1e17, 3.5e-5, -1.2345e-7, 1e-4,
+              math.nextafter(1e-4, 0.0), 487360.0, 10.0, -1e22, 1 + 2.0**-17, 5e-324,
+              1e-14, -1e98]
+    return a.reshape(40, 25)
+
+
+def test_float_array_writer_golden_digest():
+    # the bytes of every writer form on an array no memo can shorten
+    a = _golden_writer_array()
+    assert np.unique(a).size == a.size and np.signbit(a).any()
+    text = "\n".join(row for form in _WRITER_FORMS
+                     for row in _format_floats(a, *form) + _format_floats(a.ravel(), *form))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "68b8332d78d74c96da3d2cd93fba3b03f56aa7aa055c2895c03c4c439e0a814c"
+
+
+def _nearest_tie(n: int, e: int) -> float:
+    """The double nearest (n + 1/2) * 10**e, for a 17-digit n."""
+    return float(f"{n}5e{e - 1}")
+
+
+_HARD_FLOATS = st.one_of(
+    st.builds(_nearest_tie, st.integers(10**16, 10**17 - 1), st.integers(-30, 30)),
+    st.builds(lambda k, step: float(np.nextafter(float(f"1e{k}"), step * math.inf)
+                                    if step else float(f"1e{k}")),
+              st.integers(-300, 300), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda m, j: float(m * 10**j), st.integers(1, 10**6), st.integers(0, 22)),
+    st.builds(lambda bits: float(np.uint64(bits).view(np.float64)),
+              st.integers(1, 2**52 - 1)),  # subnormals
+    st.floats(min_value=1e290, max_value=1.7e308),
+    st.floats(min_value=5e-324, max_value=1e-290),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(_HARD_FLOATS, st.booleans()), min_size=1, max_size=60),
+       st.integers(1, 6), st.sampled_from(_WRITER_FORMS))
+def test_float_array_writer_hard_inputs_match_format(draws, width, form):
+    # decimal ties and their neighbours, powers of ten and the doubles next
+    # to them, integers ending in zeros, subnormals and the extreme exponents;
+    # a -0.0 first sends the whole array past the token memo
+    values = [-0.0] + [-x if neg else x for x, neg in draws]
+    values += [0.5] * (-len(values) % width)
+    a = np.array(values)
+    assert _format_floats(a, *form) == _rows_by_format(a, *form)
+    assert _format_floats(a.reshape(-1, width), *form) == \
+        _rows_by_format(a.reshape(-1, width), *form)
+
+
+def test_float_array_writer_bulk_matches_format_within_budget():
+    # 10**6 tokens: random bit patterns (every exponent, subnormals, the
+    # values the kernel hands back to "%.17g") and unit-vector coordinates
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, size=500_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    units = rng.standard_normal(((1_000_000 - bits.size) // 50 + 1, 50))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    a = np.concatenate([bits, units.ravel()])[:1_000_000]
+    start = time.perf_counter()
+    text = _format_floats(a)[0]
+    assert time.perf_counter() - start < 2.0
+    pos = 0  # compared a slice at a time, so few Python floats and strings are held at once
+    for lo in range(0, a.size, 50_000):
+        expected = ("," if lo else "[") + ",".join(
+            format(x, ".17g") for x in a[lo:lo + 50_000].tolist())
+        assert text[pos:pos + len(expected)] == expected, f"values from {lo}"
+        pos += len(expected)
+    assert text[pos:] == "]"
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e16, 1e17, 1e-5,
+                               0.0001, 1 / 3, 1 + 2.0**-17, 1.7976931348623157e308,
+                               np.float64(-0.5), np.float32(0.1)])
+def test_canonical_json_edge_scalars(x):
+    assert canonical_json(x) == format(float(x), ".17g")
+    assert canonical_json([x]) == "[" + format(float(x), ".17g") + "]"
+    assert json.loads(canonical_json(x)) == float(x)
+
+
 def test_write_code_file_refuses_ragged_rows(tmp_path):
     out = str(tmp_path / "ragged.json")
     with pytest.raises(InvalidParams):

@@ -42,6 +42,12 @@ GOLDEN = {
         "076664d62eaf6fc5551b9f50e1fa40e336f839155a5a43b50970d7509de6a87e",
         "d2ff41fd5dc5e0e9e7a1ddd599fe886d801b9492f410455138eb3b4912d0b979",
         "38df7f6405e2fd07db1d2bb45d1bdf1d90287a0b42028ba29e8dfb7b6eb9b562"),
+    # the benchmark's largest construct (order 318); its sweep restarts on
+    # the primitive part
+    "ls160": (["lemmens-seidel", "--n", "160"],
+        "bfb37e002b37d0bebbcb893b142e0759944af0635101ff9da57c9b906f1071fc",
+        "629e278d4be733ddee272f01e6988ad74ca6e5958aa5bf7ed341262321ca895f",
+        "d0e5e8ac73f8d2083a604ded89e124d00d8a73f0492099e09d77b9f36e0a19a8"),
     "oddrec9-3": (["odd-reciprocal", "--n", "9", "--r", "3"],
         "3e63b0119296e8fe63995a379adc1d8210496c590af664723b0a24a7a453c0b4",
         "ed8ddc5bc0accc72c029d6ec795039eab405b9db1bf59eb70f3365bdb98ba769",

@@ -33,7 +33,7 @@ from .errors import (
     NotFinite,
     WrongStructure,
 )
-from .matcore import SymMatrix, rank_of
+from .matcore import SymMatrix, Tolerance, rank_of
 
 
 def negative_clique_certificate(C: Code, alpha: float) -> Certificate:
@@ -64,7 +64,9 @@ def gerzon_certificate(C: Code) -> Certificate:
     """Linear independence of the outer products and |C| <= C(rank+1, 2).
 
     The Gram matrix of the outer products x x^T has entries <x_i, x_j>^2,
-    the code's Gram squared entrywise, and must have full rank m.
+    the code's Gram squared entrywise, and must have full rank m.  Its rank
+    is m without a spectrum wherever Weyl's bound decides it
+    (``_weyl_full_rank``), else that of one values-only spectrum.
     """
     m, tol = len(C), C.tol
     if m >= 2:
@@ -75,7 +77,8 @@ def gerzon_certificate(C: Code) -> Certificate:
         alpha = None
     r = C.rank
     g = C.gram.as_array()
-    outer_rank = rank_of(SymMatrix(g * g), tol)
+    full = alpha is not None and _weyl_full_rank(g, alpha, tol)
+    outer_rank = m if full else rank_of(SymMatrix(g * g), tol)
     rhs = math.comb(r + 1, 2)
     passed = (outer_rank == m) and (m <= rhs)
     return Certificate(
@@ -83,6 +86,33 @@ def gerzon_certificate(C: Code) -> Certificate:
         statement="outer products are independent and |C| <= C(rank+1, 2)",
         passed=passed, lhs=m, rhs=rhs, tol=0.0,
         witness={"rank": r, "outer_rank": outer_rank, "alpha": alpha})
+
+
+_WEYL_ROWS = 64  # rows of G squared at a time, so no m x m temporary
+_WEYL_ALLOWANCE = 2.0 ** -40  # eigvalsh and row-sum rounding, per order and unit of norm
+
+
+def _weyl_full_rank(g: np.ndarray, alpha: float, tol: Tolerance) -> bool:
+    """Whether the values-only spectrum of G o G certainly ranks it full.
+
+    With G o G = (1 - alpha^2) I + alpha^2 J + E, Weyl's inequality puts its
+    eigenvalues in [1 - alpha^2 - s, 1 - alpha^2 + m alpha^2 + s], s the
+    largest absolute row sum of E.  Where the lower end, less a rounding
+    allowance for LAPACK and for s, clears the rank cutoff
+    ``eig_zero * max(1, upper + allowance)``, every eigenvalue ``eigvalsh``
+    returns counts, so ``rank_of`` would give m.
+    """
+    m, a2 = g.shape[0], alpha * alpha
+    s = 0.0
+    for start in range(0, m, _WEYL_ROWS):
+        e = g[start:start + _WEYL_ROWS] ** 2
+        e -= a2
+        rows = np.arange(e.shape[0])
+        e[rows, start + rows] -= 1 - a2
+        s = max(s, float(np.abs(e, out=e).sum(axis=1).max()))
+    lower, upper = 1 - a2 - s, 1 - a2 + m * a2 + s
+    allowance = _WEYL_ALLOWANCE * m * upper
+    return lower - allowance > tol.eig_zero * max(1.0, upper + allowance)
 
 
 def _require_validates(C: Code, L: AngleSet) -> None:

@@ -12,9 +12,10 @@ an inverse mod 2^64, a scan only where a carried bound fails the guard),
 restarted on the primitive part of the remaining block when that fits, and
 on Python ints after; a matrix it finds not PSD is ranked by sweeping M M.
 Verdicts on rational matrices are therefore bit-exact rather than
-threshold-dependent.  A PSD sweep also yields its LDL^T factor, and a
-rational Gram is embedded from that factor, each entry correctly rounded,
-with no spectrum and no BLAS call.
+threshold-dependent.  A PSD sweep whose caller reads it also yields its
+LDL^T factor, and a rational Gram is embedded from that factor, each entry
+correctly rounded, with no spectrum and no BLAS call; a rank-only sweep
+forms none.
 """
 
 from __future__ import annotations
@@ -245,6 +246,7 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     Rational backend: the positive pivots of one exact sweep of M or, if
     that finds M not PSD, of the PSD product M M, which has M's rank; the
     product is int64 while ``order * max|entry|^2 < 2^63``, else Python ints.
+    Neither sweep forms a factor.
     """
     if M.backend == RATIONAL:
         num = M._array
@@ -271,10 +273,11 @@ def is_psd(M: SymMatrix, tol: Tolerance = DEFAULT_TOL, return_factor: bool = Fal
     backend runs exact symmetric elimination and reports the first failing
     pivot, if any.
     ``return_factor`` (rational only) also returns the sweep's float factor
-    X, X X^T = M up to rounding, or None if M is not PSD.
+    X, X X^T = M up to rounding, or None if M is not PSD; without it the
+    sweep forms no factor.
     """
     if M.backend == RATIONAL:
-        rank, witness, factor = _fraction_free(M._array, M._den)
+        rank, witness, factor = _fraction_free(M._array, M._den, return_factor)
         cert = Certificate(
             name="psd", statement="all leading pivots of the symmetric elimination are >= 0",
             passed=witness is None, lhs=0, rhs=0 if witness is None else witness["pivot"],
@@ -414,7 +417,7 @@ def _divide_exact(a: np.ndarray, divisor: int) -> None:
         a *= inverse - 2 ** 64 if inverse >= 2 ** 63 else inverse
 
 
-def _fraction_free(num, den: int = 1):
+def _fraction_free(num, den: int = 1, factor: bool = False):
     """Symmetric Bareiss (1968) fraction-free elimination of the integer
     matrix ``num``: diagonal pivots, no exchanges.
 
@@ -444,11 +447,15 @@ def _fraction_free(num, den: int = 1):
     of positive pivots is its rank and the factor is the m x rank
     X = L sqrt(D) of the LDL^T factorization of ``num / den``: the c-th
     positive pivot d, with pivot row a, gives column c, a / d scaled by the
-    square root of its witness pivot D; zero pivots give no column.
+    square root of its witness pivot D; zero pivots give no column.  Each
+    distinct value of a pivot row is rooted once, found through a set of the
+    row's values, with no sort of the row.  Only with ``factor`` does the
+    sweep form X; otherwise the factor is None.
     """
     m = num.shape[0]
     prev, rank, scale = 1, 0, Fraction(1)
-    X = np.zeros((m, m), order="F")  # untouched columns stay unpaged
+    if factor:
+        X = np.zeros((m, m), order="F")  # untouched columns stay unpaged
     if num.dtype == object:
         T = np.array(num)  # the trailing block left to eliminate
     else:
@@ -479,10 +486,12 @@ def _fraction_free(num, den: int = 1):
                 prev = 1
             else:
                 T = T.astype(object)
-        # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
-        q = scale / (d * prev * den)  # D / d^2
-        values, where = np.unique(T[0], return_inverse=True)
-        X[col:, rank] = np.array([_scaled_root(a, q) for a in values.tolist()])[where]
+        if factor:
+            # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
+            q = scale / (d * prev * den)  # D / d^2
+            values = sorted(set(T[0].tolist()))
+            roots = np.array([_scaled_root(a, q) for a in values])
+            X[col:, rank] = roots[np.searchsorted(np.array(values, dtype=T.dtype), T[0])]
         a, n = T[0, 1:], m - col - 1
         if T.dtype == object:
             i, j = np.triu_indices(n)
@@ -497,7 +506,7 @@ def _fraction_free(num, den: int = 1):
             flat, spare, T = spare, flat, nxt
         prev = d
         rank += 1
-    return rank, None, X[:, :rank]
+    return rank, None, X[:, :rank] if factor else None
 
 
 def _scaled_root(a: int, q: Fraction) -> float:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicode import (
     DEFAULT_TOL,
@@ -22,6 +23,7 @@ from equicode import (
     binary_kcode,
     bound_table,
     concatenated_code,
+    detect_equiangular,
     dgs_bound_check,
     embed_from_gram,
     gerzon_certificate,
@@ -141,6 +143,66 @@ def test_gerzon_rejects_non_equiangular():
         gerzon_certificate(binary_kcode(4, 2))
     with pytest.raises(NotEquiangular):
         gerzon_certificate(Code(np.eye(3)))
+
+
+@st.composite
+def _near_equiangular_grams(draw):
+    """(G, dim, tol): an equiangular construction Gram, switched on a drawn
+    subset and perturbed off the diagonal by at most 0.9 angle_tol, either
+    uniformly or by +-0.9 angle_tol, which can leave the Weyl bound open; or
+    an unperturbed pencil of lines whose G o G is singular."""
+    from equicode.constructions import (lemmens_seidel_gram, lines28_gram,
+                                        odd_reciprocal_gram, simplex_gram)
+
+    kind = draw(st.sampled_from(["ls", "ls", "simplex", "lines28", "odd-reciprocal", "pencil"]))
+    angle_tol = draw(st.sampled_from([1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.02]))
+    scale = 0.9 * angle_tol
+    if kind == "ls":
+        # from about n = 38 at 0.02, +-angle_tol leaves the bound open
+        n = draw(st.one_of(st.integers(3, 20), st.integers(38, 60)))
+        gram, dim = lemmens_seidel_gram(n), n
+    elif kind == "simplex":
+        r = draw(st.integers(2, 30))  # alpha = 1/r stays above angle_tol
+        gram, dim = simplex_gram(r), r
+    elif kind == "lines28":
+        gram, dim = lines28_gram(), 7
+    elif kind == "odd-reciprocal":
+        n = draw(st.integers(3, 30))
+        gram = odd_reciprocal_gram(n, 3)
+        dim = gram.order
+    else:
+        # 4 lines in the plane at k theta, |cos| spread 1.8 angle_tol, alpha
+        # below 1 - angle_tol: their outer products span 3 dimensions only
+        theta = math.sqrt(0.45 * angle_tol)
+        x = np.array([[math.cos(k * theta), math.sin(k * theta)] for k in range(4)])
+        gram, dim, scale = SymMatrix.from_array_symmetrized(x @ x.T), 2, 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = gram.order
+    sign = np.where(rng.random(m) < draw(st.sampled_from([0.0, 0.3, 0.5])), -1.0, 1.0)
+    g = gram.as_array() * np.outer(sign, sign)
+    if draw(st.booleans()):
+        noise = rng.uniform(-1.0, 1.0, size=(m, m))
+    else:
+        noise = np.where(rng.random((m, m)) < 0.5, -1.0, 1.0) * np.sign(g)
+    noise = np.triu(noise, 1) * scale
+    return g + noise + noise.T, dim, Tolerance(angle_tol=angle_tol)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_near_equiangular_grams())
+def test_gerzon_weyl_bound_never_overrules_the_spectrum(case):
+    # wherever the bound decides, the values-only spectrum of G o G ranks it
+    # full, so Gerzon's outer rank is the spectrum's rank on every input
+    from equicode.bounds import _weyl_full_rank
+
+    g, dim, tol = case
+    code = Code.from_gram(SymMatrix(g), dim, tol)
+    alpha = detect_equiangular(code)
+    assert alpha is not None
+    spectrum_rank = rank_of(SymMatrix(g * g), tol)
+    if _weyl_full_rank(g, alpha, tol):
+        assert spectrum_rank == len(g)
+    assert gerzon_certificate(code).witness["outer_rank"] == spectrum_rank
 
 
 def test_schnirelman_applied_on_projected_code():

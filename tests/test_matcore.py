@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from equicode import (
     DEFAULT_TOL,
+    Code,
     SymMatrix,
+    Tolerance,
     embed_from_gram,
     gram_of,
     is_psd,
@@ -486,6 +488,36 @@ def test_rank_takes_one_sweep_and_one_more_on_the_square_if_not_psd(build, sweep
         assert calls[1].dtype == square.dtype and np.array_equal(calls[1], square)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lemmens_seidel_gram(40),                        # restarts
+    lambda: _dense_gram(24, seed=41),                       # promotes
+    lambda: _perturbed(lemmens_seidel_gram(12), 21, 21, Fraction(-1, 3)),
+    lambda: _matching_matrix(40, 3, 2),                     # ranked through M M
+], ids=["ls40", "dense24", "ls12-last-diagonal", "matching40-indefinite"])
+def test_rank_only_sweeps_form_no_factor(build, monkeypatch):
+    from equicode import matcore
+
+    m = build()
+    rank, witness, _ = matcore._fraction_free(m._array, m._den, True)
+    want_rank = rank_of(m)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a rank-only sweep formed a factor")
+
+    class NoZeros:  # numpy in ``matcore``, with no zeros() for an m x m X
+        zeros = staticmethod(refused)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(matcore, "_scaled_root", refused)
+    monkeypatch.setattr(matcore, "np", NoZeros())
+    assert rank_of(m) == want_rank
+    cert = is_psd(m)
+    assert repr(cert.witness) == repr({"rank": rank} if witness is None else witness)
+    assert matcore._fraction_free(m._array, m._den) == (rank, witness, None)
+
+
 def test_rank_of_indefinite_input_in_time():
     m = _matching_matrix(600, 3, 2)  # 2 I - 3 A: eigenvalues 5 and -1
     start = time.perf_counter()
@@ -632,7 +664,7 @@ def _matches_pre_buffer_kernel(num, den):
 
     rank, witness, X = _pre_buffer_kernel(num, den)
     (got_rank, got_witness, got_X), restarts, promotions = _sweep_paths(
-        matcore._fraction_free, num, den)
+        matcore._fraction_free, num, den, True)
     assert (got_rank, repr(got_witness)) == (rank, repr(witness))
     assert (got_X is None) == (X is None)
     if X is not None:
@@ -654,6 +686,36 @@ def test_exact_kernel_matches_the_pre_buffer_kernel_on_every_path(build, paths):
     m = build()
     restarts, promotions = _matches_pre_buffer_kernel(m._array, m._den)
     assert (restarts > 0, promotions) == paths
+
+
+def _interleaved_gram(n, seed):
+    """Two Grams B^T B of signed B, one on the even and one on the odd
+    indices: every pivot row keeps a zero at each index of the other block."""
+    rng = np.random.default_rng(seed)
+    g = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for half in (slice(0, 2 * n, 2), slice(1, 2 * n, 2)):
+        b = rng.integers(-3, 4, size=(n, n))
+        g[half, half] = b.T @ b
+    return SymMatrix.from_integers(g)
+
+
+@pytest.mark.parametrize("build, promotions, distinct, mixed", [
+    (lambda: _dense_gram(40, seed=43), 1, 39, 0),
+    (lambda: _interleaved_gram(4, seed=5), 0, 5, 5),
+    (lambda: _interleaved_gram(8, seed=5), 1, 9, 14),
+], ids=["dense40", "interleaved8-int64", "interleaved16-promoted"])
+def test_factor_columns_match_the_pre_buffer_kernel(build, promotions, distinct, mixed):
+    # a factor column takes one root per distinct value of its pivot row and
+    # scatters them back: rows of up to 39 distinct values, and rows holding
+    # negative and zero entries (``mixed`` columns) in int64 and on both sides
+    # of the promotion to Python ints
+    m = build()
+    assert _matches_pre_buffer_kernel(m._array, m._den) == (0, promotions)
+    cert, X = is_psd(m, return_factor=True)
+    assert cert.passed and X.shape == (m.order, m.order)
+    below = [X[c:, c] for c in range(m.order)]
+    assert max(len(set(col.tolist())) for col in below) == distinct
+    assert sum((col < 0).any() and (col == 0).any() for col in below) == mixed
 
 
 @st.composite
@@ -773,14 +835,24 @@ def test_float_embedding_takes_one_spectrum(monkeypatch):
 
 
 def test_gerzon_takes_one_spectrum(monkeypatch):
+    # at most one: the code keeps its exact rank, and the outer-product Gram
+    # G o G takes a values-only spectrum only where Weyl's bound leaves its
+    # full rank open, as on LS(40) at angle_tol 0.02 with every |g_ij| moved
+    # 0.019 at random off 1/3
     from equicode import matcore
     from equicode.bounds import gerzon_certificate
 
+    g = lemmens_seidel_gram(40).as_array()
+    flips = np.random.default_rng(0).random(g.shape) < 0.5
+    noise = np.triu(np.where(flips, 0.019, -0.019) * np.sign(g), 1)
+    wide = Code.from_gram(SymMatrix(g + noise + noise.T), 78, Tolerance(angle_tol=0.02))
+    assert wide.rank == 78  # taken and kept before the count
     calls = _count_calls(monkeypatch, matcore, "sym_eigen")
-    cert = gerzon_certificate(seven_dim_28_lines())
-    # the code keeps its exact rank; only the outer-product Gram is decomposed, for its rank
-    assert [c.get("vectors", True) for c in calls] == [False]
-    assert cert.passed and cert.witness["rank"] == 7 and cert.witness["outer_rank"] == 28
+    for code, spectra in ((seven_dim_28_lines(), []), (wide, [False])):
+        calls.clear()
+        cert = gerzon_certificate(code)
+        assert [c.get("vectors", True) for c in calls] == spectra
+        assert cert.passed and cert.witness["outer_rank"] == len(code)
 
 
 def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
@@ -801,13 +873,13 @@ def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):
     matches = _count_calls(monkeypatch, codes.AngleSet, "classify_all")
     # whether each spectrum takes vectors: a Gram-only file is certified on
     # its own Gram, with no X X^T, by one values-only load spectrum that also
-    # gives the code's rank, then Gerzon's outer Gram, values only; a reduced
-    # file takes the code's rank, then lambda's top eigenvector.
+    # gives the code's rank, and Weyl's bound gives Gerzon's outer rank with
+    # none; a reduced file takes the code's rank, then lambda's top eigenvector.
     # One angle set per file; its pairs are matched by dgs alone on the Gram
     # file.  A reduced file's pairs are matched once against L(alpha, t), whose
     # negative edges the code keeps for schnirelman, matching (which gets past
     # ExcludedAngle on odd-reciprocal, then SKIPs) and lambda, and once by dgs
-    for path, want in ((src, (0, [False, False], 1, 1)),
+    for path, want in ((src, (0, [False], 1, 1)),
                        (reduced, (1, [False, True], 1, 2)),
                        (oddrec_reduced, (1, [False, True], 1, 2))):
         for calls in (grams, spectra, detections, matches):

@@ -499,7 +499,6 @@ def test_rank_only_sweeps_form_no_factor(build, monkeypatch):
 
     m = build()
     rank, witness, _ = matcore._fraction_free(m._array, m._den, True)
-    want_rank = rank_of(m)
 
     def refused(*args, **kwargs):
         raise AssertionError("a rank-only sweep formed a factor")
@@ -512,7 +511,7 @@ def test_rank_only_sweeps_form_no_factor(build, monkeypatch):
 
     monkeypatch.setattr(matcore, "_scaled_root", refused)
     monkeypatch.setattr(matcore, "np", NoZeros())
-    assert rank_of(m) == want_rank
+    assert rank_of(m) == _fraction_rank(m.rows())
     cert = is_psd(m)
     assert repr(cert.witness) == repr({"rank": rank} if witness is None else witness)
     assert matcore._fraction_free(m._array, m._den) == (rank, witness, None)
@@ -848,11 +847,12 @@ def test_gerzon_takes_one_spectrum(monkeypatch):
     wide = Code.from_gram(SymMatrix(g + noise + noise.T), 78, Tolerance(angle_tol=0.02))
     assert wide.rank == 78  # taken and kept before the count
     calls = _count_calls(monkeypatch, matcore, "sym_eigen")
-    for code, spectra in ((seven_dim_28_lines(), []), (wide, [False])):
+    for code, spectra, rank in ((seven_dim_28_lines(), [], 7), (wide, [False], 78)):
         calls.clear()
         cert = gerzon_certificate(code)
         assert [c.get("vectors", True) for c in calls] == spectra
-        assert cert.passed and cert.witness["outer_rank"] == len(code)
+        assert cert.passed
+        assert (cert.witness["rank"], cert.witness["outer_rank"]) == (rank, len(code))
 
 
 def test_certify_builds_one_gram_per_code(tmp_path, monkeypatch):

@@ -147,9 +147,12 @@ def matching_full_rank_certificate(C: Code,
     """rank(M_C - eps J) = |C| when the negative edges form a matching.
 
     Excludes alpha = 1/3, where the 2x2 matching blocks are singular.  When
-    alpha is rational the rank runs on the exact backend: the idealized
+    alpha is rational the rank is exact with no matrix built: the idealized
     matrix (1-eps)(I - sigma A), A the matching, has the rank of q I - p A
-    for sigma = p/q.
+    for sigma = p/q, a direct sum of blocks [[q, -p], [-p, q]] on the
+    matching's edges and 1x1 blocks q.  Each block has determinant
+    q^2 - p^2 or q, both nonzero because sigma = 2 alpha/(1 - alpha) is
+    positive and is 1 only at alpha = 1/3, so that rank is |C|.
     Also certifies the consequence |C| <= rank(M_C) + 1.
     """
     if params is None:
@@ -161,16 +164,10 @@ def matching_full_rank_certificate(C: Code,
         raise WrongStructure("negative edges do not form a matching")
     m = len(C)
     if isinstance(params.alpha, Fraction):
-        p, q = params.sigma.numerator, params.sigma.denominator
-        # 0-d arrays, not Python ints: numpy makes them object when int64 is too narrow
-        n_matrix = SymMatrix.from_integers(
-            np.where(np.eye(m, dtype=bool), np.array(q), np.where(neg, np.array(-p), 0)))
-        backend = "rational"
+        rank_n, backend = m, "rational"
     else:
         eps = float(params.epsilon)
-        n_matrix = SymMatrix(C.gram.as_array() - eps)
-        backend = "float64"
-    rank_n = rank_of(n_matrix, C.tol)
+        rank_n, backend = rank_of(SymMatrix(C.gram.as_array() - eps), C.tol), "float64"
     rank_m = C.rank
     rhs = rank_m + 1
     passed = (rank_n == m) and (m <= rhs)

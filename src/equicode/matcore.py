@@ -9,13 +9,16 @@ Exact work (rank, PSD pivots) runs one symmetric fraction-free sweep on the
 integer form of a rational matrix, numerators over one common denominator:
 in int64 while no step can overflow (two reused buffers, exact division by
 an inverse mod 2^64, a scan only where a carried bound fails the guard),
-restarted on the primitive part of the remaining block when that fits, and
-on Python ints after; a matrix it finds not PSD is ranked by sweeping M M.
+restarted on the primitive part of the remaining block when that fits or
+when the pivot divides its row and the diagonal, and on Python ints after.
+Runs of unit pivots are eliminated left-looking and applied to the rest of
+the block as one float64 BLAS product whose partial sums are integers
+below 2^52, so it is exact at any thread count.  A matrix the sweep finds
+not PSD is ranked by sweeping M M, itself such a product where it fits.
 Verdicts on rational matrices are therefore bit-exact rather than
 threshold-dependent.  A PSD sweep whose caller reads it also yields its
 LDL^T factor, and a rational Gram is embedded from that factor, each entry
-correctly rounded, with no spectrum and no BLAS call; a rank-only sweep
-forms none.
+correctly rounded, with no spectrum; a rank-only sweep forms none.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from numbers import Integral, Rational
 from typing import Optional, Sequence
 
@@ -244,8 +247,9 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     Float backend: eigenvalues of one values-only spectrum above
     ``eig_zero`` relative to the largest magnitude.
     Rational backend: the positive pivots of one exact sweep of M or, if
-    that finds M not PSD, of the PSD product M M, which has M's rank; the
-    product is int64 while ``order * max|entry|^2 < 2^63``, else Python ints.
+    that finds M not PSD, of the PSD product M M, which has M's rank.  With
+    b = ``order * max|entry|^2`` the product is one exact float64 BLAS
+    product while b < 2^53, int64 while b < 2^63, else Python ints.
     Neither sweep forms a factor.
     """
     if M.backend == RATIONAL:
@@ -253,8 +257,13 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
         rank, witness, _ = _fraction_free(num)
         if witness is None:
             return rank
-        if num.dtype != object and M.order * _max_abs(num) ** 2 >= 2 ** 63:
-            num = num.astype(object)
+        if num.dtype != object:
+            bound = M.order * _max_abs(num) ** 2
+            if bound < _FLOAT_EXACT:  # M M = M^T M
+                square = _exact_gram(num.astype(np.float64), np.empty(num.size))
+                return _fraction_free(square.astype(np.int64))[0]
+            if bound >= 2 ** 63:
+                num = num.astype(object)
         return _fraction_free(num @ num)[0]
     return _float_rank(sym_eigen(M, vectors=False).eigenvalues, tol)
 
@@ -397,6 +406,7 @@ def _require_psd(cert: Certificate) -> None:
 
 _GUARD = 2 ** 62        # int64 steps need 2 * max|entry|^2 below this
 _FLOAT_EXACT = 2 ** 53  # integers up to here convert to float64 exactly
+_RUN_BOUND = 2 ** 52    # unit runs keep every partial sum below this
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -440,6 +450,29 @@ def _fraction_free(num, den: int = 1, factor: bool = False):
     trailing block.  Witness pivots ``d / (prev * den) * scale`` are the
     pivots of ``num / den`` whether or not the sweep restarted.
 
+    Where the guard holds, a pivot d > 1 that divides every entry of its row
+    and of the diagonal (two O(n) tests, each after a test of one entry)
+    most likely divides the whole block, so the sweep restarts there too; g
+    is then d and the pivot becomes 1.  The first such pass that leaves the
+    pivot above 1 ends these early restarts for the sweep.  On the
+    Lemmens-Seidel Grams one early restart at step 2 leaves every later
+    pivot 1 and every entry in {-1, 0, 1}.
+
+    With ``prev = 1`` and pivot 1 a step is ``T - a a^T``, and
+    ``_unit_run`` takes a run of them left-looking: each candidate row is
+    brought up to date from the run's pivot rows only.  At the end of the
+    run the rest of the block takes the whole run at once, ``T - A^T A``
+    for the run's pivot rows A, as one float64 BLAS product written into
+    the third int64 buffer viewed as float64.  The run keeps
+    ``sum max|a|^2`` over its rows below 2^52, so every partial sum of
+    every product is an integer below 2^52, and the entries of T, below
+    2^31 by the guard, keep every difference below 2^53: each float64
+    operation is exact, in any summation order and at any BLAS thread
+    count.  A run stops before a pivot that is not 1, a zero pivot whose
+    row is not zero, or a row that would take the bound to 2^52; the step
+    at that pivot then finds the block the one-step sweep would have left,
+    so ranks, witnesses and the factor do not depend on where runs fall.
+
     Returns ``(rank, witness, factor)``.  The sweep stops at a negative
     pivot, or at a zero pivot whose row is not all zero (a negative 2x2
     principal minor), and returns that witness with the rank so far and no
@@ -449,8 +482,9 @@ def _fraction_free(num, den: int = 1, factor: bool = False):
     positive pivot d, with pivot row a, gives column c, a / d scaled by the
     square root of its witness pivot D; zero pivots give no column.  Each
     distinct value of a pivot row is rooted once, found through a set of the
-    row's values, with no sort of the row.  Only with ``factor`` does the
-    sweep form X; otherwise the factor is None.
+    row's values, with no sort of the row, and once per run of unit pivots,
+    which share one q.  Only with ``factor`` does the sweep form X;
+    otherwise the factor is None.
     """
     m = num.shape[0]
     prev, rank, scale = 1, 0, Fraction(1)
@@ -463,7 +497,8 @@ def _fraction_free(num, den: int = 1, factor: bool = False):
         T = flat.reshape(m, m)
         T[...] = num
         top = _max_abs(T)  # a bound on max|T|
-    for col in range(m):
+    col, early = 0, True
+    while col < m:
         d = int(T[0, 0])
         if d < 0:
             pivot = Fraction(d, prev * den) * scale
@@ -474,24 +509,45 @@ def _fraction_free(num, den: int = 1, factor: bool = False):
                 return rank, {"pivot_index": col, "pivot": Fraction(0),
                               "indefinite_pair": (col, col + int(nz[0]))}, None
             T = T[1:, 1:]
+            col += 1
             continue
-        if (T.dtype != object and 2 * top ** 2 >= _GUARD
-                and 2 * (top := _max_abs(T)) ** 2 >= _GUARD):
-            g = int(np.gcd.reduce(T, axis=None))
-            if 2 * (top // g) ** 2 < _GUARD:
+        if T.dtype != object:
+            g = 1
+            if 2 * top ** 2 >= _GUARD and 2 * (top := _max_abs(T)) ** 2 >= _GUARD:
+                g = int(np.gcd.reduce(T, axis=None))
+                if 2 * (top // g) ** 2 >= _GUARD:
+                    T, g = T.astype(object), 1
+            elif (early and d > 1 and not T[0, -1] % d and not T[-1, -1] % d
+                  and not (T[0] % d).any() and not (np.diagonal(T) % d).any()):
+                g = int(np.gcd.reduce(T, axis=None))
+                early = g == d  # after a pass that leaves the pivot above 1, no more
+            if g > 1:  # restart on the primitive part
                 _divide_exact(T, g)
                 d //= g
                 top //= g
                 scale *= Fraction(g, prev)
                 prev = 1
-            else:
-                T = T.astype(object)
+        if d == prev == 1 and T.dtype != object:
+            n = m - col
+            rows = spare[:n * n].view(np.float64).reshape(n, n)
+            pivots, stop, bound = _unit_run(T, rows)
+            if stop:
+                if factor:  # every pivot of the run has q = scale / den
+                    root = cache(partial(_scaled_root, q=scale / den))
+                    for c, j in enumerate(pivots):
+                        _factor_column(X, rank + c, rows[c, j:].astype(np.int64), root)
+                rank += len(pivots)
+                col += stop
+                T = T[stop:, stop:]
+                if stop < n:  # the run's update of the rest, as one exact product
+                    product = _exact_gram(rows[:len(pivots), stop:], square.view(np.float64))
+                    np.subtract(T, product, out=T, casting="unsafe")
+                    top += bound
+                continue
         if factor:
             # X[j, c] = a[j] / d sqrt(D) = a[j] sqrt(q) for the pivot row a
             q = scale / (d * prev * den)  # D / d^2
-            values = sorted(set(T[0].tolist()))
-            roots = np.array([_scaled_root(a, q) for a in values])
-            X[col:, rank] = roots[np.searchsorted(np.array(values, dtype=T.dtype), T[0])]
+            _factor_column(X, rank, T[0], partial(_scaled_root, q=q))
         a, n = T[0, 1:], m - col - 1
         if T.dtype == object:
             i, j = np.triu_indices(n)
@@ -506,7 +562,55 @@ def _fraction_free(num, den: int = 1, factor: bool = False):
             flat, spare, T = spare, flat, nxt
         prev = d
         rank += 1
+        col += 1
     return rank, None, X[:, :rank] if factor else None
+
+
+def _factor_column(X: np.ndarray, c: int, row: np.ndarray, root) -> None:
+    """Write ``root(a[j])`` into X[j, c] for the pivot row a, which starts at
+    the pivot: one root per distinct value of the row, scattered back."""
+    values = sorted(set(row.tolist()))
+    roots = np.array([root(a) for a in values])
+    X[X.shape[0] - row.shape[0]:, c] = roots[np.searchsorted(np.array(values, dtype=row.dtype),
+                                                              row)]
+
+
+def _unit_run(T: np.ndarray, rows: np.ndarray):
+    """Eliminate the leading unit pivots of the int64 block T, previous pivot 1.
+
+    Such a step is T - a a^T.  Each candidate row j is brought up to date
+    left-looking, as T[j, j:] minus the run's pivot rows times their entries
+    in column j, all in float64; a unit pivot's row goes into ``rows``, a
+    zero pivot whose row is zero is passed over.  With ``bound`` the sum of
+    the squared largest entries of the rows taken, every partial sum is an
+    integer of magnitude below ``bound`` and so exact while that stays below
+    ``_RUN_BOUND``.  The run stops before a pivot that is not 1, a zero pivot
+    with a nonzero row, or a row that would take ``bound`` to ``_RUN_BOUND``.
+    Returns ``(pivots, stop, bound)``: the positions of the unit pivots, the
+    first position not eliminated, and the bound.  T is not written.
+    """
+    pivots, bound = [], 0
+    for j in range(T.shape[0]):
+        k = len(pivots)
+        row = T[j, j:] - rows[:k, j] @ rows[:k, j:]
+        if row[0] == 1:
+            peak = int(np.abs(row).max())
+            if bound + peak * peak >= _RUN_BOUND:
+                return pivots, j, bound
+            rows[k, j:] = row
+            pivots.append(j)
+            bound += peak * peak
+        elif row[0] != 0 or row.any():
+            return pivots, j, bound
+    return pivots, T.shape[0], bound
+
+
+def _exact_gram(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a^T a of an integer-valued float64 a, written into the flat float64
+    buffer ``out``: exact in any summation order, and so at any BLAS thread
+    count, when every sum of |a[t, i] a[t, j]| over t is below 2^53."""
+    n = a.shape[1]
+    return np.matmul(a.T, a, out=out[:n * n].reshape(n, n))
 
 
 def _scaled_root(a: int, q: Fraction) -> float:

@@ -292,7 +292,7 @@ def test_matching_exact_rank_equals_the_fraction_grid_rank(alpha, t, edges, sing
 
 
 def test_matching_exact_rank_at_300_within_budget():
-    # the exact rank sweep on q I - p A at m = 300, whose Bareiss minors pass int64
+    # the exact rank of q I - p A at m = 300, read off its 2x2 blocks
     code, params = _matching_code(Fraction(1, 5), 10, 100, 100)
     code.gram  # built outside the timed span
     start = time.perf_counter()
@@ -300,6 +300,33 @@ def test_matching_exact_rank_at_300_within_budget():
     assert time.perf_counter() - start < 0.3
     assert cert.passed and cert.witness["backend"] == "rational"
     assert cert.witness["rank_shifted"] == 300
+
+
+@pytest.mark.parametrize("alpha, t, edges, singletons", [
+    (Fraction(1, 5), 10, 3, 0),    # perfect matching, sigma = 1/2
+    (Fraction(1, 5), 10, 2, 3),    # partial
+    (Fraction(1, 4), 9, 0, 5),     # empty, sigma = 2/3
+    (Fraction(1, 7), 4, 4, 1),     # sigma = 1/3
+    (Fraction(3, 10), 5, 3, 2),    # sigma = 6/7
+    (Fraction(2, 5), 2, 1, 1),     # sigma = 4/3
+    (Fraction(1, 2), 1, 1, 0),     # sigma = 2: an antipodal pair, rank(M) = 1
+], ids=["perfect-1/2", "partial-1/2", "empty-2/3", "perfect-1/3", "partial-6/7",
+        "partial-4/3", "antipodal-2"])
+def test_matching_closed_form_rank_equals_the_exact_sweep(alpha, t, edges, singletons,
+                                                          monkeypatch):
+    from equicode import bounds
+
+    code, params = _matching_code(alpha, t, edges, singletons)
+    with monkeypatch.context() as mp:  # the rational branch ranks nothing
+        mp.setattr(bounds, "rank_of", None)
+        cert = matching_full_rank_certificate(code, params)
+    p, q, m = params.sigma.numerator, params.sigma.denominator, len(code)
+    a = np.zeros((m, m), dtype=np.int64)
+    for e in range(edges):
+        a[2 * e, 2 * e + 1] = a[2 * e + 1, 2 * e] = 1
+    swept = rank_of(SymMatrix.from_integers(q * np.eye(m, dtype=np.int64) - p * a))
+    assert cert.witness["backend"] == "rational" and cert.witness["matching_edges"] == edges
+    assert cert.witness["rank_shifted"] == swept == m
 
 
 def test_matching_full_rank_float_detection_path():

@@ -2,6 +2,7 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def _dense_gram(n, seed):
 
 class _GcdProbe:
     """Stands in for numpy in ``matcore`` and logs each ``gcd.reduce`` the
-    kernel takes where the int64 guard fails, as (gcd, max |entry| of the block)."""
+    kernel takes, as (gcd, max |entry| of the block, its leading pivot)."""
 
     def __init__(self):
         self.log = []
@@ -361,20 +362,46 @@ class _GcdProbe:
 
     def reduce(self, block, **kwargs):
         g = np.gcd.reduce(block, **kwargs)
-        self.log.append((int(g), int(np.abs(block).max())))
+        self.log.append((int(g), int(np.abs(block).max()), int(block[0, 0])))
         return g
 
 
+class _Paths(NamedTuple):
+    """What one sweep did: ``restarts`` on the primitive part and
+    ``promotions`` to Python ints; ``early`` gcd passes taken while the int64
+    guard held (at a pivot that divides its row and the diagonal), ``futile``
+    of them leaving the pivot above 1; and, per unit run that eliminated a
+    pivot, (pivots taken, columns of its block left when it stopped)."""
+
+    restarts: int
+    promotions: int
+    early: int
+    futile: int
+    runs: tuple
+
+
 def _sweep_paths(sweep, *args):
-    """Run ``sweep(*args)`` and count the kernel's restarts and promotions."""
+    """Run ``sweep(*args)`` and return its result and ``_Paths``."""
     from equicode import matcore
 
-    probe = _GcdProbe()
+    probe, runs = _GcdProbe(), []
+    unit_run = matcore._unit_run
+
+    def logged_run(T, rows):
+        pivots, stop, bound = unit_run(T, rows)
+        if pivots:
+            runs.append((len(pivots), T.shape[0] - stop))
+        return pivots, stop, bound
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matcore, "np", probe)
+        mp.setattr(matcore, "_unit_run", logged_run)
         result = sweep(*args)
-    restarts = sum(2 * (top // g) ** 2 < 2 ** 62 for g, top in probe.log)
-    return result, restarts, len(probe.log) - restarts
+    early = [(g, d) for g, top, d in probe.log if 2 * top ** 2 < 2 ** 62]
+    guard = [(g, top) for g, top, _ in probe.log if 2 * top ** 2 >= 2 ** 62]
+    fits = sum(2 * (top // g) ** 2 < 2 ** 62 for g, top in guard)
+    return result, _Paths(fits + sum(g > 1 for g, _ in early), len(guard) - fits, len(early),
+                          sum(d // g > 1 for g, d in early), tuple(runs))
 
 
 @pytest.mark.parametrize("case, kind", [
@@ -402,8 +429,9 @@ def test_exact_kernel_promotes_partway_and_matches_fraction_oracle(case, kind):
     # (LS, simplex) and goes on in Python ints when it does not (dense)
     assert m._array.dtype == np.int64 and 2 * int(np.abs(m._array).max()) ** 2 < 2 ** 62
     assert 2 * largest ** 2 >= 2 ** 62
-    _, restarts, promotions = _sweep_paths(is_psd, m)
-    assert (restarts > 0, promotions) == ((False, 1) if case == "dense24" else (True, 0))
+    _, paths = _sweep_paths(is_psd, m)
+    want = (False, 1) if case == "dense24" else (True, 0)
+    assert (paths.restarts > 0, paths.promotions) == want
     cert = is_psd(m)
     assert cert.witness == ({"rank": rank} if witness is None else witness)
     assert rank_of(m) == _fraction_rank(m.rows())
@@ -442,10 +470,9 @@ def test_exact_kernel_restarts_where_plain_bareiss_leaves_int64(build):
     m = build()
     rank, witness, largest = _fraction_sweep(m.rows())
     assert witness is None and 2 * largest ** 2 >= 2 ** 62
-    (psd_rank, _, _), restarts, promotions = _sweep_paths(
-        matcore._fraction_free, m._array, m._den)
+    (psd_rank, _, _), paths = _sweep_paths(matcore._fraction_free, m._array, m._den)
     assert psd_rank == rank == rank_of(m) == _fraction_rank(m.rows())
-    assert restarts > 0 and promotions == 0
+    assert paths.restarts > 0 and paths.promotions == 0
 
 
 @pytest.mark.parametrize("num", [
@@ -524,6 +551,55 @@ def test_rank_of_indefinite_input_in_time():
     assert time.perf_counter() - start < 3.0
 
 
+def _edge_matrix(order, peak):
+    """All entries ``peak`` but the last diagonal one, ``-peak``: not PSD."""
+    num = np.full((order, order), peak, dtype=np.int64)
+    num[-1, -1] = -peak
+    return num
+
+
+def _random_symmetric(order, seed):
+    """Entries drawn up to the largest peak with order * peak^2 < 2^53."""
+    peak = math.isqrt((2 ** 53 - 1) // order)
+    b = np.random.default_rng(seed).integers(-peak, peak + 1, size=(order, order))
+    return np.triu(b) + np.triu(b, 1).T
+
+
+_EDGE3 = math.isqrt((2 ** 53 - 1) // 3)  # the largest p with 3 p^2 < 2^53
+
+
+@pytest.mark.parametrize("build, blas", [
+    (lambda: _edge_matrix(3, _EDGE3), True),
+    (lambda: _edge_matrix(3, _EDGE3 + 1), False),   # 3 p^2 is odd, above 2^53: float64 rounds it
+    (lambda: _edge_matrix(2, 2 ** 26 - 1), True),
+    (lambda: _edge_matrix(2, 2 ** 26), False),      # 2 p^2 = 2^53
+    (lambda: _random_symmetric(40, seed=11), True),
+    (lambda: _edge_matrix(3, 2 ** 31), False),      # past 2^63: Python ints
+], ids=["order3-below-2^53", "order3-at-2^53", "order2-below-2^53", "order2-at-2^53",
+        "random40-below-2^53", "order3-past-2^63"])
+def test_rank_of_square_is_the_integer_product(build, blas, monkeypatch):
+    from equicode import matcore
+
+    num = build()
+    m = SymMatrix.from_integers(num)
+    calls, products = [], []
+    kernel, gram = matcore._fraction_free, matcore._exact_gram
+
+    def counted(num, *args):
+        calls.append(num)
+        return kernel(num, *args)
+
+    monkeypatch.setattr(matcore, "_fraction_free", counted)
+    monkeypatch.setattr(matcore, "_exact_gram", lambda *a: products.append(a) or gram(*a))
+    assert rank_of(m) == _fraction_rank(m.rows())
+    exact = num.astype(object) @ num.astype(object)
+    assert len(calls) == 2 and calls[1].tolist() == exact.tolist()
+    assert calls[1].dtype == (object if m.order * int(np.abs(num).max()) ** 2 >= 2 ** 63
+                              else np.int64)
+    # the product of M itself, not a run's inside the sweep of M M
+    assert any(a.shape == num.shape for a, _ in products) == blas
+
+
 @st.composite
 def _small_grams(draw):
     """Rational rows c/den * G for an integer Gram G = B^T B, maybe perturbed to
@@ -596,9 +672,8 @@ def test_exact_factor_on_every_kernel_path(build, path):
     # the PSD Grams that the tests above drive into a restart on the
     # primitive part, a promotion partway, and Python ints from the start
     m = build()
-    (cert, X), restarts, promotions = _sweep_paths(
-        lambda: is_psd(m, return_factor=True))
-    assert (m._array.dtype == object, restarts > 0, promotions) == {
+    (cert, X), paths = _sweep_paths(lambda: is_psd(m, return_factor=True))
+    assert (m._array.dtype == object, paths.restarts > 0, paths.promotions) == {
         "restart": (False, True, 0), "promotion": (False, False, 1),
         "python-ints": (True, False, 0)}[path]
     assert cert.passed and X.shape == (m.order, cert.witness["rank"])
@@ -658,17 +733,16 @@ def _pre_buffer_kernel(num, den=1):
 
 def _matches_pre_buffer_kernel(num, den):
     """Assert the kernel's rank, witness and factor equal the oracle's bit for
-    bit; return the kernel's restart and promotion counts."""
+    bit; return the kernel's ``_Paths``."""
     from equicode import matcore
 
     rank, witness, X = _pre_buffer_kernel(num, den)
-    (got_rank, got_witness, got_X), restarts, promotions = _sweep_paths(
-        matcore._fraction_free, num, den, True)
+    (got_rank, got_witness, got_X), paths = _sweep_paths(matcore._fraction_free, num, den, True)
     assert (got_rank, repr(got_witness)) == (rank, repr(witness))
     assert (got_X is None) == (X is None)
     if X is not None:
         assert got_X.shape == X.shape and np.array_equal(got_X.view(np.int64), X.view(np.int64))
-    return restarts, promotions
+    return paths
 
 
 @pytest.mark.parametrize("build, paths", [
@@ -683,8 +757,8 @@ def _matches_pre_buffer_kernel(num, den):
         "odd-reciprocal-25-3", "dense24", "lines28"])
 def test_exact_kernel_matches_the_pre_buffer_kernel_on_every_path(build, paths):
     m = build()
-    restarts, promotions = _matches_pre_buffer_kernel(m._array, m._den)
-    assert (restarts > 0, promotions) == paths
+    got = _matches_pre_buffer_kernel(m._array, m._den)
+    assert (got.restarts > 0, got.promotions) == paths
 
 
 def _interleaved_gram(n, seed):
@@ -698,18 +772,19 @@ def _interleaved_gram(n, seed):
     return SymMatrix.from_integers(g)
 
 
-@pytest.mark.parametrize("build, promotions, distinct, mixed", [
-    (lambda: _dense_gram(40, seed=43), 1, 39, 0),
-    (lambda: _interleaved_gram(4, seed=5), 0, 5, 5),
-    (lambda: _interleaved_gram(8, seed=5), 1, 9, 14),
+@pytest.mark.parametrize("build, restarts, promotions, distinct, mixed", [
+    (lambda: _dense_gram(40, seed=43), 0, 1, 39, 0),
+    (lambda: _interleaved_gram(4, seed=5), 1, 0, 5, 5),    # one early restart
+    (lambda: _interleaved_gram(8, seed=5), 0, 1, 9, 14),
 ], ids=["dense40", "interleaved8-int64", "interleaved16-promoted"])
-def test_factor_columns_match_the_pre_buffer_kernel(build, promotions, distinct, mixed):
+def test_factor_columns_match_the_pre_buffer_kernel(build, restarts, promotions, distinct, mixed):
     # a factor column takes one root per distinct value of its pivot row and
     # scatters them back: rows of up to 39 distinct values, and rows holding
     # negative and zero entries (``mixed`` columns) in int64 and on both sides
     # of the promotion to Python ints
     m = build()
-    assert _matches_pre_buffer_kernel(m._array, m._den) == (0, promotions)
+    paths = _matches_pre_buffer_kernel(m._array, m._den)
+    assert (paths.restarts, paths.promotions) == (restarts, promotions)
     cert, X = is_psd(m, return_factor=True)
     assert cert.passed and X.shape == (m.order, m.order)
     below = [X[c:, c] for c in range(m.order)]
@@ -740,6 +815,100 @@ def _kernel_inputs(draw):
 @given(_kernel_inputs())
 def test_exact_kernel_matches_the_pre_buffer_kernel(case):
     _matches_pre_buffer_kernel(*case)
+
+
+def _switched(gram, seed):
+    """The Seidel switch S G S of a Gram, S a random diagonal of signs."""
+    s = np.random.default_rng(seed).choice([-1, 1], gram.order)
+    return SymMatrix.from_integers(gram._array * np.outer(s, s), gram._den)
+
+
+def _unit_ldl(pivots, seed):
+    """L D L^T for a unit lower-triangular L with entries in [-2, 2] and
+    D = diag(pivots)."""
+    n = len(pivots)
+    low = np.tril(np.random.default_rng(seed).integers(-2, 3, size=(n, n)), -1)
+    L = low + np.eye(n, dtype=np.int64)
+    return SymMatrix.from_integers(L @ np.diag(pivots) @ L.T)
+
+
+@pytest.mark.parametrize("build, early, runs", [
+    (lambda: lemmens_seidel_gram(40), 1, ((38, 0),)),
+    (lambda: lemmens_seidel_gram(160), 1, ((158, 0),)),
+    (lambda: _switched(lemmens_seidel_gram(40), seed=7), 1, ((38, 0),)),
+    # moved by an even numerator, an entry keeps the factor 16 of the block
+    # at step 2, so the sweep restarts early there and runs until it stops
+    # at the negative last pivot, or at the zero pivot 71 whose row holds 77
+    (lambda: _perturbed(lemmens_seidel_gram(40), 77, 77, Fraction(-2, 3)), 1, ((38, 1),)),
+    (lambda: _perturbed(lemmens_seidel_gram(40), 70, 77, Fraction(2, 3)), 1, ((35, 7),)),
+    # stops at the pivot 2; the step after it leaves the block a multiple of
+    # 2, so the sweep restarts early and runs to the end
+    (lambda: _unit_ldl([1] * 5 + [2] + [1] * 6, seed=3), 1, ((5, 7), (6, 0))),
+    # the same at order 301: a 150 x 151 product, large enough for BLAS threads
+    (lambda: _unit_ldl([1] * 150 + [2] + [1] * 150, seed=5), 1, ((150, 151), (150, 0))),
+    # the second pivot is 1, but its row holds -2^38: 2^76 passes the bound
+    (lambda: SymMatrix.from_integers([[1, 2 ** 13, 2 ** 25], [2 ** 13, 2 ** 26 + 1, 0],
+                                      [2 ** 25, 0, 2 ** 30]]), 0, ((1, 2),)),
+], ids=["ls40", "ls160", "ls40-switched", "ls40-last-diagonal-even", "ls40-far-pair-even",
+        "unit-pivots-then-2", "unit-pivots-then-2-order301", "run-bound"])
+def test_unit_runs_match_the_pre_buffer_kernel(build, early, runs):
+    m = build()
+    paths = _matches_pre_buffer_kernel(m._array, m._den)
+    assert (paths.early, paths.futile, paths.runs) == (early, 0, runs)
+
+
+@st.composite
+def _unit_pivot_grams(draw):
+    """(num, den) for num = c L L^T: L unit lower-triangular with entries in
+    [-2, 2] and some columns zero (zero pivots with zero rows), maybe one
+    diagonal entry moved so a run stops at a pivot that is not 1.  A common
+    factor c > 1 makes the first pivot divide its row and the diagonal, so
+    the sweep restarts early, or on the guard for c = 5^19."""
+    n = draw(st.integers(1, 12))
+    L = np.eye(n, dtype=np.int64)
+    L[np.tril_indices(n, -1)] = draw(st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2,
+                                              max_size=n * (n - 1) // 2))
+    L[:, draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = 0
+    num = L @ L.T
+    i = draw(st.integers(0, n - 1))
+    num[i, i] += draw(st.sampled_from([0, 0, 1, -1, 2]))
+    c = draw(st.sampled_from([1, 1, 6, 3 ** 9, 2 ** 20 + 7, 5 ** 19]))
+    return c * num, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_unit_pivot_grams())
+def test_unit_pivot_grams_match_the_pre_buffer_kernel(case):
+    _matches_pre_buffer_kernel(*case)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: odd_reciprocal_gram(100, 3),
+    lambda: simplex_gram(100),
+    lambda: lemmens_seidel_gram(160),
+], ids=["odd-reciprocal-100-3", "simplex100", "ls160"])
+def test_early_restarts_leave_a_unit_pivot(build):
+    # the divisibility test on the pivot's row and the diagonal lets no gcd
+    # pass through that leaves the pivot above 1
+    m = build()
+    (cert, _), paths = _sweep_paths(lambda: is_psd(m, return_factor=True))
+    assert cert.passed and paths.early == 1 and paths.futile == 0
+
+
+def test_a_futile_early_pass_is_not_repeated():
+    # the far pair keeps the block's gcd at half the pivot: one pass, then
+    # the sweep goes on as without early restarts
+    m = _perturbed(lemmens_seidel_gram(40), 70, 77, Fraction(1, 3))
+    paths = _matches_pre_buffer_kernel(m._array, m._den)
+    assert (paths.early, paths.futile, paths.runs) == (1, 1, ())
+
+
+def test_ls600_factor_in_time():
+    m = lemmens_seidel_gram(600)
+    start = time.perf_counter()
+    cert, X = is_psd(m, return_factor=True)
+    assert time.perf_counter() - start < 0.5
+    assert cert.witness == {"rank": 600} and X.shape == (1198, 600)
 
 
 @pytest.mark.parametrize("divisor", [1, 2, 3, 7, 12, 2 ** 40, 3 * 2 ** 40, 2 ** 61 - 1,

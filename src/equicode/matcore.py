@@ -14,7 +14,7 @@ when the pivot divides its row and the diagonal, and on Python ints after.
 Runs of unit pivots are eliminated left-looking and applied to the rest of
 the block as one float64 BLAS product whose partial sums are integers
 below 2^52, so it is exact at any thread count.  A matrix the sweep finds
-not PSD is ranked by sweeping M M, itself such a product where it fits.
+not PSD is ranked by sweeping M M.
 Verdicts on rational matrices are therefore bit-exact rather than
 threshold-dependent.  A PSD sweep whose caller reads it also yields its
 LDL^T factor, and a rational Gram is embedded from that factor, each entry
@@ -247,9 +247,8 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
     Float backend: eigenvalues of one values-only spectrum above
     ``eig_zero`` relative to the largest magnitude.
     Rational backend: the positive pivots of one exact sweep of M or, if
-    that finds M not PSD, of the PSD product M M, which has M's rank.  With
-    b = ``order * max|entry|^2`` the product is one exact float64 BLAS
-    product while b < 2^53, int64 while b < 2^63, else Python ints.
+    that finds M not PSD, of the PSD product M M, which has M's rank; the
+    product is int64 while ``order * max|entry|^2 < 2^63``, else Python ints.
     Neither sweep forms a factor.
     """
     if M.backend == RATIONAL:
@@ -257,13 +256,8 @@ def rank_of(M: SymMatrix, tol: Tolerance = DEFAULT_TOL) -> int:
         rank, witness, _ = _fraction_free(num)
         if witness is None:
             return rank
-        if num.dtype != object:
-            bound = M.order * _max_abs(num) ** 2
-            if bound < _FLOAT_EXACT:  # M M = M^T M
-                square = _exact_gram(num.astype(np.float64), np.empty(num.size))
-                return _fraction_free(square.astype(np.int64))[0]
-            if bound >= 2 ** 63:
-                num = num.astype(object)
+        if num.dtype != object and M.order * _max_abs(num) ** 2 >= 2 ** 63:
+            num = num.astype(object)
         return _fraction_free(num @ num)[0]
     return _float_rank(sym_eigen(M, vectors=False).eigenvalues, tol)
 
@@ -539,8 +533,9 @@ def _fraction_free(num, den: int = 1, factor: bool = False):
                 rank += len(pivots)
                 col += stop
                 T = T[stop:, stop:]
-                if stop < n:  # the run's update of the rest, as one exact product
-                    product = _exact_gram(rows[:len(pivots), stop:], square.view(np.float64))
+                if stop < n:  # the run's update of the rest, as one exact product A^T A
+                    a, k = rows[:len(pivots), stop:], n - stop
+                    product = np.matmul(a.T, a, out=square.view(np.float64)[:k * k].reshape(k, k))
                     np.subtract(T, product, out=T, casting="unsafe")
                     top += bound
                 continue
@@ -603,14 +598,6 @@ def _unit_run(T: np.ndarray, rows: np.ndarray):
         elif row[0] != 0 or row.any():
             return pivots, j, bound
     return pivots, T.shape[0], bound
-
-
-def _exact_gram(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a^T a of an integer-valued float64 a, written into the flat float64
-    buffer ``out``: exact in any summation order, and so at any BLAS thread
-    count, when every sum of |a[t, i] a[t, j]| over t is below 2^53."""
-    n = a.shape[1]
-    return np.matmul(a.T, a, out=out[:n * n].reshape(n, n))
 
 
 def _scaled_root(a: int, q: Fraction) -> float:
